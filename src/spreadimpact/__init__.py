@@ -36,16 +36,11 @@ from .montecarlo import (
     simulate_paths,
 )
 from .solver import (
-    BlowUpEvent,
     FreeBoundarySolution,
     NoMatchError,
     NumericalFailure,
-    ShootOutcome,
-    SolverOptions,
     TradingPolicy,
     policy,
-    shoot_backward,
-    shoot_forward,
     solve,
 )
 
@@ -55,7 +50,6 @@ __all__ = [
     "AllocationRegime",
     "AsymptoticInputs",
     "AsymptoticSolution",
-    "BlowUpEvent",
     "FreeBoundarySolution",
     "FrictionlessBaseline",
     "MarketParams",
@@ -64,10 +58,8 @@ __all__ = [
     "NumericalFailure",
     "ParameterError",
     "PathEnsemble",
-    "ShootOutcome",
     "SimConfig",
     "SimulationReport",
-    "SolverOptions",
     "TradingPolicy",
     "asymptotic_policy",
     "baseline",
@@ -79,8 +71,6 @@ __all__ = [
     "near_boundary_slope",
     "policy",
     "r_buy",
-    "shoot_backward",
-    "shoot_forward",
     "simulate_paths",
     "solve",
     "validate",

@@ -12,9 +12,7 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,7 +26,7 @@ from .market import (
     degenerate_regime,
     validate,
 )
-from .solver import NoMatchError, NumericalFailure, SolverOptions, policy, solve
+from .solver import NoMatchError, NumericalFailure, policy, solve
 from .whittaker import SpecialFunctionError
 
 __all__ = ["main"]
@@ -264,19 +262,9 @@ def _cmd_sweep(args) -> int:
     for p in points:
         validate(p)
 
-    workers = min(len(points), max(1, int(os.environ.get("REBAL_THREADS", "1"))))
-
-    def run(p):
-        return solve(p)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solutions = list(pool.map(run, points))
-    else:
-        solutions = [run(p) for p in points]
-
     lines = ["epsilon,lambda,y,q,u"]
-    for p, sol in zip(points, solutions):
+    for p in points:
+        sol = solve(p)
         ys = np.linspace(sol.y_grid[0], sol.y_grid[-1], args.grid_points)
         ys = np.unique(np.concatenate([ys, [sol.y_minus, sol.y_plus]]))
         qs = sol.q_at(ys)

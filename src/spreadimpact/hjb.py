@@ -1,78 +1,43 @@
-"""Slope field, boundary data, and turnover optimizer of the long-run ODE.
+"""The long-run ODE for the marginal-value function q(y), in one place.
 
-The marginal-value function q solves a first-order ODE whose right-hand side
-switches between three regimes: buying (q above the curve eps/(1+eps*y)),
-selling (q below -eps/(1-eps*y)), and no trading in between. The friction
-term vanishes on the regime curves, so the slope field is continuous. This
-module evaluates that slope field pointwise; integrating it is the job of
-the free-boundary solver.
+q solves a first-order ODE whose right-hand side switches between three
+regimes: buying (q above the curve eps/(1+eps*y)), selling (q below
+-eps/(1-eps*y)), and no trading in between. The friction bracket
+w^2/(4 lam (1-yq)) vanishes on the regime curves, so the slope field is
+continuous. This module holds that one equation twice, and nowhere else:
+
+- :func:`make_rhs_jac`, scalar closures for the slope and its q-derivative
+  (the integrator's hot path);
+- :func:`equation_terms`, its additive terms on arrays (node slopes and the
+  residual check of the solution grid).
+
+It also holds the boundary data at y = 0 and y = 1 and the pointwise
+optimal turnover. Integrating the equation is the job of the solver.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .market import MarketParams
 
 __all__ = [
     "BoundaryDataError",
-    "OdeContext",
-    "OdeDomainError",
-    "Regime",
-    "SingularEndpointError",
-    "Y_MIN_CLEARANCE",
     "band_buy",
     "band_sell",
     "boundary_value_0",
     "boundary_value_1",
-    "classify",
-    "pointwise_optimal_turnover",
-    "slope",
-    "slope_no_trade",
+    "equation_terms",
+    "make_rhs_jac",
+    "optimal_turnover",
+    "slope_field",
 ]
-
-# The quadratic coefficient sigma^2 y^2 (1-y)^2 / 2 vanishes at both
-# endpoints; slope evaluation refuses points within this distance of them.
-Y_MIN_CLEARANCE = 1e-6
-
-
-class OdeDomainError(ValueError):
-    """State (y, q) outside the region where the ODE is defined (q y >= 1)."""
-
-
-class SingularEndpointError(ValueError):
-    """Slope requested too close to y = 0 or y = 1; use the boundary data."""
 
 
 class BoundaryDataError(ValueError):
     """Boundary value/derivative formula not usable for these inputs."""
-
-
-class Regime(enum.Enum):
-    BUY = 1
-    NO_TRADE = 0
-    SELL = -1
-
-
-@dataclass(frozen=True)
-class OdeContext:
-    """Market parameters plus a candidate equivalent safe rate.
-
-    For any beta at or above the buy-and-hold floor max(0, mu - gamma
-    sigma^2/2), the auxiliary constant d = -gamma sigma^2 - 2 beta + 2 mu is
-    nonpositive, which keeps the y=1 boundary formula real for small
-    frictions.
-    """
-
-    params: MarketParams
-    beta: float
-
-    @property
-    def d(self) -> float:
-        p = self.params
-        return -p.gamma * p.sigma**2 - 2.0 * self.beta + 2.0 * p.mu
 
 
 def band_buy(y: float, epsilon: float) -> float:
@@ -85,104 +50,101 @@ def band_sell(y: float, epsilon: float) -> float:
     return -epsilon / (1.0 - epsilon * y)
 
 
-def classify(y: float, q: float, epsilon: float) -> Regime:
-    """Regime of the slope field at (y, q).
+def make_rhs_jac(params: MarketParams, beta: float):
+    """Fast closures for the slope field and its q-derivative.
 
-    On the curves themselves the friction bracket vanishes, so the buy/sell
-    assignment there is a labeling choice with no effect on the slope.
+    Outside the meaningful domain (q y >= 1 in a trading regime) the slope
+    returns +-inf, which the integrator treats as a failed trial.
     """
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"y must lie in [0, 1], got {y!r}")
-    if q >= band_buy(y, epsilon):
-        return Regime.BUY
-    if q <= band_sell(y, epsilon):
-        return Regime.SELL
-    return Regime.NO_TRADE
+    mu = params.mu
+    eps = params.epsilon
+    lam = params.lam
+    gs2 = params.gamma * params.sigma**2
+    s2 = params.sigma**2
+    one_minus_gamma = 1.0 - params.gamma
+
+    def rhs(y: float, q: float) -> float:
+        band_hi = eps / (1.0 + eps * y)
+        if q >= band_hi:
+            one = 1.0 - y * q
+            if one <= 0.0:
+                return -math.inf
+            w = q - eps * one
+            bracket = w * w / (4.0 * lam * one)
+        elif q <= -eps / (1.0 - eps * y):
+            one = 1.0 - y * q
+            w = q + eps * one
+            bracket = w * w / (4.0 * lam * one)
+        else:
+            bracket = 0.0
+        coef = 0.5 * s2 * y * y * (1.0 - y) * (1.0 - y)
+        alg = (-beta + mu * y - 0.5 * gs2 * y * y
+               + y * (1.0 - y) * (mu - gs2 * y) * q + bracket)
+        return -alg / coef - one_minus_gamma * q * q
+
+    def jac(y: float, q: float) -> float:
+        band_hi = eps / (1.0 + eps * y)
+        if q >= band_hi:
+            one = 1.0 - y * q
+            if one <= 0.0:
+                return 0.0
+            w = q - eps * one
+            dw = 1.0 + eps * y
+            dbracket = (2.0 * w * dw * one + w * w * y) / (4.0 * lam * one * one)
+        elif q <= -eps / (1.0 - eps * y):
+            one = 1.0 - y * q
+            w = q + eps * one
+            dw = 1.0 - eps * y
+            dbracket = (2.0 * w * dw * one + w * w * y) / (4.0 * lam * one * one)
+        else:
+            dbracket = 0.0
+        coef = 0.5 * s2 * y * y * (1.0 - y) * (1.0 - y)
+        return (-(y * (1.0 - y) * (mu - gs2 * y) + dbracket) / coef
+                - 2.0 * one_minus_gamma * q)
+
+    return rhs, jac
 
 
-def _friction_bracket(y: float, q: float, epsilon: float, lam: float,
-                      regime: Regime) -> float:
-    """Regime-dependent friction term of the ODE; zero in the no-trade band.
+def equation_terms(params: MarketParams, beta: float, y, q, q_prime=None):
+    """Additive terms of the equation at states (y, q), vectorized.
 
-    Requires 1 - y q > 0 in the trading regimes.
+    Returns ``(terms, coef)``, where ``coef`` is the vanishing coefficient
+    sigma^2 y^2 (1-y)^2 / 2 of the q' term ``coef * (q' + (1-gamma) q^2)``.
+    Given ``q_prime``, that term is included (before the friction bracket)
+    and the terms sum to the equation's residual. Without it the slope is
+    ``-sum(terms) / coef - (1-gamma) q^2``.
     """
-    if regime is Regime.NO_TRADE:
-        return 0.0
+    y = np.asarray(y, dtype=float)
+    q = np.asarray(q, dtype=float)
+    eps, lam = params.epsilon, params.lam
+    gs2 = params.gamma * params.sigma**2
     one_m_yq = 1.0 - y * q
-    w = q - epsilon * one_m_yq if regime is Regime.BUY else q + epsilon * one_m_yq
-    return w * w / (4.0 * lam * one_m_yq)
-
-
-def _friction_bracket_dq(y: float, q: float, epsilon: float, lam: float,
-                         regime: Regime) -> float:
-    """d/dq of the friction bracket (for analytic Jacobians)."""
-    if regime is Regime.NO_TRADE:
-        return 0.0
-    one_m_yq = 1.0 - y * q
-    if regime is Regime.BUY:
-        w = q - epsilon * one_m_yq
-        dw = 1.0 + epsilon * y
-    else:
-        w = q + epsilon * one_m_yq
-        dw = 1.0 - epsilon * y
-    return (2.0 * w * dw * one_m_yq + w * w * y) / (4.0 * lam * one_m_yq**2)
-
-
-def _slope_terms(ctx: OdeContext, y: float, q: float,
-                 regime: Regime) -> tuple[float, float]:
-    """(algebraic part, quadratic coefficient) of the ODE at (y, q).
-
-    The slope is -(algebraic)/(coefficient) - (1-gamma) q^2, where the
-    algebraic part collects every term of the equation that does not involve
-    q'; its root in q defines the slow manifold the solutions hug near the
-    singular endpoints.
-    """
-    p = ctx.params
-    gs2 = p.gamma * p.sigma**2
-    algebraic = (
-        -ctx.beta
-        + p.mu * y
-        - 0.5 * gs2 * y * y
-        + y * (1.0 - y) * (p.mu - gs2 * y) * q
-        + _friction_bracket(y, q, p.epsilon, p.lam, regime)
+    w_buy = q - eps * one_m_yq
+    w_sell = q + eps * one_m_yq
+    bracket = np.where(
+        w_buy >= 0.0,
+        w_buy * w_buy / (4.0 * lam * one_m_yq),
+        np.where(w_sell <= 0.0, w_sell * w_sell / (4.0 * lam * one_m_yq), 0.0),
     )
-    coefficient = 0.5 * p.sigma**2 * y * y * (1.0 - y) ** 2
-    return algebraic, coefficient
+    coef = 0.5 * params.sigma**2 * y * y * (1.0 - y) ** 2
+    terms = [
+        -beta + 0.0 * y,
+        params.mu * y,
+        -0.5 * gs2 * y * y,
+        y * (1.0 - y) * (params.mu - gs2 * y) * q,
+    ]
+    if q_prime is not None:
+        terms.append(coef * (np.asarray(q_prime, dtype=float)
+                             + (1.0 - params.gamma) * q * q))
+    terms.append(bracket)
+    return terms, coef
 
 
-def slope(ctx: OdeContext, y: float, q: float) -> float:
-    """q'(y) from the ODE, in the regime selected by :func:`classify`.
-
-    Raises
-    ------
-    SingularEndpointError
-        Within Y_MIN_CLEARANCE of y = 0 or y = 1 (use boundary data there).
-    OdeDomainError
-        If q >= 1/y, where the trading-regime terms lose meaning; shooting
-        drivers interpret this as a blow-up.
-    """
-    if y < Y_MIN_CLEARANCE or y > 1.0 - Y_MIN_CLEARANCE:
-        raise SingularEndpointError(
-            f"slope undefined within {Y_MIN_CLEARANCE:g} of the endpoints "
-            f"(got y={y!r})"
-        )
-    if y * q >= 1.0:
-        raise OdeDomainError(f"q y >= 1 at y={y!r}, q={q!r}")
-    regime = classify(y, q, ctx.params.epsilon)
-    algebraic, coefficient = _slope_terms(ctx, y, q, regime)
-    return -algebraic / coefficient - (1.0 - ctx.params.gamma) * q * q
-
-
-def slope_no_trade(ctx: OdeContext, y: float, q: float) -> float:
-    """Slope with the friction bracket dropped (no-trade formula everywhere).
-
-    Dominates the true slope on the whole strip q y < 1 because the bracket
-    is nonnegative; used by tests and diagnostics.
-    """
-    if y < Y_MIN_CLEARANCE or y > 1.0 - Y_MIN_CLEARANCE:
-        raise SingularEndpointError(f"y={y!r} too close to an endpoint")
-    algebraic, coefficient = _slope_terms(ctx, y, q, Regime.NO_TRADE)
-    return -algebraic / coefficient - (1.0 - ctx.params.gamma) * q * q
+def slope_field(params: MarketParams, beta: float, y, q):
+    """Vectorized ODE slope q'(y) at states (y, q); regime from the band."""
+    terms, coef = equation_terms(params, beta, y, q)
+    q = np.asarray(q, dtype=float)
+    return -sum(terms) / coef - (1.0 - params.gamma) * q * q
 
 
 def boundary_value_0(params: MarketParams, beta: float) -> tuple[float, float]:
@@ -224,20 +186,17 @@ def boundary_value_1(params: MarketParams, beta: float) -> float:
     ) ** 2
 
 
-def pointwise_optimal_turnover(y: float, q: float,
-                               params: MarketParams) -> float:
+def optimal_turnover(y, q, epsilon: float, lam: float):
     """Turnover maximizing -lam u^2 - eps|u| + (u + eps|u| y + lam y u^2) q.
 
-    Positive (buying) when the marginal value q/(1 - y q) exceeds the
-    half-spread, negative (selling) below -eps, zero in between. Requires
-    the second-order condition q y < 1.
+    Positive (buying) where the marginal value q/(1 - y q) exceeds the
+    half-spread, negative (selling) below -eps, zero in between
+    (vectorized). Meaningful under the second-order condition q y < 1.
     """
-    if y * q >= 1.0:
-        raise OdeDomainError(f"q y >= 1 at y={y!r}, q={q!r}")
+    y = np.asarray(y, dtype=float)
+    q = np.asarray(q, dtype=float)
     marginal = q / (1.0 - y * q)
-    eps = params.epsilon
-    if marginal >= eps:
-        return (marginal - eps) / (2.0 * params.lam)
-    if marginal <= -eps:
-        return (marginal + eps) / (2.0 * params.lam)
-    return 0.0
+    two_lam = 2.0 * lam
+    return np.where(marginal >= epsilon, (marginal - epsilon) / two_lam,
+                    np.where(marginal <= -epsilon,
+                             (marginal + epsilon) / two_lam, 0.0))

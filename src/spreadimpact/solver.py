@@ -13,16 +13,18 @@ Both boundary starts are first refined onto the local algebraic balance of
 the equation (the term multiplied by the vanishing coefficient dropped):
 the raw boundary data sit a few picounits off the attracting slow manifold,
 and resolving that transient would force astronomically small steps.
+
+Every leg, in the bisection and in the final pass alike, goes through
+:func:`shoot_leg`; the equation itself lives in :mod:`spreadimpact.hjb`.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from . import hjb
@@ -45,20 +47,31 @@ from .market import (
 )
 
 __all__ = [
-    "BlowUpEvent",
     "FreeBoundarySolution",
     "NoMatchError",
     "NumericalFailure",
-    "ShootOutcome",
-    "equation_residual",
-    "slope_field",
-    "SolverOptions",
     "TradingPolicy",
     "policy",
-    "shoot_backward",
-    "shoot_forward",
     "solve",
 ]
+
+# Numerical controls; they meet the documented tolerances. RTOL is the
+# advertised integration tolerance; the final stitched pass runs tighter
+# (FINAL_RTOL, with steps capped at FINAL_MAX_STEP) so that sampled values
+# and the interpolant stay well inside the advertised budget. DELTA is the
+# offset of both boundary starts. Bisection ends when the beta bracket is
+# narrower than BETA_TOL_REL times its initial width.
+RTOL = 1e-10
+FINAL_RTOL = 1e-13
+FINAL_MAX_STEP = 2.5e-4
+BETA_TOL_REL = 1e-12
+Y_TOL = 1e-12
+DELTA = 1e-6
+GRID_POINTS = 2001
+MAX_STEPS = 200000
+# Hard divergence guards: |q| >= 10, or q y within a relative 1e-9 of the
+# singular curve q = 1/y.
+HARD_GUARD = GuardBox(upper_q=10.0, lower_q=-10.0, upper_qt=1.0 - 1e-9)
 
 
 class NoMatchError(RuntimeError):
@@ -70,62 +83,15 @@ class NumericalFailure(RuntimeError):
     """An integration leg failed in a way that cannot be classified."""
 
 
-class BlowUpEvent(enum.Enum):
-    """Which side of the band a diverging trajectory left through."""
-
-    UPPER = "upper"
-    LOWER = "lower"
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Numerical controls; defaults meet the documented tolerances.
-
-    ``rtol`` is the advertised integration tolerance; the final stitched
-    pass runs tighter (``final_rtol``) so that sampled values and the
-    interpolant stay well inside the advertised budget. ``delta`` is the
-    offset of both boundary starts, ``q_max`` the hard divergence guard,
-    ``margin_rel`` the relative clearance kept from the singular curve
-    q = 1/y. Bisection ends when the beta bracket is narrower than
-    ``beta_tol_rel`` times its initial width.
-    """
-
-    rtol: float = 1e-10
-    atol: float | None = None
-    final_rtol: float = 1e-13
-    final_atol: float | None = None
-    final_max_step: float = 2.5e-4
-    beta_tol_rel: float = 1e-12
-    y_tol: float = 1e-12
-    delta: float = 1e-6
-    q_max: float = 10.0
-    margin_rel: float = 1e-9
-    grid_points: int = 2001
-    max_steps: int = 200000
-
-
-@dataclass(frozen=True)
-class ShootOutcome:
-    """Result of one shooting leg."""
-
-    status: str  # "reached", "upper", or "lower"
-    leg: IntegrationResult
-    blow_up: BlowUpEvent | None
-    y_end: float
-    q_end: float
-
-
 @dataclass
 class FreeBoundarySolution:
     """Matched rate, trading boundaries, and the sampled function q.
 
     ``y_grid``/``q_grid`` sample q on [delta, 1-delta] with the boundaries
-    included as knots; interpolation between knots is monotone cubic. When
-    the exact node slopes are available (``q_slope_grid``, filled in by the
-    solver from the equation itself) the cubic uses them, clipped into the
-    monotonicity region of the adjacent secants; otherwise the slopes are
-    estimated from the data in the usual shape-preserving way. Either way
-    the single-crossing structure of q survives interpolation.
+    included as knots, and ``q_slope_grid`` holds the exact node slopes from
+    the equation itself. Interpolation between knots is cubic Hermite on
+    those slopes, clipped into the monotonicity region of the adjacent
+    secants, so the single-crossing structure of q survives interpolation.
     """
 
     params: MarketParams
@@ -134,7 +100,7 @@ class FreeBoundarySolution:
     y_plus: float
     y_grid: np.ndarray
     q_grid: np.ndarray
-    q_slope_grid: np.ndarray | None = None
+    q_slope_grid: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -159,16 +125,10 @@ class FreeBoundarySolution:
         wiggle cannot flip the sign the exact solution guarantees.
         """
         y_arr = np.asarray(y, dtype=float)
-        q = self._interp(y_arr)
-        one_m_yq = 1.0 - y_arr * q
-        marginal = q / one_m_yq
-        eps = self.params.epsilon
-        two_lam = 2.0 * self.params.lam
-        buy = np.maximum((marginal - eps) / two_lam, 0.0)
-        sell = np.minimum((marginal + eps) / two_lam, 0.0)
-        out = np.where(
-            y_arr < self.y_minus, buy, np.where(y_arr > self.y_plus, sell, 0.0)
-        )
+        u = hjb.optimal_turnover(y_arr, self._interp(y_arr),
+                                 self.params.epsilon, self.params.lam)
+        out = np.where(y_arr < self.y_minus, np.maximum(u, 0.0),
+                       np.where(y_arr > self.y_plus, np.minimum(u, 0.0), 0.0))
         return float(out) if np.ndim(y) == 0 else out
 
     def to_json_dict(self, grid_points: int | None = None) -> dict:
@@ -245,16 +205,13 @@ def policy(solution: FreeBoundarySolution) -> TradingPolicy:
     return TradingPolicy(solution)
 
 
-def _monotone_cubic(ys: np.ndarray, qs: np.ndarray,
-                    slopes: np.ndarray | None):
-    """Monotone cubic interpolant; uses supplied node slopes if given.
+def _monotone_cubic(ys: np.ndarray, qs: np.ndarray, slopes: np.ndarray):
+    """Cubic Hermite interpolant on the given node slopes, kept monotone.
 
-    Supplied slopes are clipped into the Fritsch-Carlson monotonicity region
-    of the neighboring secants (a no-op wherever the grid resolves the
+    The slopes are clipped into the Fritsch-Carlson monotonicity region of
+    the neighboring secants (a no-op wherever the grid resolves the
     function), so the interpolant cannot manufacture spurious crossings.
     """
-    if slopes is None:
-        return PchipInterpolator(ys, qs, extrapolate=True)
     d = np.array(slopes, dtype=float)
     h = np.diff(ys)
     secant = np.diff(qs) / h
@@ -279,106 +236,12 @@ def _q_scale(params: MarketParams, beta_hi: float) -> float:
     return params.epsilon + 2.0 * math.sqrt(params.lam * beta_hi) + 1e-12
 
 
-def _make_rhs_jac(params: MarketParams, beta: float):
-    """Fast closures for the slope field and its q-derivative.
-
-    Outside the meaningful domain (q y >= 1 in a trading regime) the slope
-    returns +-inf, which the integrator treats as a failed trial.
-    """
-    mu = params.mu
-    eps = params.epsilon
-    lam = params.lam
-    gs2 = params.gamma * params.sigma**2
-    s2 = params.sigma**2
-    one_minus_gamma = 1.0 - params.gamma
-
-    def rhs(y: float, q: float) -> float:
-        band_hi = eps / (1.0 + eps * y)
-        if q >= band_hi:
-            one = 1.0 - y * q
-            if one <= 0.0:
-                return -math.inf
-            w = q - eps * one
-            bracket = w * w / (4.0 * lam * one)
-        elif q <= -eps / (1.0 - eps * y):
-            one = 1.0 - y * q
-            w = q + eps * one
-            bracket = w * w / (4.0 * lam * one)
-        else:
-            bracket = 0.0
-        coef = 0.5 * s2 * y * y * (1.0 - y) * (1.0 - y)
-        alg = (-beta + mu * y - 0.5 * gs2 * y * y
-               + y * (1.0 - y) * (mu - gs2 * y) * q + bracket)
-        return -alg / coef - one_minus_gamma * q * q
-
-    def jac(y: float, q: float) -> float:
-        band_hi = eps / (1.0 + eps * y)
-        if q >= band_hi:
-            one = 1.0 - y * q
-            if one <= 0.0:
-                return 0.0
-            w = q - eps * one
-            dw = 1.0 + eps * y
-            dbracket = (2.0 * w * dw * one + w * w * y) / (4.0 * lam * one * one)
-        elif q <= -eps / (1.0 - eps * y):
-            one = 1.0 - y * q
-            w = q + eps * one
-            dw = 1.0 - eps * y
-            dbracket = (2.0 * w * dw * one + w * w * y) / (4.0 * lam * one * one)
-        else:
-            dbracket = 0.0
-        coef = 0.5 * s2 * y * y * (1.0 - y) * (1.0 - y)
-        return (-(y * (1.0 - y) * (mu - gs2 * y) + dbracket) / coef
-                - 2.0 * one_minus_gamma * q)
-
-    return rhs, jac
+def _auto_atol(params: MarketParams, beta_hi: float, rtol: float) -> float:
+    """Absolute tolerance tied to the natural size of q for these inputs."""
+    return max(1e-17, min(1e-13, 100.0 * rtol * _q_scale(params, beta_hi)))
 
 
-def _refine_start(params: MarketParams, beta: float, y: float, q_init: float,
-                  selling: bool) -> float:
-    """Newton-refine a boundary start onto the local algebraic balance.
-
-    Drops the q' term (whose coefficient vanishes at the endpoints) and
-    solves the remaining algebraic equation for q near the boundary data.
-    The refined start differs from the raw data by O(delta^2) but sits close
-    enough to the slow manifold for the stiff integrator to start cleanly.
-    """
-    mu = params.mu
-    eps = params.epsilon
-    lam = params.lam
-    gs2 = params.gamma * params.sigma**2
-    q = q_init
-    for _ in range(10):
-        one = 1.0 - y * q
-        if one <= 0.0:
-            return q_init
-        w = (q + eps * one) if selling else (q - eps * one)
-        dw = (1.0 - eps * y) if selling else (1.0 + eps * y)
-        fval = (-beta + mu * y - 0.5 * gs2 * y * y
-                + y * (1.0 - y) * (mu - gs2 * y) * q
-                + w * w / (4.0 * lam * one))
-        fprime = (y * (1.0 - y) * (mu - gs2 * y)
-                  + (2.0 * w * dw * one + w * w * y) / (4.0 * lam * one * one))
-        if fprime == 0.0:
-            break
-        step = fval / fprime
-        q -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(q)):
-            break
-    return q
-
-
-def _spec_guard(params: MarketParams, opts: SolverOptions) -> GuardBox:
-    """Hard divergence guards: |q| >= q_max or q y >= 1 - margin."""
-    return GuardBox(
-        upper_q=opts.q_max,
-        lower_q=-opts.q_max,
-        upper_qt=1.0 - opts.margin_rel,
-    )
-
-
-def _fast_guard(params: MarketParams, beta_hi: float,
-                opts: SolverOptions) -> GuardBox:
+def _fast_guard(params: MarketParams, beta_hi: float) -> GuardBox:
     """Early-exit guards used during bisection.
 
     They sit several times beyond the envelope any matched trajectory can
@@ -388,18 +251,42 @@ def _fast_guard(params: MarketParams, beta_hi: float,
     """
     scale = _q_scale(params, beta_hi)
     q1 = hjb.boundary_value_1(params, beta_hi)
-    upper = min(opts.q_max, max(0.2, 4.0 * scale))
-    lower = max(-opts.q_max, min(-0.25, 5.0 * q1))
+    upper = min(HARD_GUARD.upper_q, max(0.2, 4.0 * scale))
+    lower = max(HARD_GUARD.lower_q, min(-0.25, 5.0 * q1))
     return GuardBox(upper_q=upper, lower_q=lower, upper_qt=0.6)
 
 
-def _run_leg(params: MarketParams, beta: float, y_from: float, y_to: float,
-             q_start: float, rtol: float, atol: float, guard: GuardBox,
-             max_steps: int, max_step: float = math.inf) -> IntegrationResult:
-    rhs, jac = _make_rhs_jac(params, beta)
-    return integrate_guarded(rhs, jac, y_from, y_to, q_start, rtol, atol,
-                             guard=guard, max_steps=max_steps,
-                             max_step=max_step)
+def _leg_start(params: MarketParams, beta: float, forward: bool, rhs,
+               jac) -> tuple[float, float]:
+    """Start (y, q) of a leg: the boundary data at y = delta (forward) or
+    y = 1 - delta (backward), Newton-refined onto the local algebraic
+    balance.
+
+    The balance drops the q' term, whose coefficient vanishes at the
+    endpoints: it is the root of rhs + (1-gamma) q^2, in which that
+    coefficient cancels. The refined start differs from the raw data by
+    O(delta^2) but sits close enough to the slow manifold for the stiff
+    integrator to start cleanly.
+    """
+    if forward:
+        q0, dq0 = hjb.boundary_value_0(params, beta)
+        y, q_init = DELTA, q0 + DELTA * dq0
+    else:
+        y, q_init = 1.0 - DELTA, hjb.boundary_value_1(params, beta)
+    one_minus_gamma = 1.0 - params.gamma
+    q = q_init
+    for _ in range(10):
+        fval = rhs(y, q) + one_minus_gamma * q * q
+        if fval == -math.inf:  # q y >= 1: keep the raw data
+            return y, q_init
+        fprime = jac(y, q) + 2.0 * one_minus_gamma * q
+        if fprime == 0.0:
+            break
+        step = fval / fprime
+        q -= step
+        if abs(step) <= 1e-16 * max(1.0, abs(q)):
+            break
+    return y, q
 
 
 def _classify_stall(leg: IntegrationResult, params: MarketParams) -> str:
@@ -417,54 +304,25 @@ def _classify_stall(leg: IntegrationResult, params: MarketParams) -> str:
     return STALLED
 
 
-def _forward_outcome(leg: IntegrationResult,
-                     params: MarketParams) -> ShootOutcome:
+def shoot_leg(params: MarketParams, beta: float, forward: bool,
+              y_stop: float, rtol: float, atol: float, guard: GuardBox,
+              max_step: float = math.inf) -> tuple[IntegrationResult, str]:
+    """Shoot one leg onto ``y_stop``, forward from y = delta or backward
+    from y = 1 - delta.
+
+    Returns the leg and its status: ``reached``, ``upper`` or ``lower`` (the
+    side of the band a diverging trajectory left through, a step-size
+    collapse included when its position says which), or ``stalled``.
+    """
+    rhs, jac = hjb.make_rhs_jac(params, beta)
+    y0, q0 = _leg_start(params, beta, forward, rhs, jac)
+    leg = integrate_guarded(rhs, jac, y0, y_stop, q0, rtol, atol,
+                            guard=guard, max_steps=MAX_STEPS,
+                            max_step=max_step)
     status = leg.status
     if status == STALLED:
         status = _classify_stall(leg, params)
-        if status == STALLED:
-            raise NumericalFailure(
-                f"forward leg stalled at y={leg.t_end:.6g}, q={leg.y_end:.6g} "
-                "without a classifiable divergence"
-            )
-    blow = {GUARD_UPPER: BlowUpEvent.UPPER, GUARD_LOWER: BlowUpEvent.LOWER,
-            REACHED: None}[status]
-    return ShootOutcome(status=status, leg=leg, blow_up=blow,
-                        y_end=leg.t_end, q_end=leg.y_end)
-
-
-def shoot_forward(params: MarketParams, beta: float, y_stop: float,
-                  opts: SolverOptions | None = None) -> ShootOutcome:
-    """Integrate from y = delta toward ``y_stop`` with the hard guards.
-
-    Returns the trajectory, or the blow-up classification if the solution
-    diverged through a guard before reaching ``y_stop``.
-    """
-    opts = opts or SolverOptions()
-    q0, dq0 = hjb.boundary_value_0(params, beta)
-    q_start = _refine_start(params, beta, opts.delta, q0 + opts.delta * dq0,
-                            selling=False)
-    atol = opts.atol if opts.atol is not None else _auto_atol(params, beta, opts.rtol)
-    leg = _run_leg(params, beta, opts.delta, y_stop, q_start, opts.rtol, atol,
-                   _spec_guard(params, opts), opts.max_steps)
-    return _forward_outcome(leg, params)
-
-
-def shoot_backward(params: MarketParams, beta: float, y_stop: float,
-                   opts: SolverOptions | None = None) -> ShootOutcome:
-    """Integrate from y = 1 - delta toward ``y_stop`` (mirror of forward)."""
-    opts = opts or SolverOptions()
-    q1 = hjb.boundary_value_1(params, beta)
-    q_start = _refine_start(params, beta, 1.0 - opts.delta, q1, selling=True)
-    atol = opts.atol if opts.atol is not None else _auto_atol(params, beta, opts.rtol)
-    leg = _run_leg(params, beta, 1.0 - opts.delta, y_stop, q_start, opts.rtol,
-                   atol, _spec_guard(params, opts), opts.max_steps)
-    return _forward_outcome(leg, params)
-
-
-def _auto_atol(params: MarketParams, beta_hi: float, rtol: float) -> float:
-    """Absolute tolerance tied to the natural size of q for these inputs."""
-    return max(1e-17, min(1e-13, 100.0 * rtol * _q_scale(params, beta_hi)))
+    return leg, status
 
 
 # ---------------------------------------------------------------------------
@@ -472,58 +330,32 @@ def _auto_atol(params: MarketParams, beta_hi: float, rtol: float) -> float:
 
 
 def _match_sign(params: MarketParams, beta: float, y_mid: float,
-                rtol: float, atol: float, guard: GuardBox,
-                opts: SolverOptions) -> tuple[float, bool]:
+                atol: float, guard: GuardBox) -> tuple[float, bool]:
     """Sign of q0(y_mid) - q1(y_mid), with divergences classified.
 
     Returns (sign, both_reached). Forward divergence above means the
     surplus is positive; below, negative. The backward leg mirrors both.
     """
-    q0, dq0 = hjb.boundary_value_0(params, beta)
-    start_f = _refine_start(params, beta, opts.delta, q0 + opts.delta * dq0,
-                            selling=False)
-    leg_f = _run_leg(params, beta, opts.delta, y_mid, start_f, rtol, atol,
-                     guard, opts.max_steps)
-    status_f = leg_f.status
-    if status_f == STALLED:
-        status_f = _classify_stall(leg_f, params)
-        if status_f == STALLED:
+    ends = []
+    for forward, upper_sign in ((True, 1.0), (False, -1.0)):
+        leg, status = shoot_leg(params, beta, forward, y_mid, RTOL, atol,
+                                guard)
+        if status == STALLED:
+            side = "forward" if forward else "backward"
             raise NumericalFailure(
-                f"forward leg stalled unclassifiably at beta={beta!r}, "
-                f"y={leg_f.t_end:.6g}, q={leg_f.y_end:.6g}"
+                f"{side} leg stalled unclassifiably at beta={beta!r}, "
+                f"y={leg.t_end:.6g}, q={leg.y_end:.6g}"
             )
-    if status_f == GUARD_UPPER:
-        return 1.0, False
-    if status_f == GUARD_LOWER:
-        return -1.0, False
-
-    q1 = hjb.boundary_value_1(params, beta)
-    start_b = _refine_start(params, beta, 1.0 - opts.delta, q1, selling=True)
-    leg_b = _run_leg(params, beta, 1.0 - opts.delta, y_mid, start_b, rtol,
-                     atol, guard, opts.max_steps)
-    status_b = leg_b.status
-    if status_b == STALLED:
-        status_b = _classify_stall(leg_b, params)
-        if status_b == STALLED:
-            raise NumericalFailure(
-                f"backward leg stalled unclassifiably at beta={beta!r}, "
-                f"y={leg_b.t_end:.6g}, q={leg_b.y_end:.6g}"
-            )
-    if status_b == GUARD_UPPER:
-        return -1.0, False
-    if status_b == GUARD_LOWER:
-        return 1.0, False
-
-    diff = leg_f.y_end - leg_b.y_end
-    if diff > 0.0:
-        return 1.0, True
-    if diff < 0.0:
-        return -1.0, True
-    return 0.0, True
+        if status == GUARD_UPPER:
+            return upper_sign, False
+        if status == GUARD_LOWER:
+            return -upper_sign, False
+        ends.append(leg.y_end)
+    diff = ends[0] - ends[1]
+    return float((diff > 0.0) - (diff < 0.0)), True
 
 
-def solve(params: MarketParams,
-          opts: SolverOptions | None = None) -> FreeBoundarySolution:
+def solve(params: MarketParams) -> FreeBoundarySolution:
     """Solve the free-boundary problem for interior-regime parameters.
 
     Raises
@@ -538,7 +370,6 @@ def solve(params: MarketParams,
         An integration leg failed in a way that cannot be classified.
     """
     validate(params)
-    opts = opts or SolverOptions()
     if degenerate_regime(params) is not AllocationRegime.INTERIOR:
         raise ParameterError(
             "parameters are in a buy-and-hold regime; the free-boundary "
@@ -555,15 +386,15 @@ def solve(params: MarketParams,
     lo = max(0.0, base.full_risky_esr)
     hi = base.frictionless_esr
     width0 = hi - lo
-    beta_tol = opts.beta_tol_rel * width0
+    beta_tol = BETA_TOL_REL * width0
     nudge = 1e-13 * width0
     lo_in, hi_in = lo + nudge, hi - nudge
 
-    atol = opts.atol if opts.atol is not None else _auto_atol(params, hi, opts.rtol)
-    guard = _fast_guard(params, hi, opts)
+    atol = _auto_atol(params, hi, RTOL)
+    guard = _fast_guard(params, hi)
 
-    sign_lo, _ = _match_sign(params, lo_in, y_mid, opts.rtol, atol, guard, opts)
-    sign_hi, _ = _match_sign(params, hi_in, y_mid, opts.rtol, atol, guard, opts)
+    sign_lo, _ = _match_sign(params, lo_in, y_mid, atol, guard)
+    sign_hi, _ = _match_sign(params, hi_in, y_mid, atol, guard)
     bracket_as_expected = sign_lo < 0.0 < sign_hi
     if sign_lo == sign_hi:
         raise NoMatchError(
@@ -579,7 +410,7 @@ def solve(params: MarketParams,
     best_both = None
     while hi_in - lo_in > beta_tol:
         mid = 0.5 * (lo_in + hi_in)
-        s, both = _match_sign(params, mid, y_mid, opts.rtol, atol, guard, opts)
+        s, both = _match_sign(params, mid, y_mid, atol, guard)
         if both:
             best_both = mid
         if s == 0.0:
@@ -595,33 +426,21 @@ def solve(params: MarketParams,
 
     # Final stitched pass: tighter tolerance, hard guards only, and a step
     # cap so the dense output is uniformly accurate between step points.
-    final_atol = (opts.final_atol if opts.final_atol is not None
-                  else max(1e-18, 0.01 * opts.final_rtol * _q_scale(params, hi)))
-    hard = _spec_guard(params, opts)
+    final_atol = max(1e-18, 0.01 * FINAL_RTOL * _q_scale(params, hi))
 
-    def _final_legs(beta_try: float):
-        q0, dq0 = hjb.boundary_value_0(params, beta_try)
-        start_f = _refine_start(params, beta_try, opts.delta,
-                                q0 + opts.delta * dq0, selling=False)
-        leg_f = _run_leg(params, beta_try, opts.delta, y_mid, start_f,
-                         opts.final_rtol, final_atol, hard, opts.max_steps,
-                         max_step=opts.final_max_step)
-        q1 = hjb.boundary_value_1(params, beta_try)
-        start_b = _refine_start(params, beta_try, 1.0 - opts.delta, q1,
-                                selling=True)
-        leg_b = _run_leg(params, beta_try, 1.0 - opts.delta, y_mid, start_b,
-                         opts.final_rtol, final_atol, hard, opts.max_steps,
-                         max_step=opts.final_max_step)
-        return leg_f, leg_b
+    def final_legs(beta_try: float):
+        return [shoot_leg(params, beta_try, forward, y_mid, FINAL_RTOL,
+                          final_atol, HARD_GUARD, max_step=FINAL_MAX_STEP)
+                for forward in (True, False)]
 
-    leg_f, leg_b = _final_legs(beta)
-    if (leg_f.status != REACHED or leg_b.status != REACHED) and best_both is not None:
+    (leg_f, status_f), (leg_b, status_b) = final_legs(beta)
+    if (status_f != REACHED or status_b != REACHED) and best_both is not None:
         beta = best_both
-        leg_f, leg_b = _final_legs(beta)
-    if leg_f.status != REACHED or leg_b.status != REACHED:
+        (leg_f, status_f), (leg_b, status_b) = final_legs(beta)
+    if status_f != REACHED or status_b != REACHED:
         raise NumericalFailure(
             f"final stitched pass did not reach the matching point "
-            f"(forward: {leg_f.status}, backward: {leg_b.status})"
+            f"(forward: {status_f}, backward: {status_b})"
         )
 
     matching_residual = leg_f.y_end - leg_b.y_end
@@ -632,19 +451,18 @@ def solve(params: MarketParams,
                        leg_b.sol(np.maximum(y_arr, y_mid)))
         return float(out) if np.ndim(y) == 0 else out
 
-    y_minus, y_plus = _locate_boundaries(params, q_of, leg_f, leg_b, y_mid,
-                                         opts)
+    y_minus, y_plus = _locate_boundaries(params, q_of, leg_f, leg_b)
 
     y_grid, q_grid, d_grid, residual_ratio = _build_grid(
-        params, beta, q_of, leg_f, leg_b, y_mid, y_minus, y_plus, opts
+        params, beta, q_of, leg_f, leg_b, y_mid, y_minus, y_plus
     )
 
     diagnostics = {
         "bisection_iterations": iterations,
         "matching_residual": matching_residual,
         "bracket_signs_expected": bool(bracket_as_expected),
-        "rtol": opts.rtol,
-        "final_rtol": opts.final_rtol,
+        "rtol": RTOL,
+        "final_rtol": FINAL_RTOL,
         "final_atol": final_atol,
         "forward_steps": int(leg_f.naccepted),
         "backward_steps": int(leg_b.naccepted),
@@ -666,7 +484,7 @@ def solve(params: MarketParams,
     return solution
 
 
-def _locate_boundaries(params, q_of, leg_f, leg_b, y_mid, opts):
+def _locate_boundaries(params, q_of, leg_f, leg_b):
     """Root-bracket the crossings of q with the two band curves."""
     eps = params.epsilon
 
@@ -689,70 +507,14 @@ def _locate_boundaries(params, q_of, leg_f, leg_b, y_mid, opts):
         )
     i = idx_buy[0]
     j = idx_sell[-1]
-    y_minus = brentq(g_buy, mesh[i], mesh[i + 1], xtol=opts.y_tol)
-    y_plus = brentq(g_sell, mesh[j], mesh[j + 1], xtol=opts.y_tol)
+    y_minus = brentq(g_buy, mesh[i], mesh[i + 1], xtol=Y_TOL)
+    y_plus = brentq(g_sell, mesh[j], mesh[j + 1], xtol=Y_TOL)
     if y_minus > y_plus:
         y_minus, y_plus = y_plus, y_minus
     return y_minus, y_plus
 
 
-def equation_residual(params: MarketParams, beta: float, y, q, q_prime):
-    """Pointwise ODE residual and its term scale (vectorized).
-
-    Returns (residual, scale) where ``scale`` is the largest magnitude among
-    the equation's additive terms at each point; a faithful interpolant keeps
-    ``|residual|`` a small multiple of the integration tolerance times
-    ``scale``.
-    """
-    y = np.asarray(y, dtype=float)
-    q = np.asarray(q, dtype=float)
-    q_prime = np.asarray(q_prime, dtype=float)
-    eps, lam = params.epsilon, params.lam
-    gs2 = params.gamma * params.sigma**2
-    one_m_yq = 1.0 - y * q
-    w_buy = q - eps * one_m_yq
-    w_sell = q + eps * one_m_yq
-    bracket = np.where(
-        w_buy >= 0.0,
-        w_buy * w_buy / (4.0 * lam * one_m_yq),
-        np.where(w_sell <= 0.0, w_sell * w_sell / (4.0 * lam * one_m_yq), 0.0),
-    )
-    terms = (
-        -beta + 0.0 * y,
-        params.mu * y,
-        -0.5 * gs2 * y * y,
-        y * (1.0 - y) * (params.mu - gs2 * y) * q,
-        0.5 * params.sigma**2 * y * y * (1.0 - y) ** 2
-        * (q_prime + (1.0 - params.gamma) * q * q),
-        bracket,
-    )
-    residual = sum(terms)
-    scale = np.max(np.abs(np.stack(terms)), axis=0)
-    return residual, scale
-
-
-def slope_field(params: MarketParams, beta: float, y, q):
-    """Vectorized ODE slope q'(y) at states (y, q); regime from the band."""
-    y = np.asarray(y, dtype=float)
-    q = np.asarray(q, dtype=float)
-    eps, lam = params.epsilon, params.lam
-    gs2 = params.gamma * params.sigma**2
-    one_m_yq = 1.0 - y * q
-    w_buy = q - eps * one_m_yq
-    w_sell = q + eps * one_m_yq
-    bracket = np.where(
-        w_buy >= 0.0,
-        w_buy * w_buy / (4.0 * lam * one_m_yq),
-        np.where(w_sell <= 0.0, w_sell * w_sell / (4.0 * lam * one_m_yq), 0.0),
-    )
-    alg = (-beta + params.mu * y - 0.5 * gs2 * y * y
-           + y * (1.0 - y) * (params.mu - gs2 * y) * q + bracket)
-    coef = 0.5 * params.sigma**2 * y * y * (1.0 - y) ** 2
-    return -alg / coef - (1.0 - params.gamma) * q * q
-
-
-def _build_grid(params, beta, q_of, leg_f, leg_b, y_mid, y_minus, y_plus,
-                opts):
+def _build_grid(params, beta, q_of, leg_f, leg_b, y_mid, y_minus, y_plus):
     """Residual-driven sampling mesh.
 
     Starts from the accepted step points, a uniform backbone, and geometric
@@ -762,8 +524,7 @@ def _build_grid(params, beta, q_of, leg_f, leg_b, y_mid, y_minus, y_plus,
     stitched dense output and the node slopes from the equation itself, so
     refinement converges at the interpolant's full order.
     """
-    delta = opts.delta
-    backbone = np.linspace(delta, 1.0 - delta, opts.grid_points)
+    backbone = np.linspace(DELTA, 1.0 - DELTA, GRID_POINTS)
     pieces = [backbone, leg_f.ts, leg_b.ts[::-1], [y_mid]]
     for knot in (y_minus, y_plus):
         offsets = np.geomspace(1e-9, 3e-2, 60)
@@ -771,32 +532,34 @@ def _build_grid(params, beta, q_of, leg_f, leg_b, y_mid, y_minus, y_plus,
         pieces.append(knot - offsets)
         pieces.append([knot])
     y_grid = np.unique(np.concatenate([np.asarray(p, dtype=float) for p in pieces]))
-    y_grid = y_grid[(y_grid >= delta) & (y_grid <= 1.0 - delta)]
+    y_grid = y_grid[(y_grid >= DELTA) & (y_grid <= 1.0 - DELTA)]
     keep = np.concatenate([[True], np.diff(y_grid) > 1e-13])
     y_grid = y_grid[keep]
     q_grid = q_of(y_grid)
-    d_grid = slope_field(params, beta, y_grid, q_grid)
+    d_grid = hjb.slope_field(params, beta, y_grid, q_grid)
 
     # Refine toward 70% of the advertised residual budget. The few grid
     # spacings next to the singular endpoints amplify value noise through
     # the vanishing coefficient and are left to the boundary data.
-    budget = 0.7 * 10.0 * opts.rtol
+    budget = 0.7 * 10.0 * RTOL
     worst = math.inf
-    interior = (4.0 * delta, 1.0 - 4.0 * delta)
+    interior = (4.0 * DELTA, 1.0 - 4.0 * DELTA)
     for _ in range(20):
         interp = _monotone_cubic(y_grid, q_grid, d_grid)
         deriv = interp.derivative()
         lo, hi = y_grid[:-1], y_grid[1:]
         width = np.diff(y_grid)
         # Some interpolation-error modes vanish at interval midpoints, so
-        # each interval is checked at the quarter points as well.
+        # each interval is checked at the quarter points as well. The
+        # residual is measured against the largest additive term.
         worst_ratio = np.zeros(len(width))
         for theta in (0.25, 0.5, 0.75):
             pts = lo + theta * width
-            residual, scale = equation_residual(params, beta, pts,
-                                                interp(pts), deriv(pts))
+            terms, _ = hjb.equation_terms(params, beta, pts, interp(pts),
+                                          deriv(pts))
+            scale = np.max(np.abs(np.stack(terms)), axis=0)
             worst_ratio = np.maximum(worst_ratio,
-                                     np.abs(residual) / (budget * scale))
+                                     np.abs(sum(terms)) / (budget * scale))
         mids = lo + 0.5 * width
         refinable = ((mids > interior[0]) & (mids < interior[1])
                      & (width > 1e-8))
@@ -806,7 +569,7 @@ def _build_grid(params, beta, q_of, leg_f, leg_b, y_mid, y_minus, y_plus,
             break
         y_grid = np.sort(np.concatenate([y_grid, mids[bad]]))
         q_grid = q_of(y_grid)
-        d_grid = slope_field(params, beta, y_grid, q_grid)
+        d_grid = hjb.slope_field(params, beta, y_grid, q_grid)
     return y_grid, q_grid, d_grid, worst
 
 

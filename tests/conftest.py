@@ -15,14 +15,11 @@ def solve_cache(base_market):
     """Session-wide cache of free-boundary solutions keyed by (eps, lam)."""
     cache: dict[tuple[float, float], FreeBoundarySolution] = {}
 
-    def get(epsilon: float, lam: float, **overrides) -> FreeBoundarySolution:
+    def get(epsilon: float, lam: float) -> FreeBoundarySolution:
         key = (epsilon, lam)
-        if key not in cache and not overrides:
+        if key not in cache:
             cache[key] = solve(MarketParams(epsilon=epsilon, lam=lam,
                                             **base_market))
-        if overrides:
-            return solve(MarketParams(epsilon=epsilon, lam=lam, **base_market),
-                         **overrides)
         return cache[key]
 
     return get

@@ -2,22 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spreadimpact.hjb import (
     BoundaryDataError,
-    OdeContext,
-    OdeDomainError,
-    Regime,
-    SingularEndpointError,
     band_buy,
     band_sell,
     boundary_value_0,
     boundary_value_1,
-    classify,
-    pointwise_optimal_turnover,
-    slope,
-    slope_no_trade,
+    make_rhs_jac,
+    optimal_turnover,
+    slope_field,
 )
 from spreadimpact.market import MarketParams
 
@@ -30,59 +25,73 @@ def make(mu=0.08, sigma=0.16, gamma=5.0, epsilon=0.01, lam=0.01):
 FRICTIONLESS_RATE = 0.025  # mu^2 / (2 gamma sigma^2) for the base case
 
 
+def rhs_of(p, beta):
+    return make_rhs_jac(p, beta)[0]
+
+
+def no_trade_slope(p, beta, y, q):
+    """The slope with the friction bracket dropped, written out by hand."""
+    gs2 = p.gamma * p.sigma**2
+    coef = 0.5 * p.sigma**2 * y**2 * (1 - y) ** 2
+    return -(-beta + p.mu * y - 0.5 * gs2 * y**2
+             + y * (1 - y) * (p.mu - gs2 * y) * q) / coef \
+        - (1 - p.gamma) * q * q
+
+
+def turnover(y, q, p):
+    return float(optimal_turnover(y, q, p.epsilon, p.lam))
+
+
 class TestClassify:
+    # The regime at (y, q) is the sign of the optimal turnover there.
+
     def test_zero_marginal_value_is_no_trade(self):
-        assert classify(0.3, 0.0, 0.01) is Regime.NO_TRADE
+        assert turnover(0.3, 0.0, make(epsilon=0.01)) == 0.0
 
     def test_boundary_start_is_buying(self):
         lam, beta = 0.01, 0.025
         q0 = 0.01 + 2 * math.sqrt(lam * beta)
-        assert classify(0.0, q0, 0.01) is Regime.BUY
+        assert turnover(0.0, q0, make(epsilon=0.01, lam=lam)) > 0.0
 
     def test_zero_spread_collapses_band(self):
-        assert classify(0.4, 1e-300, 0.0) is Regime.BUY
-        assert classify(0.4, -1e-300, 0.0) is Regime.SELL
-        assert classify(0.4, 0.0, 0.0) is Regime.BUY  # on-curve labeling
+        p = make(epsilon=0.0)
+        assert turnover(0.4, 1e-300, p) > 0.0
+        assert turnover(0.4, -1e-300, p) < 0.0
+        assert turnover(0.4, 0.0, p) == 0.0  # on the curve nothing trades
 
     def test_band_curves(self):
-        y, eps = 0.3, 0.02
-        assert classify(y, band_buy(y, eps) + 1e-12, eps) is Regime.BUY
-        assert classify(y, band_sell(y, eps) - 1e-12, eps) is Regime.SELL
-        assert classify(y, 0.5 * band_sell(y, eps), eps) is Regime.NO_TRADE
+        y, p = 0.3, make(epsilon=0.02)
+        assert turnover(y, band_buy(y, p.epsilon) + 1e-12, p) > 0.0
+        assert turnover(y, band_sell(y, p.epsilon) - 1e-12, p) < 0.0
+        assert turnover(y, 0.5 * band_sell(y, p.epsilon), p) == 0.0
 
 
 class TestSlope:
     def test_flat_at_target_with_frictionless_rate(self):
         # At (y*, 0) with beta = mu^2/(2 gamma sigma^2) every term cancels.
-        p = make()
-        ctx = OdeContext(params=p, beta=FRICTIONLESS_RATE)
-        assert slope(ctx, 0.625, 0.0) == pytest.approx(0.0, abs=1e-12)
+        rhs = rhs_of(make(), FRICTIONLESS_RATE)
+        assert rhs(0.625, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_impact_reduction(self):
         # With zero spread the buy bracket is q^2 / (4 lam (1 - y q)).
         p = make(epsilon=0.0)
-        ctx = OdeContext(params=p, beta=0.024)
+        beta = 0.024
         y, q = 0.4, 0.015
         gs2 = p.gamma * p.sigma**2
         coef = 0.5 * p.sigma**2 * y**2 * (1 - y) ** 2
-        alg = (-ctx.beta + p.mu * y - 0.5 * gs2 * y**2
+        alg = (-beta + p.mu * y - 0.5 * gs2 * y**2
                + y * (1 - y) * (p.mu - gs2 * y) * q
                + q * q / (4 * p.lam * (1 - y * q)))
         expected = -alg / coef - (1 - p.gamma) * q * q
-        assert slope(ctx, y, q) == pytest.approx(expected, rel=1e-14)
+        assert rhs_of(p, beta)(y, q) == pytest.approx(expected, rel=1e-14)
 
     @given(y=st.floats(0.05, 0.95), beta=st.floats(0.016, 0.025))
     @settings(max_examples=50)
     def test_continuous_across_buy_curve(self, y, beta):
         p = make()
-        ctx = OdeContext(params=p, beta=beta)
         q = band_buy(y, p.epsilon)
-        onto = slope(ctx, y, q)  # classified as buying; bracket vanishes
-        gs2 = p.gamma * p.sigma**2
-        coef = 0.5 * p.sigma**2 * y**2 * (1 - y) ** 2
-        no_trade = -(-beta + p.mu * y - 0.5 * gs2 * y**2
-                     + y * (1 - y) * (p.mu - gs2 * y) * q) / coef \
-            - (1 - p.gamma) * q * q
+        onto = rhs_of(p, beta)(y, q)  # classified as buying; bracket vanishes
+        no_trade = no_trade_slope(p, beta, y, q)
         scale = max(1.0, abs(no_trade))
         assert abs(onto - no_trade) <= 1e-12 * scale
 
@@ -90,10 +99,10 @@ class TestSlope:
     @settings(max_examples=50)
     def test_continuous_across_sell_curve(self, y):
         p = make()
-        ctx = OdeContext(params=p, beta=0.02)
+        rhs = rhs_of(p, 0.02)
         q = band_sell(y, p.epsilon)
-        onto = slope(ctx, y, q)
-        inside = slope(ctx, y, q + 1e-14)
+        onto = rhs(y, q)
+        inside = rhs(y, q + 1e-14)
         assert onto == pytest.approx(inside, rel=1e-6, abs=1e-8)
 
     @given(y=st.floats(0.05, 0.95), q=st.floats(-0.5, 0.5),
@@ -104,29 +113,33 @@ class TestSlope:
         if y * q >= 1.0:
             return
         p = make()
-        ctx = OdeContext(params=p, beta=beta)
-        assert slope(ctx, y, q) <= slope_no_trade(ctx, y, q) + 1e-12
+        assert rhs_of(p, beta)(y, q) <= no_trade_slope(p, beta, y, q) + 1e-12
 
     def test_diverges_toward_singular_curve(self):
-        p = make()
-        ctx = OdeContext(params=p, beta=0.02)
+        rhs = rhs_of(make(), 0.02)
         y = 0.5
-        values = [slope(ctx, y, (1.0 - gap) / y)
-                  for gap in (1e-2, 1e-4, 1e-6, 1e-8)]
+        values = [rhs(y, (1.0 - gap) / y) for gap in (1e-2, 1e-4, 1e-6, 1e-8)]
         assert all(v < 0 for v in values)
         assert values[0] > values[1] > values[2] > values[3]
 
     def test_domain_error_beyond_singular_curve(self):
-        ctx = OdeContext(params=make(), beta=0.02)
-        with pytest.raises(OdeDomainError):
-            slope(ctx, 0.5, 2.1)
+        # Beyond q y = 1 the slope is -inf, which the integrator treats as a
+        # failed trial step, and the Jacobian is zero.
+        rhs, jac = make_rhs_jac(make(), 0.02)
+        assert rhs(0.5, 2.1) == -math.inf
+        assert jac(0.5, 2.1) == 0.0
 
-    def test_endpoint_clearance(self):
-        ctx = OdeContext(params=make(), beta=0.02)
-        with pytest.raises(SingularEndpointError):
-            slope(ctx, 1e-7, 0.05)
-        with pytest.raises(SingularEndpointError):
-            slope(ctx, 1.0 - 1e-7, -0.05)
+    @given(y=st.floats(1e-4, 1.0 - 1e-4), q=st.floats(-1.0, 1.0),
+           eps=st.floats(1e-4, 3e-2), lam=st.floats(1e-8, 3e-2),
+           beta=st.floats(0.016, 0.025))
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_and_vectorized_forms_agree(self, y, q, eps, lam, beta):
+        # The only two copies of the equation must stay the same equation.
+        assume(q * y < 0.99)
+        p = make(epsilon=eps, lam=lam)
+        s = rhs_of(p, beta)(y, q)
+        v = float(slope_field(p, beta, y, q))
+        assert abs(s - v) <= 1e-14 * max(1.0, abs(s))
 
 
 class TestBoundaryData:
@@ -181,26 +194,22 @@ class TestBoundaryData:
 
 class TestTurnover:
     def test_zero_inside_band(self):
-        assert pointwise_optimal_turnover(0.4, 0.0, make()) == 0.0
+        assert turnover(0.4, 0.0, make()) == 0.0
 
     def test_boundary_start_rate(self):
         p = make(epsilon=0.01, lam=0.01)
         beta = 0.025
         q0 = p.epsilon + 2 * math.sqrt(p.lam * beta)
-        u = pointwise_optimal_turnover(0.0, q0, p)
+        u = turnover(0.0, q0, p)
         assert u == pytest.approx(math.sqrt(beta / p.lam), rel=1e-12)
         assert u > 0.0
 
     def test_zero_spread_merges_branches(self):
         p = make(epsilon=0.0, lam=0.01)
-        for q in (-0.3, -0.001, 0.001, 0.3):
-            expected = q / (1 - 0.4 * q) / (2 * p.lam)
-            assert pointwise_optimal_turnover(0.4, q, p) == pytest.approx(
-                expected, rel=1e-14)
-
-    def test_domain_error(self):
-        with pytest.raises(OdeDomainError):
-            pointwise_optimal_turnover(0.8, 1.3, make())
+        qs = np.array([-0.3, -0.001, 0.001, 0.3])
+        expected = qs / (1 - 0.4 * qs) / (2 * p.lam)
+        u = optimal_turnover(0.4, qs, p.epsilon, p.lam)
+        np.testing.assert_allclose(u, expected, rtol=1e-14)
 
     @given(y=st.floats(0.0, 0.9), q=st.floats(-0.8, 0.8),
            eps=st.floats(0.0, 0.05), lam=st.floats(1e-3, 0.05))
@@ -211,7 +220,7 @@ class TestTurnover:
         if y * q >= 0.99:
             return
         p = make(epsilon=eps, lam=lam)
-        u_star = pointwise_optimal_turnover(y, q, p)
+        u_star = turnover(y, q, p)
 
         def gain(u):
             return (-lam * u**2 - eps * abs(u)

@@ -1,0 +1,56 @@
+"""The package's public surface: exactly what the CLI, README and tests use."""
+
+import inspect
+
+import spreadimpact
+from spreadimpact import solver
+
+PUBLIC = {
+    "AllocationRegime",
+    "AsymptoticInputs",
+    "AsymptoticSolution",
+    "FreeBoundarySolution",
+    "FrictionlessBaseline",
+    "MarketParams",
+    "NoMatchError",
+    "NoRootError",
+    "NumericalFailure",
+    "ParameterError",
+    "PathEnsemble",
+    "SimConfig",
+    "SimulationReport",
+    "TradingPolicy",
+    "asymptotic_policy",
+    "baseline",
+    "buy_and_hold_esr",
+    "degenerate_regime",
+    "estimate_esr",
+    "find_z_minus",
+    "midfield_r",
+    "near_boundary_slope",
+    "policy",
+    "r_buy",
+    "simulate_paths",
+    "solve",
+    "validate",
+    "welfare_coefficient",
+}
+
+
+def test_all_is_the_expected_set():
+    assert set(spreadimpact.__all__) == PUBLIC
+    assert len(spreadimpact.__all__) == len(PUBLIC)
+
+
+def test_every_exported_name_resolves():
+    for module in (spreadimpact, solver):
+        for name in module.__all__:
+            assert getattr(module, name) is not None
+
+
+def test_solver_exports_are_public():
+    assert set(solver.__all__) <= PUBLIC
+
+
+def test_solve_takes_only_the_parameters():
+    assert list(inspect.signature(spreadimpact.solve).parameters) == ["params"]

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 from spreadimpact._radau import GuardBox, integrate_guarded
 from spreadimpact.market import MarketParams
-from spreadimpact.solver import _make_rhs_jac, _refine_start
+from spreadimpact.solver import _leg_start
 from spreadimpact import hjb
 
 
@@ -89,18 +89,9 @@ class TestAgainstScipy:
     def test_shooting_legs_agree(self, eps, lam, beta, forward):
         params = MarketParams(mu=0.08, sigma=0.16, gamma=5.0, epsilon=eps,
                               lam=lam)
-        rhs, jac = _make_rhs_jac(params, beta)
-        delta = 1e-6
-        y_star = params.merton_weight
-        if forward:
-            q0, dq0 = hjb.boundary_value_0(params, beta)
-            start = _refine_start(params, beta, delta, q0 + delta * dq0,
-                                  selling=False)
-            span = (delta, y_star)
-        else:
-            q1 = hjb.boundary_value_1(params, beta)
-            start = _refine_start(params, beta, 1.0 - delta, q1, selling=True)
-            span = (1.0 - delta, y_star)
+        rhs, jac = hjb.make_rhs_jac(params, beta)
+        y0, start = _leg_start(params, beta, forward, rhs, jac)
+        span = (y0, params.merton_weight)
         mine = integrate_guarded(rhs, jac, span[0], span[1], start,
                                  1e-10, 1e-15)
         ref = solve_ivp(lambda t, q: [rhs(t, q[0])], span, [start],

@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from spreadimpact.hjb import band_buy, band_sell
+from spreadimpact.hjb import band_buy, band_sell, equation_terms
 from spreadimpact.market import MarketParams, ParameterError
 from spreadimpact.solver import (
+    HARD_GUARD,
+    RTOL,
     NoMatchError,
-    SolverOptions,
-    equation_residual,
+    _auto_atol,
     policy,
-    shoot_backward,
-    shoot_forward,
+    shoot_leg,
     solve,
 )
 
@@ -33,6 +33,14 @@ REFERENCE_BETAS = {
 
 def params_with(eps, lam):
     return MarketParams(epsilon=eps, lam=lam, **BASE)
+
+
+def shoot(params, beta, forward, y_stop):
+    """One leg at the advertised tolerance with the hard guards:
+    (status, y_end, q_end)."""
+    leg, status = shoot_leg(params, beta, forward, y_stop, RTOL,
+                            _auto_atol(params, beta, RTOL), HARD_GUARD)
+    return status, leg.t_end, leg.y_end
 
 
 class TestSolve:
@@ -115,8 +123,10 @@ class TestSolve:
         sol = solve_cache(1e-3, 1e-4)
         rng = np.random.default_rng(20140221)
         ys = rng.uniform(sol.y_grid[0], sol.y_grid[-1], 1000)
-        residual, scale = equation_residual(sol.params, sol.beta, ys,
-                                            sol.q_at(ys), sol.q_prime_at(ys))
+        terms, _ = equation_terms(sol.params, sol.beta, ys, sol.q_at(ys),
+                                  sol.q_prime_at(ys))
+        residual = sum(terms)
+        scale = np.max(np.abs(np.stack(terms)), axis=0)
         assert np.max(np.abs(residual) / (10.0 * 1e-10 * scale)) <= 1.0
 
     def test_comparative_statics_impact_narrows_band(self, solve_cache):
@@ -208,31 +218,31 @@ class TestShooting:
         # (staying above the band the whole way) or diverges upward; far
         # below the root it dives out through the sell region.
         p = params_with(1e-3, 1e-4)
-        up = shoot_forward(p, FRICTIONLESS * 1.4, 0.625)
-        assert up.status in ("reached", "upper")
-        if up.status == "reached":
-            assert up.q_end > band_buy(up.y_end, p.epsilon)
-        down = shoot_forward(p, FLOOR * 1.001, 0.625)
-        assert down.status == "lower"
+        status, y_end, q_end = shoot(p, FRICTIONLESS * 1.4, True, 0.625)
+        assert status in ("reached", "upper")
+        if status == "reached":
+            assert q_end > band_buy(y_end, p.epsilon)
+        status, _, _ = shoot(p, FLOOR * 1.001, True, 0.625)
+        assert status == "lower"
 
     def test_backward_upper_blow_up_below_root(self):
         # Below the matched rate the backward solution climbs toward the
         # singular curve q = 1/y and is classified as an upper divergence.
         p = params_with(1e-3, 1e-4)
-        out = shoot_backward(p, 0.018, 0.3)
-        assert out.status == "upper"
-        assert out.q_end * out.y_end > 0.5
+        status, y_end, q_end = shoot(p, 0.018, False, 0.3)
+        assert status == "upper"
+        assert q_end * y_end > 0.5
 
     def test_backward_reaches_matching_point_near_root(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
-        out = shoot_backward(sol.params, sol.beta, 0.625)
-        assert out.status == "reached"
-        assert out.q_end < 0.0 or abs(out.q_end) < 1e-3
+        status, _, q_end = shoot(sol.params, sol.beta, False, 0.625)
+        assert status == "reached"
+        assert q_end < 0.0 or abs(q_end) < 1e-3
 
     def test_backward_starts_negative(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
-        out = shoot_backward(sol.params, sol.beta, 0.9)
-        assert out.q_end < 0.0
+        _, _, q_end = shoot(sol.params, sol.beta, False, 0.9)
+        assert q_end < 0.0
 
 
 class TestSerialization:
