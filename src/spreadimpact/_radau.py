@@ -12,6 +12,9 @@ Guards terminate integration when the state leaves a caller-supplied box;
 both plain thresholds on q and a threshold on the product q*y are supported,
 the latter catching trajectories that climb toward the singular curve
 q = 1/y whose approach otherwise stalls any error-controlled stepper.
+
+The dense output is a :class:`PiecewisePolynomial`, the searchsorted-plus-
+Horner evaluator that also carries the solver's Hermite interpolant.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GuardBox", "IntegrationResult", "integrate_guarded"]
+__all__ = ["GuardBox", "IntegrationResult", "PiecewisePolynomial",
+           "integrate_guarded"]
 
 _S6 = math.sqrt(6.0)
 # Collocation nodes and embedded-error weights.
@@ -75,47 +79,86 @@ class GuardBox:
         return None
 
 
+class PiecewisePolynomial:
+    """Piecewise polynomial on monotone knots, evaluated by searchsorted and
+    Horner.
+
+    On the piece from ``knots[i]`` to ``knots[i+1]`` the value is
+    ``sum_k coeffs[i, k] * x**k`` with
+    ``x = (t - knots[i]) / (knots[i+1] - knots[i])``. The knots may run in
+    either direction; beyond the first and last knot the end pieces extend.
+    """
+
+    def __init__(self, knots: np.ndarray, coeffs: np.ndarray):
+        self.knots = knots
+        self.coeffs = coeffs
+
+    @classmethod
+    def hermite(cls, knots, values, slopes) -> "PiecewisePolynomial":
+        """The cubic Hermite interpolant of values and slopes at the knots."""
+        knots = np.asarray(knots, dtype=float)
+        values = np.asarray(values, dtype=float)
+        slopes = np.asarray(slopes, dtype=float)
+        h = np.diff(knots)
+        step = np.diff(values)
+        d0, d1 = slopes[:-1] * h, slopes[1:] * h
+        return cls(knots, np.column_stack([values[:-1], d0,
+                                           3.0 * step - 2.0 * d0 - d1,
+                                           d0 + d1 - 2.0 * step]))
+
+    def __call__(self, t):
+        """Evaluate at t (scalar or array)."""
+        t_arr = np.asarray(t, dtype=float)
+        knots = self.knots
+        if knots[0] <= knots[-1]:
+            idx = np.clip(np.searchsorted(knots, t_arr, side="right") - 1,
+                          0, len(knots) - 2)
+        else:
+            idx = np.clip(
+                len(knots) - 1 - np.searchsorted(knots[::-1], t_arr,
+                                                 side="left"),
+                0,
+                len(knots) - 2,
+            )
+        t0 = knots[idx]
+        x = (t_arr - t0) / (knots[idx + 1] - t0)
+        c = self.coeffs[idx]
+        out = c[..., -1]
+        for k in range(c.shape[-1] - 2, -1, -1):
+            out = out * x + c[..., k]
+        if np.ndim(t) == 0:
+            return float(out)
+        return out
+
+    def derivative(self) -> "PiecewisePolynomial":
+        """The derivative in t, on the same knots."""
+        order = np.arange(1, self.coeffs.shape[1])
+        h = np.diff(self.knots)
+        return PiecewisePolynomial(self.knots,
+                                   self.coeffs[:, 1:] * order / h[:, None])
+
+
 @dataclass
 class IntegrationResult:
     """Accepted mesh, per-step dense cubics, and the termination status.
 
-    On each accepted step ``[ts[i], ts[i+1]]`` the solution is
-    ``ys[i] + x*(Q[i,0] + x*(Q[i,1] + x*Q[i,2]))`` with
-    ``x = (t - ts[i]) / (ts[i+1] - ts[i])``; evaluation is exposed through
-    :meth:`sol`. ``t_end``/``y_end`` refine the guard crossing when the run
-    ended on a guard.
+    ``sol`` is the dense output: on each accepted step it is the collocation
+    cubic, with the accepted step points ``ts`` as knots. ``t_end``/``y_end``
+    refine the guard crossing when the run ended on a guard.
     """
 
     status: str
-    ts: np.ndarray
-    ys: np.ndarray
-    q_poly: np.ndarray
+    sol: PiecewisePolynomial
     t_end: float
     y_end: float
     nfev: int = 0
     njev: int = 0
     naccepted: int = 0
 
-    def sol(self, t):
-        """Evaluate the piecewise collocation cubic at t (scalar or array)."""
-        t_arr = np.asarray(t, dtype=float)
-        ts = self.ts
-        if ts[0] <= ts[-1]:
-            idx = np.clip(np.searchsorted(ts, t_arr, side="right") - 1, 0, len(ts) - 2)
-        else:
-            idx = np.clip(
-                len(ts) - 1 - np.searchsorted(ts[::-1], t_arr, side="left"),
-                0,
-                len(ts) - 2,
-            )
-        t0 = ts[idx]
-        h = ts[idx + 1] - t0
-        x = (t_arr - t0) / h
-        poly = self.q_poly[idx]
-        out = self.ys[idx] + x * (poly[..., 0] + x * (poly[..., 1] + x * poly[..., 2]))
-        if np.ndim(t) == 0:
-            return float(out)
-        return out
+    @property
+    def ts(self) -> np.ndarray:
+        """Accepted step points, in the direction of integration."""
+        return self.sol.knots
 
 
 def _initial_step(f, t0, q0, f0, direction, t_bound, rtol, atol):
@@ -433,9 +476,8 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
         polys = [(0.0, 0.0, 0.0)]
     return IntegrationResult(
         status=status,
-        ts=np.asarray(ts),
-        ys=np.asarray(ys),
-        q_poly=np.asarray(polys),
+        sol=PiecewisePolynomial(
+            np.asarray(ts), np.column_stack([ys[:-1], np.asarray(polys)])),
         t_end=t_end,
         y_end=y_end,
         nfev=nfev,

@@ -1,21 +1,24 @@
-"""Free-boundary solver: bisection on the equivalent safe rate.
+"""Free-boundary solver: a bracketing root search for the equivalent safe
+rate.
 
 For each candidate rate beta the ODE is shot forward from y = delta (using
 the y=0 value and derivative) and backward from y = 1 - delta (using the y=1
 value), both onto the frictionless weight y*. The surplus q0(y*) - q1(y*)
 changes sign exactly once in beta on the admissible bracket; trajectories
 that diverge before reaching y* are classified by which side of the band
-they left through. Bisection on that sign pins beta, after which a final
-high-accuracy pass stitches the matched trajectory, locates the no-trade
-boundaries, and samples q on a grid.
+they left through, and count as a surplus of +-1 with the sign that side
+implies. Brent's method on the surplus pins beta in about ten evaluations,
+after which a final high-accuracy pass stitches the matched trajectory,
+locates the no-trade boundaries, and samples q on a grid.
 
 Both boundary starts are first refined onto the local algebraic balance of
 the equation (the term multiplied by the vanishing coefficient dropped):
 the raw boundary data sit a few picounits off the attracting slow manifold,
 and resolving that transient would force astronomically small steps.
 
-Every leg, in the bisection and in the final pass alike, goes through
+Every leg, in the root search and in the final pass alike, goes through
 :func:`shoot_leg`; the equation itself lives in :mod:`spreadimpact.hjb`.
+The same root finder, :func:`_bracket_root`, locates the band crossings.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
 from . import hjb
 from ._radau import (
@@ -35,6 +36,7 @@ from ._radau import (
     STALLED,
     GuardBox,
     IntegrationResult,
+    PiecewisePolynomial,
     integrate_guarded,
 )
 from .market import (
@@ -59,8 +61,8 @@ __all__ = [
 # advertised integration tolerance; the final stitched pass runs tighter
 # (FINAL_RTOL, with steps capped at FINAL_MAX_STEP) so that sampled values
 # and the interpolant stay well inside the advertised budget. DELTA is the
-# offset of both boundary starts. Bisection ends when the beta bracket is
-# narrower than BETA_TOL_REL times its initial width.
+# offset of both boundary starts. The rate search ends when the beta
+# bracket is no wider than BETA_TOL_REL times its initial width.
 RTOL = 1e-10
 FINAL_RTOL = 1e-13
 FINAL_MAX_STEP = 2.5e-4
@@ -213,19 +215,18 @@ def _monotone_cubic(ys: np.ndarray, qs: np.ndarray, slopes: np.ndarray):
     function), so the interpolant cannot manufacture spurious crossings.
     """
     d = np.array(slopes, dtype=float)
-    h = np.diff(ys)
-    secant = np.diff(qs) / h
+    secant = np.diff(qs) / np.diff(ys)
     left = np.concatenate([secant[:1], secant])
     right = np.concatenate([secant, secant[-1:]])
-    # Flat neighborhood: force a flat node slope.
-    flat = (left == 0.0) & (right == 0.0)
-    d[flat] = 0.0
-    bound = 3.0 * np.maximum(np.abs(left), np.abs(right))
+    # Fritsch-Carlson box: a node slope at most three times the smaller
+    # adjacent secant (zero next to a flat piece) keeps every piece of
+    # monotone data from overshooting.
+    bound = 3.0 * np.minimum(np.abs(left), np.abs(right))
     d = np.clip(d, -bound, bound)
     # A slope opposing both secants would break monotonicity outright.
     opposing = (d * left < 0.0) & (d * right < 0.0)
     d[opposing] = 0.0
-    return CubicHermiteSpline(ys, qs, d, extrapolate=True)
+    return PiecewisePolynomial.hermite(ys, qs, d)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def _auto_atol(params: MarketParams, beta_hi: float, rtol: float) -> float:
 
 
 def _fast_guard(params: MarketParams, beta_hi: float) -> GuardBox:
-    """Early-exit guards used during bisection.
+    """Early-exit guards used during the rate search.
 
     They sit several times beyond the envelope any matched trajectory can
     reach (|q| stays near the boundary data, q y stays far below 1), so a
@@ -326,15 +327,18 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool,
 
 
 # ---------------------------------------------------------------------------
-# Matching and bisection
+# Matching and root finding
 
 
-def _match_sign(params: MarketParams, beta: float, y_mid: float,
-                atol: float, guard: GuardBox) -> tuple[float, bool]:
-    """Sign of q0(y_mid) - q1(y_mid), with divergences classified.
+def _match_surplus(params: MarketParams, beta: float, y_mid: float,
+                   atol: float, guard: GuardBox) -> tuple[float, bool]:
+    """Surplus q0(y_mid) - q1(y_mid) of the two legs at rate beta.
 
-    Returns (sign, both_reached). Forward divergence above means the
-    surplus is positive; below, negative. The backward leg mirrors both.
+    Returns (surplus, both_reached). A leg that diverges before y_mid gives
+    a surplus of +-1, with the sign its divergence implies: forward above
+    means positive, below negative, and the backward leg mirrors both. The
+    sign is exact; the unit size (beyond the surplus of matched legs near
+    the root) only steers the interpolation of the root search.
     """
     ends = []
     for forward, upper_sign in ((True, 1.0), (False, -1.0)):
@@ -351,12 +355,72 @@ def _match_sign(params: MarketParams, beta: float, y_mid: float,
         if status == GUARD_LOWER:
             return -upper_sign, False
         ends.append(leg.y_end)
-    diff = ends[0] - ends[1]
-    return float((diff > 0.0) - (diff < 0.0)), True
+    return ends[0] - ends[1], True
+
+
+def _bracket_root(f, a: float, b: float, fa: float, fb: float,
+                  xtol: float) -> tuple[float, float, int]:
+    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in
+    sign: Brent's method (Brent 1973, ch. 4).
+
+    Each step is an inverse quadratic or secant interpolation when that
+    lands well inside the bracket and shrinks it fast enough, and a
+    bisection otherwise, so a jump or a plateau in f (a divergence) slows it
+    to bisection at worst. Returns ``(x, other, evaluations)``: ``x`` is the
+    bracket end with the smaller ``|f|`` and ``other`` the opposite end of a
+    sign-change bracket no wider than ``xtol`` (``other == x`` on an exact
+    zero); evaluations counts the calls of f. ``xtol`` must exceed a few
+    float spacings of the root.
+    """
+    evaluations = 0
+    if fa == 0.0:
+        return a, a, evaluations
+    c, fc = a, fa
+    d = e = b - a
+    while fb != 0.0:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa = b, fb
+            b, fb = c, fc
+            c, fc = a, fa
+        tol = max(0.5 * xtol, 2.0 * math.ulp(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return b, c, evaluations
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            if a == c:
+                s = fb / fa
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                s, q, r = fb / fa, fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        evaluations += 1
+    return b, b, evaluations
 
 
 def solve(params: MarketParams) -> FreeBoundarySolution:
     """Solve the free-boundary problem for interior-regime parameters.
+
+    ``diagnostics["bisection_iterations"]`` counts the surplus evaluations
+    of the rate search after the two bracket probes (each is one forward
+    and one backward leg); ``beta_bracket_width`` is the width of the final
+    sign-change bracket, zero when a surplus was exactly zero.
 
     Raises
     ------
@@ -393,8 +457,19 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     atol = _auto_atol(params, hi, RTOL)
     guard = _fast_guard(params, hi)
 
-    sign_lo, _ = _match_sign(params, lo_in, y_mid, atol, guard)
-    sign_hi, _ = _match_sign(params, hi_in, y_mid, atol, guard)
+    best_both = None
+
+    def surplus(beta_try: float) -> float:
+        nonlocal best_both
+        value, both_reached = _match_surplus(params, beta_try, y_mid, atol,
+                                             guard)
+        if both_reached:
+            best_both = beta_try
+        return value
+
+    surplus_lo = surplus(lo_in)
+    surplus_hi = surplus(hi_in)
+    sign_lo, sign_hi = np.sign(surplus_lo), np.sign(surplus_hi)
     bracket_as_expected = sign_lo < 0.0 < sign_hi
     if sign_lo == sign_hi:
         raise NoMatchError(
@@ -402,27 +477,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
             f"[{lo:.6g}, {hi:.6g}] (signs {sign_lo:+.0f}/{sign_hi:+.0f}); "
             "the frictions are too large for the free-boundary construction"
         )
-    if sign_lo == 0.0 or sign_hi == 0.0:
-        # An exact tie is already matched; collapse the bracket there.
-        lo_in = hi_in = lo_in if sign_lo == 0.0 else hi_in
-
-    iterations = 0
-    best_both = None
-    while hi_in - lo_in > beta_tol:
-        mid = 0.5 * (lo_in + hi_in)
-        s, both = _match_sign(params, mid, y_mid, atol, guard)
-        if both:
-            best_both = mid
-        if s == 0.0:
-            lo_in = hi_in = mid
-            break
-        if s == sign_hi:
-            hi_in = mid
-        else:
-            lo_in = mid
-        iterations += 1
-
-    beta = 0.5 * (lo_in + hi_in)
+    beta, beta_other, iterations = _bracket_root(
+        surplus, lo_in, hi_in, surplus_lo, surplus_hi, beta_tol)
 
     # Final stitched pass: tighter tolerance, hard guards only, and a step
     # cap so the dense output is uniformly accurate between step points.
@@ -466,7 +522,7 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         "final_atol": final_atol,
         "forward_steps": int(leg_f.naccepted),
         "backward_steps": int(leg_b.naccepted),
-        "beta_bracket_width": hi_in - lo_in,
+        "beta_bracket_width": abs(beta_other - beta),
         "grid_size": int(len(y_grid)),
         "residual_ratio_half_budget": residual_ratio,
     }
@@ -496,8 +552,8 @@ def _locate_boundaries(params, q_of, leg_f, leg_b):
 
     # Scan on a mesh made of the accepted step points of both legs.
     mesh = np.unique(np.concatenate([leg_f.ts, leg_b.ts[::-1]]))
-    gb = np.array([g_buy(t) for t in mesh])
-    gs = np.array([g_sell(t) for t in mesh])
+    gb = g_buy(mesh)
+    gs = g_sell(mesh)
 
     idx_buy = np.nonzero(np.diff(np.signbit(gb)))[0]
     idx_sell = np.nonzero(np.diff(np.signbit(gs)))[0]
@@ -507,8 +563,10 @@ def _locate_boundaries(params, q_of, leg_f, leg_b):
         )
     i = idx_buy[0]
     j = idx_sell[-1]
-    y_minus = brentq(g_buy, mesh[i], mesh[i + 1], xtol=Y_TOL)
-    y_plus = brentq(g_sell, mesh[j], mesh[j + 1], xtol=Y_TOL)
+    y_minus = float(_bracket_root(g_buy, mesh[i], mesh[i + 1], gb[i],
+                                  gb[i + 1], Y_TOL)[0])
+    y_plus = float(_bracket_root(g_sell, mesh[j], mesh[j + 1], gs[j],
+                                 gs[j + 1], Y_TOL)[0])
     if y_minus > y_plus:
         y_minus, y_plus = y_plus, y_minus
     return y_minus, y_plus

@@ -1,6 +1,9 @@
 """The package's public surface: exactly what the CLI, README and tests use."""
 
 import inspect
+import os
+import subprocess
+import sys
 
 import spreadimpact
 from spreadimpact import solver
@@ -54,3 +57,18 @@ def test_solver_exports_are_public():
 
 def test_solve_takes_only_the_parameters():
     assert list(inspect.signature(spreadimpact.solve).parameters) == ["params"]
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: importing the package and its CLI
+    # must not pull it in.
+    src = os.path.dirname(os.path.dirname(spreadimpact.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, spreadimpact, spreadimpact.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,12 +1,16 @@
-"""Validation of the scalar stiff integrator against closed forms and scipy."""
+"""Validation of the scalar stiff integrator and its piecewise-polynomial
+evaluator against closed forms and scipy."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicHermiteSpline
 
-from spreadimpact._radau import GuardBox, integrate_guarded
+from spreadimpact._radau import (GuardBox, PiecewisePolynomial,
+                                 integrate_guarded)
 from spreadimpact.market import MarketParams
 from spreadimpact.solver import _leg_start
 from spreadimpact import hjb
@@ -101,3 +105,62 @@ class TestAgainstScipy:
         assert ref.status == 0
         assert mine.y_end == pytest.approx(ref.y[0][-1], rel=1e-7,
                                            abs=1e-12)
+
+
+@st.composite
+def hermite_data(draw):
+    """Increasing knots with arbitrary values and slopes."""
+    n = draw(st.integers(2, 12))
+    start = draw(st.floats(-10.0, 10.0))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1,
+                         max_size=n - 1))
+    knots = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    values = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=n,
+                                    max_size=n)))
+    slopes = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=n,
+                                    max_size=n)))
+    return knots, values, slopes
+
+
+class TestPiecewisePolynomial:
+    @given(data=hermite_data(), theta=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_hermite_matches_scipy(self, data, theta):
+        # At the knots, inside every piece, and beyond both ends, values and
+        # derivatives agree with scipy's CubicHermiteSpline.
+        knots, values, slopes = data
+        mine = PiecewisePolynomial.hermite(knots, values, slopes)
+        ref = CubicHermiteSpline(knots, values, slopes, extrapolate=True)
+        span = knots[-1] - knots[0]
+        pts = np.concatenate([
+            knots,
+            knots[:-1] + theta * np.diff(knots),
+            knots[0] - span * np.array([1e-3, 0.1, 1.0]),
+            knots[-1] + span * np.array([1e-3, 0.1, 1.0]),
+        ])
+        for got, want in ((mine(pts), ref(pts)),
+                          (mine.derivative()(pts), ref.derivative()(pts))):
+            scale = max(1.0, float(np.max(np.abs(want))))
+            np.testing.assert_allclose(got, want, rtol=1e-13,
+                                       atol=1e-13 * scale)
+
+    def test_scalar_evaluation(self):
+        poly = PiecewisePolynomial.hermite([0.0, 1.0, 3.0], [1.0, 2.0, 0.0],
+                                           [0.0, 1.0, -1.0])
+        value = poly(2.0)
+        assert isinstance(value, float)
+        assert value == poly(np.array([2.0]))[0]
+        assert poly(1.0) == 2.0
+
+    def test_decreasing_knots(self):
+        # A backward leg's dense output runs on decreasing knots.
+        rising = PiecewisePolynomial.hermite([0.0, 0.5, 2.0], [0.0, 1.0, 0.0],
+                                             [2.0, 0.0, -1.0])
+        falling = PiecewisePolynomial.hermite([2.0, 0.5, 0.0], [0.0, 1.0, 0.0],
+                                              [-1.0, 0.0, 2.0])
+        pts = np.linspace(-0.5, 2.5, 31)
+        np.testing.assert_allclose(falling(pts), rising(pts), rtol=1e-14,
+                                   atol=1e-14)
+        np.testing.assert_allclose(falling.derivative()(pts),
+                                   rising.derivative()(pts), rtol=1e-14,
+                                   atol=1e-14)

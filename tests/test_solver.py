@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spreadimpact.hjb import band_buy, band_sell, equation_terms
-from spreadimpact.market import MarketParams, ParameterError
+from spreadimpact.market import MarketParams, ParameterError, baseline
 from spreadimpact.solver import (
     HARD_GUARD,
     RTOL,
     NoMatchError,
     _auto_atol,
+    _bracket_root,
+    _fast_guard,
+    _monotone_cubic,
     policy,
     shoot_leg,
     solve,
@@ -35,6 +39,39 @@ def params_with(eps, lam):
     return MarketParams(epsilon=eps, lam=lam, **BASE)
 
 
+def bisection_oracle(params, steps=40):
+    """Matched rate by plain bisection on the sign of the shooting surplus,
+    with the solver's search tolerances, guards and bracket."""
+    base = baseline(params)
+    y_mid = base.merton_weight
+    lo, hi = max(0.0, base.full_risky_esr), base.frictionless_esr
+    atol, guard = _auto_atol(params, hi, RTOL), _fast_guard(params, hi)
+
+    def sign(beta):
+        ends = []
+        for forward, upper in ((True, 1.0), (False, -1.0)):
+            leg, status = shoot_leg(params, beta, forward, y_mid, RTOL, atol,
+                                    guard)
+            assert status != "stalled"
+            if status == "upper":
+                return upper
+            if status == "lower":
+                return -upper
+            ends.append(leg.y_end)
+        return np.sign(ends[0] - ends[1])
+
+    nudge = 1e-13 * (hi - lo)
+    a, b = lo + nudge, hi - nudge
+    sign_b = sign(b)
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        if sign(mid) == sign_b:
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b)
+
+
 def shoot(params, beta, forward, y_stop):
     """One leg at the advertised tolerance with the hard guards:
     (status, y_end, q_end)."""
@@ -49,6 +86,19 @@ class TestSolve:
         sol = solve_cache(eps, lam)
         assert sol.beta == pytest.approx(REFERENCE_BETAS[(eps, lam)],
                                          abs=2e-10)
+
+    @pytest.mark.parametrize("eps,lam", sorted(REFERENCE_BETAS))
+    def test_root_search_is_short(self, eps, lam, solve_cache):
+        # Brent on the surplus: a dozen evaluations after the two bracket
+        # probes, where bisection needs forty.
+        sol = solve_cache(eps, lam)
+        assert sol.diagnostics["bisection_iterations"] <= 12
+        assert sol.diagnostics["beta_bracket_width"] <= 1e-12 * (
+            FRICTIONLESS - FLOOR)
+
+    def test_rate_matches_bisection_oracle(self, solve_cache):
+        sol = solve_cache(1e-3, 1e-4)
+        assert abs(sol.beta - bisection_oracle(sol.params)) <= 1e-13
 
     def test_rate_bracket_and_boundary_order(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
@@ -164,6 +214,86 @@ class TestSolve:
     def test_no_match_reported_for_huge_frictions(self):
         with pytest.raises(NoMatchError, match="too large"):
             solve(params_with(0.95, 2.0))
+
+
+class TestBracketRoot:
+    def test_smooth_root(self):
+        f = lambda x: x**3 - 2.0 * x - 5.0
+        x, other, evaluations = _bracket_root(f, 2.0, 3.0, f(2.0), f(3.0),
+                                              1e-13)
+        assert x == pytest.approx(2.0945514815423265, abs=1e-13)
+        assert abs(other - x) <= 1e-13
+        assert evaluations <= 10
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_root_next_to_divergent_plateau(self, flip):
+        # Below 0.3 the "surplus" is a classified divergence (-1); the root
+        # sits just beyond the plateau's edge.
+        def f(x):
+            value = -1.0 if x < 0.3 else 4.0 * (x - 0.31)
+            return -value if flip else value
+
+        x, other, evaluations = _bracket_root(f, 0.0, 1.0, f(0.0), f(1.0),
+                                              1e-12)
+        assert x == pytest.approx(0.31, abs=1e-12)
+        assert abs(other - x) <= 1e-12
+        assert f(x) * f(other) <= 0.0
+        assert evaluations < 40  # bisection to 1e-12 takes 40
+
+    def test_exact_zero_at_a_probe(self):
+        f = lambda x: x - 0.25
+        assert _bracket_root(f, 0.25, 1.0, 0.0, 0.75, 1e-12) == (0.25, 0.25,
+                                                                 0)
+        assert _bracket_root(f, 0.0, 0.25, -0.25, 0.0, 1e-12) == (0.25, 0.25,
+                                                                  0)
+
+    def test_exact_zero_inside(self):
+        # The first secant step lands on the root exactly.
+        f = lambda x: x - 0.25
+        assert _bracket_root(f, 0.0, 1.0, -0.25, 0.75, 1e-12) == (0.25, 0.25,
+                                                                  1)
+
+    @given(root=st.floats(0.01, 0.99), stiffness=st.floats(0.1, 1e4),
+           plateau=st.floats(0.0, 1.0), xtol=st.sampled_from([1e-6, 1e-12]))
+    @settings(max_examples=200, deadline=None)
+    def test_final_bracket_keeps_a_sign_change(self, root, stiffness,
+                                               plateau, xtol):
+        def f(x):
+            if x < root * plateau:
+                return -1.0
+            return math.tanh(stiffness * (x - root))
+
+        x, other, _ = _bracket_root(f, 0.0, 1.0, f(0.0), f(1.0), xtol)
+        assert abs(other - x) <= xtol
+        assert min(x, other) <= root <= max(x, other)
+        assert f(x) * f(other) <= 0.0
+        assert abs(f(x)) <= abs(f(other))
+
+
+class TestMonotoneCubic:
+    @given(
+        gaps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=12),
+        steps=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 100.0)),
+                       min_size=12, max_size=12),
+        slopes=st.lists(st.floats(-1e4, 1e4), min_size=13, max_size=13),
+        decreasing=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_data_give_a_monotone_interpolant(self, gaps, steps,
+                                                       slopes, decreasing):
+        n = len(gaps) + 1
+        ys = np.concatenate([[0.0], np.cumsum(gaps)])
+        qs = np.concatenate([[0.0], np.cumsum(steps[: n - 1])])
+        if decreasing:
+            qs = -qs
+        interp = _monotone_cubic(ys, qs, np.array(slopes[:n]))
+        scale = max(1.0, float(np.max(np.abs(qs))))
+        np.testing.assert_allclose(interp(ys), qs, rtol=0.0,
+                                   atol=1e-14 * scale)
+        theta = np.linspace(0.0, 1.0, 65)
+        pts = (ys[:-1, None] + theta * np.diff(ys)[:, None]).ravel()
+        change = np.diff(interp(pts)) * (-1.0 if decreasing else 1.0)
+        assert np.all(change >= -1e-13 * scale)
 
 
 class TestPolicy:
