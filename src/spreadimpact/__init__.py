@@ -13,7 +13,6 @@ from .asymptotic import (
     NoRootError,
     asymptotic_policy,
     find_z_minus,
-    midfield_r,
     near_boundary_slope,
     r_buy,
     welfare_coefficient,
@@ -67,7 +66,6 @@ __all__ = [
     "degenerate_regime",
     "estimate_esr",
     "find_z_minus",
-    "midfield_r",
     "near_boundary_slope",
     "policy",
     "r_buy",

@@ -14,7 +14,10 @@ the latter catching trajectories that climb toward the singular curve
 q = 1/y whose approach otherwise stalls any error-controlled stepper.
 
 The dense output is a :class:`PiecewisePolynomial`, the searchsorted-plus-
-Horner evaluator that also carries the solver's Hermite interpolant.
+Horner evaluator that also carries the solver's Hermite interpolant. The
+package's one bracketing root finder, :func:`bracket_root` (Brent's
+method), lives here too: the rate search, the band edges and the small-cost
+expansion's boundary root all use it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["GuardBox", "IntegrationResult", "PiecewisePolynomial",
-           "integrate_guarded"]
+           "bracket_root", "integrate_guarded"]
 
 _S6 = math.sqrt(6.0)
 # Collocation nodes and embedded-error weights.
@@ -53,6 +56,8 @@ _P21, _P22, _P23 = 13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0,
 _P31, _P32, _P33 = 1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0
 
 _NEWTON_MAXITER = 6
+# Accepted steps after which an unfinished leg counts as stalled.
+_MAX_STEPS = 200000
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _EPS = float(np.finfo(float).eps)
@@ -138,6 +143,62 @@ class PiecewisePolynomial:
                                    self.coeffs[:, 1:] * order / h[:, None])
 
 
+def bracket_root(f, a: float, b: float, fa: float, fb: float,
+                 xtol: float) -> tuple[float, float, int]:
+    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in
+    sign: Brent's method (Brent 1973, ch. 4).
+
+    Each step is an inverse quadratic or secant interpolation when that
+    lands well inside the bracket and shrinks it fast enough, and a
+    bisection otherwise, so a jump or a plateau in f (a divergence) slows it
+    to bisection at worst. Returns ``(x, other, evaluations)``: ``x`` is the
+    bracket end with the smaller ``|f|`` and ``other`` the opposite end of a
+    sign-change bracket no wider than ``xtol`` (``other == x`` on an exact
+    zero); evaluations counts the calls of f. ``xtol`` must exceed a few
+    float spacings of the root.
+    """
+    evaluations = 0
+    if fa == 0.0:
+        return a, a, evaluations
+    c, fc = a, fa
+    d = e = b - a
+    while fb != 0.0:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa = b, fb
+            b, fb = c, fc
+            c, fc = a, fa
+        tol = max(0.5 * xtol, 2.0 * math.ulp(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return b, c, evaluations
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            if a == c:
+                s = fb / fa
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                s, q, r = fb / fa, fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        evaluations += 1
+    return b, b, evaluations
+
+
 @dataclass
 class IntegrationResult:
     """Accepted mesh, per-step dense cubics, and the termination status.
@@ -201,8 +262,6 @@ def _refine_guard_crossing(guard, t_old, h, y_old, p0, p1, p2, t_new, y_new):
 
 def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
                       guard: GuardBox | None = None,
-                      max_steps: int = 200000,
-                      first_step: float | None = None,
                       max_step: float = math.inf) -> IntegrationResult:
     """Integrate dq/dt = f(t, q) from t0 to t_bound with terminal guards.
 
@@ -218,6 +277,8 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
     guard : GuardBox, optional
         Terminal region; crossing it ends the run with status "upper" or
         "lower" and the crossing point refined on the step cubic.
+    max_step : float, optional
+        Upper bound on the step size.
     """
     direction = 1.0 if t_bound >= t0 else -1.0
     f0 = f(t0, q0)
@@ -225,12 +286,9 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
     njev = 0
     if not math.isfinite(f0):
         raise ValueError(f"right-hand side not finite at the start point t={t0!r}")
-    if first_step is None:
-        h_abs = _initial_step(f, t0, q0, f0, direction, t_bound, rtol, atol)
-        nfev += 1
-    else:
-        h_abs = min(abs(first_step), abs(t_bound - t0))
-    h_abs = min(h_abs, max_step)
+    h_abs = min(_initial_step(f, t0, q0, f0, direction, t_bound, rtol, atol),
+                max_step)
+    nfev += 1
 
     newton_tol = max(10.0 * _EPS / rtol, min(0.03, rtol**0.5))
 
@@ -254,7 +312,7 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
     y_end = q0
 
     n_acc = 0
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if direction * (t - t_bound) >= 0.0:
             status = REACHED
             t_end, y_end = t, q

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._radau import REACHED, integrate_guarded
-from .market import MarketParams, validate
+from ._radau import REACHED, bracket_root, integrate_guarded
+from .market import MarketParams, baseline, validate
 from .whittaker import CancellationError, whittaker_w_ratio
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "NoRootError",
     "asymptotic_policy",
     "find_z_minus",
-    "midfield_r",
     "near_boundary_slope",
     "r_buy",
     "welfare_coefficient",
@@ -46,6 +45,7 @@ _M_INDEX = -0.25
 _SCAN_FACTOR = 50.0
 _SCAN_POINTS = 20000
 _Z_EPS = 1e-4
+_Z_TOL = 1e-12
 _ROOT_ACCEPT = 1e-6
 
 
@@ -163,16 +163,24 @@ def welfare_coefficient(z_minus: float, params: MarketParams) -> float:
     return gs2 * z_minus**2 / 6.0 - v2 / (2.0 * z_minus)
 
 
-def _whittaker_r_buy(z: float, l: float, inputs: AsymptoticInputs) -> float:
-    """Closed-form r_B(z, l) for z < 0 via the Whittaker-function ratio."""
+def _whittaker_parameters(z: float, l: float, inputs: AsymptoticInputs
+                          ) -> tuple[float, float, float, float, float]:
+    """(a, c, k, x, g_const) of the closed form of r_B at (z, l): the
+    first Whittaker index k, the argument x = a S z^2, and the constants of
+    the algebraic part."""
     S = inputs.growth_slope
     a = 1.0 / (2.0 * inputs.K * inputs.curvature_scale)
     c = 2.0 * l / inputs.curvature_scale
     k = c / (4.0 * S)
-    x = a * S * z * z
+    return a, c, k, a * S * z * z, (1.0 + c / S) / (2.0 * a)
+
+
+def _whittaker_r_buy(z: float, l: float, inputs: AsymptoticInputs) -> float:
+    """Closed-form r_B(z, l) for z < 0 via the Whittaker-function ratio."""
+    a, _, k, x, g_const = _whittaker_parameters(z, l, inputs)
     ratio = whittaker_w_ratio(k, _M_INDEX, x)
-    g_const = (1.0 + c / S) / (2.0 * a)
-    return -g_const / z + 1.0 + S * z - (2.0 / (a * z)) * ratio
+    return (-g_const / z + 1.0 + inputs.growth_slope * z
+            - (2.0 / (a * z)) * ratio)
 
 
 def _riccati_r_buy(z: float, l: float, inputs: AsymptoticInputs) -> float:
@@ -228,10 +236,12 @@ def r_buy(z: float, l: float, inputs: AsymptoticInputs,
 def find_z_minus(inputs: AsymptoticInputs) -> AsymptoticSolution:
     """Locate the rescaled buy boundary and assemble the expansion constants.
 
-    Scans r_B(z, l(z)) - 1 on a dense window of negative z, bisects every
-    bracketed sign change to 1e-12, discards crossings that are poles of the
-    Whittaker ratio rather than roots, and keeps the most negative root.
-    All located roots are reported in the diagnostics.
+    Scans r_B(z, l(z)) - 1 on a dense window of negative z with the closed
+    form, refines every bracketed sign change to 1e-12 with the package's
+    Brent search (``_radau.bracket_root``, the one the exact solver uses),
+    discards crossings that are poles of the Whittaker ratio rather than
+    roots (or where the closed form fails inside the bracket), and keeps the
+    most negative root. All located roots are reported in the diagnostics.
     """
     params = inputs.params
     y = inputs.y_star
@@ -239,12 +249,15 @@ def find_z_minus(inputs: AsymptoticInputs) -> AsymptoticSolution:
     z_lo = -_SCAN_FACTOR * half_width_scale
     z_hi = -_Z_EPS
 
+    def f_closed(z: float) -> float:
+        return r_buy(z, welfare_coefficient(z, params), inputs,
+                     method="whittaker") - 1.0
+
     def f_scan(z: float) -> float:
         # Scan with the closed form only; points where it loses significance
         # are recorded as gaps rather than paid for with an integration.
         try:
-            return r_buy(z, welfare_coefficient(z, params), inputs,
-                         method="whittaker") - 1.0
+            return f_closed(z)
         except ArithmeticError:
             return math.nan
 
@@ -266,20 +279,14 @@ def find_z_minus(inputs: AsymptoticInputs) -> AsymptoticSolution:
             # Sign flip through a pole of the Whittaker ratio, not a root.
             rejected.append(float(zs[i]))
             continue
-        lo, hi = float(zs[i]), float(zs[i + 1])
-        flo = fs[i]
-        for _ in range(48):  # bisection to ~1e-12 on a unit-scale window
-            mid = 0.5 * (lo + hi)
-            fmid = f_scan(mid)
-            if math.isnan(fmid):
-                break
-            if (fmid < 0.0) == (flo < 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-            if hi - lo < 1e-12:
-                break
-        candidate = 0.5 * (lo + hi)
+        try:
+            candidate = bracket_root(f_closed, float(zs[i]), float(zs[i + 1]),
+                                     float(fs[i]), float(fs[i + 1]),
+                                     _Z_TOL)[0]
+        except ArithmeticError:
+            # The closed form fails inside the bracket: no verified root.
+            rejected.append(float(zs[i]))
+            continue
         try:
             residual = abs(f_exact(candidate))
         except ArithmeticError:
@@ -300,12 +307,7 @@ def find_z_minus(inputs: AsymptoticInputs) -> AsymptoticSolution:
     z_minus = min(roots)
     l = welfare_coefficient(z_minus, params)
     S = inputs.growth_slope
-    v2 = inputs.curvature_scale
-    a = 1.0 / (2.0 * inputs.K * v2)
-    c = 2.0 * l / v2
-    k = c / (4.0 * S)
-    x_minus = a * S * z_minus**2
-    g_const = (1.0 + c / S) / (2.0 * a)
+    a, c, k, x_minus, g_const = _whittaker_parameters(z_minus, l, inputs)
     m = _M_INDEX
     D = 0.5 * (1.0 - g_const / (S * z_minus**2))
     E = D * (
@@ -324,7 +326,7 @@ def find_z_minus(inputs: AsymptoticInputs) -> AsymptoticSolution:
     )
 
     eps = params.epsilon
-    frictionless = params.mu**2 / (2.0 * params.gamma * params.sigma**2)
+    frictionless = baseline(params).frictionless_esr
     if eps > 0.0:
         beta_approx = frictionless - eps ** (2.0 / 3.0) * l
         y_minus_approx = y + z_minus * eps ** (1.0 / 3.0)
@@ -355,14 +357,13 @@ def find_z_minus(inputs: AsymptoticInputs) -> AsymptoticSolution:
     )
 
 
-def asymptotic_policy(y: float, sol: AsymptoticSolution,
-                      inputs: AsymptoticInputs | None = None) -> float:
+def asymptotic_policy(y: float, sol: AsymptoticSolution) -> float:
     """Leading-order turnover at risky weight y.
 
     Buy side: (r_B(z) - 1) eps^(-1/3) / 2K for z below z_minus; sell side
     the mirror image through r_S = r_B - 2; zero in between.
     """
-    inputs = inputs or sol.inputs
+    inputs = sol.inputs
     eps = inputs.params.epsilon
     if eps <= 0.0:
         raise ValueError("the policy expansion needs epsilon > 0")
@@ -376,16 +377,14 @@ def asymptotic_policy(y: float, sol: AsymptoticSolution,
     return -pref * (r_buy(-z, sol.l, inputs) - 1.0)
 
 
-def near_boundary_slope(sol: AsymptoticSolution,
-                        inputs: AsymptoticInputs | None = None
-                        ) -> tuple[float, float]:
+def near_boundary_slope(sol: AsymptoticSolution) -> tuple[float, float]:
     """d(turnover)/dy just outside each trading boundary.
 
     Both slopes equal F eps^(-2/3) / 2K: the friction bracket vanishes at
     the boundaries, so the rescaled solution leaves them with the same
     slope F on the buy and sell sides.
     """
-    inputs = inputs or sol.inputs
+    inputs = sol.inputs
     eps = inputs.params.epsilon
     if eps <= 0.0:
         raise ValueError("the slope expansion needs epsilon > 0")

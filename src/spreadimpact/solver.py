@@ -18,7 +18,8 @@ and resolving that transient would force astronomically small steps.
 
 Every leg, in the root search and in the final pass alike, goes through
 :func:`shoot_leg`; the equation itself lives in :mod:`spreadimpact.hjb`.
-The same root finder, :func:`_bracket_root`, locates the band crossings.
+The same root finder, :func:`._radau.bracket_root`, locates the band
+crossings.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from ._radau import (
     GuardBox,
     IntegrationResult,
     PiecewisePolynomial,
+    bracket_root,
     integrate_guarded,
 )
 from .market import (
@@ -70,7 +72,6 @@ BETA_TOL_REL = 1e-12
 Y_TOL = 1e-12
 DELTA = 1e-6
 GRID_POINTS = 2001
-MAX_STEPS = 200000
 # Hard divergence guards: |q| >= 10, or q y within a relative 1e-9 of the
 # singular curve q = 1/y.
 HARD_GUARD = GuardBox(upper_q=10.0, lower_q=-10.0, upper_qt=1.0 - 1e-9)
@@ -183,16 +184,16 @@ class TradingPolicy:
     def y_plus(self) -> float:
         return self.solution.y_plus
 
-    def tabulated(self, n: int = 8193):
+    def tabulated(self):
         """Linear-table evaluator for simulation inner loops.
 
         Turnover is piecewise smooth with kinks only at the boundaries, so a
-        dense table with the boundaries as knots reproduces it to a relative
-        accuracy far below any Monte Carlo resolution, at a fraction of the
-        spline cost per call.
+        dense table (8,193 uniform knots plus the boundaries) reproduces it
+        to a relative accuracy far below any Monte Carlo resolution, at a
+        fraction of the spline cost per call.
         """
         sol = self.solution
-        ys = np.linspace(sol.y_grid[0], sol.y_grid[-1], n)
+        ys = np.linspace(sol.y_grid[0], sol.y_grid[-1], 8193)
         ys = np.unique(np.concatenate([ys, [sol.y_minus, sol.y_plus]]))
         us = self(ys)
 
@@ -318,8 +319,7 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool,
     rhs, jac = hjb.make_rhs_jac(params, beta)
     y0, q0 = _leg_start(params, beta, forward, rhs, jac)
     leg = integrate_guarded(rhs, jac, y0, y_stop, q0, rtol, atol,
-                            guard=guard, max_steps=MAX_STEPS,
-                            max_step=max_step)
+                            guard=guard, max_step=max_step)
     status = leg.status
     if status == STALLED:
         status = _classify_stall(leg, params)
@@ -327,7 +327,7 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool,
 
 
 # ---------------------------------------------------------------------------
-# Matching and root finding
+# Matching
 
 
 def _match_surplus(params: MarketParams, beta: float, y_mid: float,
@@ -356,62 +356,6 @@ def _match_surplus(params: MarketParams, beta: float, y_mid: float,
             return -upper_sign, False
         ends.append(leg.y_end)
     return ends[0] - ends[1], True
-
-
-def _bracket_root(f, a: float, b: float, fa: float, fb: float,
-                  xtol: float) -> tuple[float, float, int]:
-    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in
-    sign: Brent's method (Brent 1973, ch. 4).
-
-    Each step is an inverse quadratic or secant interpolation when that
-    lands well inside the bracket and shrinks it fast enough, and a
-    bisection otherwise, so a jump or a plateau in f (a divergence) slows it
-    to bisection at worst. Returns ``(x, other, evaluations)``: ``x`` is the
-    bracket end with the smaller ``|f|`` and ``other`` the opposite end of a
-    sign-change bracket no wider than ``xtol`` (``other == x`` on an exact
-    zero); evaluations counts the calls of f. ``xtol`` must exceed a few
-    float spacings of the root.
-    """
-    evaluations = 0
-    if fa == 0.0:
-        return a, a, evaluations
-    c, fc = a, fa
-    d = e = b - a
-    while fb != 0.0:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, fa = b, fb
-            b, fb = c, fc
-            c, fc = a, fa
-        tol = max(0.5 * xtol, 2.0 * math.ulp(b))
-        m = 0.5 * (c - b)
-        if abs(m) <= tol:
-            return b, c, evaluations
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            if a == c:
-                s = fb / fa
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                s, q, r = fb / fa, fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-        evaluations += 1
-    return b, b, evaluations
 
 
 def solve(params: MarketParams) -> FreeBoundarySolution:
@@ -477,7 +421,7 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
             f"[{lo:.6g}, {hi:.6g}] (signs {sign_lo:+.0f}/{sign_hi:+.0f}); "
             "the frictions are too large for the free-boundary construction"
         )
-    beta, beta_other, iterations = _bracket_root(
+    beta, beta_other, iterations = bracket_root(
         surplus, lo_in, hi_in, surplus_lo, surplus_hi, beta_tol)
 
     # Final stitched pass: tighter tolerance, hard guards only, and a step
@@ -563,10 +507,10 @@ def _locate_boundaries(params, q_of, leg_f, leg_b):
         )
     i = idx_buy[0]
     j = idx_sell[-1]
-    y_minus = float(_bracket_root(g_buy, mesh[i], mesh[i + 1], gb[i],
-                                  gb[i + 1], Y_TOL)[0])
-    y_plus = float(_bracket_root(g_sell, mesh[j], mesh[j + 1], gs[j],
-                                 gs[j + 1], Y_TOL)[0])
+    y_minus = float(bracket_root(g_buy, mesh[i], mesh[i + 1], gb[i],
+                                 gb[i + 1], Y_TOL)[0])
+    y_plus = float(bracket_root(g_sell, mesh[j], mesh[j + 1], gs[j],
+                                gs[j + 1], Y_TOL)[0])
     if y_minus > y_plus:
         y_minus, y_plus = y_plus, y_minus
     return y_minus, y_plus

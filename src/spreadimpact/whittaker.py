@@ -116,27 +116,22 @@ def _reciprocal_gamma(x: float) -> float:
 
 
 def _kummer_series(a: float, b: float, x: float) -> float:
-    """Defining series of 1F1 with compensated (Neumaier) summation.
+    """Defining series of 1F1, its terms summed exactly rounded (fsum).
 
     The term recurrence term_{n+1} = term_n * (a+n) x / ((b+n)(n+1)) is used
-    verbatim; no rearrangement of the summand.
+    verbatim; no rearrangement of the summand. The running sum only decides
+    where to stop.
     """
-    total = 1.0
-    comp = 0.0
     term = 1.0
-    n = 0
-    while n < _SERIES_MAX_TERMS:
+    terms = [term]
+    total = term
+    for n in range(_SERIES_MAX_TERMS):
         term = term * (a + n) * x / ((b + n) * (n + 1))
-        fresh = total + term
-        if abs(total) >= abs(term):
-            comp += (total - fresh) + term
-        else:
-            comp += (term - fresh) + total
-        total = fresh
-        n += 1
-        if abs(term) <= 1e-17 * (abs(total) + abs(comp)) and n > 4:
+        terms.append(term)
+        total += term
+        if abs(term) <= 1e-17 * abs(total) and n >= 4:
             break
-    return total + comp
+    return math.fsum(terms)
 
 
 def kummer_1f1(a: float, b: float, x: float) -> float:
@@ -159,15 +154,27 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     return _kummer_series(a, b, x)
 
 
+def _m_series(k: float, m: float, x: float) -> float:
+    """M(k, m, x) = x^(1/2+m) e^(-x/2) 1F1(1/2+m-k, 1+2m, x) for x > 0, by
+    the direct series at any x."""
+    return x ** (0.5 + m) * math.exp(-0.5 * x) * _kummer_series(
+        0.5 + m - k, 1.0 + 2.0 * m, x
+    )
+
+
 def whittaker_m(k: float, m: float, x: float) -> float:
-    """Regular Whittaker function M(k, m, x) = x^(1/2+m) e^(-x/2) 1F1(...)."""
+    """Regular Whittaker function M(k, m, x) = x^(1/2+m) e^(-x/2) 1F1(...),
+    certified like ``kummer_1f1`` for x <= X_SWITCH."""
     if x <= 0.0:
         raise ValueError(f"whittaker_m requires x > 0, got {x!r}")
     if _is_nonpositive_integer(1.0 + 2.0 * m):
         raise GammaPoleError(f"M undefined for 1+2m={1.0 + 2.0 * m!r}")
-    return x ** (0.5 + m) * math.exp(-0.5 * x) * kummer_1f1(
-        0.5 + m - k, 1.0 + 2.0 * m, x
-    )
+    if x > X_SWITCH:
+        raise KummerRangeError(
+            f"x={x:g} exceeds the series range {X_SWITCH:g}; "
+            "use the asymptotic route"
+        )
+    return _m_series(k, m, x)
 
 
 def _w_series(k: float, m: float, x: float) -> float:
@@ -177,14 +184,10 @@ def _w_series(k: float, m: float, x: float) -> float:
         raise CancellationError(
             f"combination route unusable at x={x:g} (exponential overflow)"
         )
-    m_pos = x ** (0.5 + m) * math.exp(-0.5 * x) * _kummer_series(
-        0.5 + m - k, 1.0 + 2.0 * m, x
-    )
-    m_neg = x ** (0.5 - m) * math.exp(-0.5 * x) * _kummer_series(
-        0.5 - m - k, 1.0 - 2.0 * m, x
-    )
-    t1 = -m_pos * _reciprocal_gamma(0.5 - m - k) * _reciprocal_gamma(1.0 + 2.0 * m)
-    t2 = m_neg * _reciprocal_gamma(0.5 + m - k) * _reciprocal_gamma(1.0 - 2.0 * m)
+    t1 = (-_m_series(k, m, x) * _reciprocal_gamma(0.5 - m - k)
+          * _reciprocal_gamma(1.0 + 2.0 * m))
+    t2 = (_m_series(k, -m, x) * _reciprocal_gamma(0.5 + m - k)
+          * _reciprocal_gamma(1.0 - 2.0 * m))
     combined = t1 + t2
     biggest = max(abs(t1), abs(t2))
     if combined == 0.0 and biggest > 0.0:
@@ -203,32 +206,26 @@ def _w_asymptotic_sum(k: float, m: float, x: float) -> tuple[float, float]:
     """Truncated large-argument series for W / (x^k e^(-x/2)).
 
     Returns (sum, relative error estimate). Terms may grow before they
-    shrink when k is large; truncation is at the globally smallest term,
-    with the error estimated by that term.
+    shrink when k is large; truncation is at the smallest term after the
+    first (the earliest one on a tie), with the error estimated by that
+    term, and the kept terms are summed exactly rounded (fsum).
     """
     term = 1.0
     terms = [term]
+    best, smallest = 0, math.inf
     for s in range(1, _ASYMPTOTIC_MAX_TERMS):
         term = term * (m * m - (k - s + 0.5) ** 2) / (s * x)
         terms.append(term)
+        if abs(term) < smallest:
+            best, smallest = s, abs(term)
         if abs(term) < 1e-18:
             break
         if abs(term) > 1e8:
             break
-    best = min(range(1, len(terms)), key=lambda s: abs(terms[s]))
-    total = 0.0
-    comp = 0.0
-    for t in terms[: best + 1]:
-        fresh = total + t
-        if abs(total) >= abs(t):
-            comp += (total - fresh) + t
-        else:
-            comp += (t - fresh) + total
-        total = fresh
-    total += comp
+    total = math.fsum(terms[: best + 1])
     if total == 0.0:
         return total, math.inf
-    return total, abs(terms[best]) / abs(total)
+    return total, smallest / abs(total)
 
 
 def whittaker_w(k: float, m: float, x: float) -> float:

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from spreadimpact.asymptotic import (
+    _ROOT_ACCEPT,
+    _SCAN_FACTOR,
+    _SCAN_POINTS,
+    _Z_EPS,
     AsymptoticInputs,
     asymptotic_policy,
     find_z_minus,
@@ -21,6 +25,59 @@ FRICTIONLESS = 0.025
 def make_inputs(K, eps=1e-3):
     params = MarketParams(epsilon=eps, lam=K * eps ** (4.0 / 3.0), **BASE)
     return AsymptoticInputs.from_params(params)
+
+
+def bisection_oracle(inp):
+    """(accepted roots, rejected crossings) of r_B(z, l(z)) = 1 as plain
+    bisection finds them: the same closed-form scan and acceptance rule as
+    find_z_minus, with every bracket bisected (at most 48 halvings, to a
+    width below 1e-12) and its midpoint tested."""
+    params = inp.params
+
+    def f_scan(z):
+        try:
+            return r_buy(z, welfare_coefficient(z, params), inp,
+                         method="whittaker") - 1.0
+        except ArithmeticError:
+            return math.nan
+
+    y = inp.y_star
+    zs = np.linspace(-_SCAN_FACTOR * (y * (1.0 - y)) ** (2.0 / 3.0), -_Z_EPS,
+                     _SCAN_POINTS)
+    fs = [f_scan(float(z)) for z in zs]
+    roots, rejected = [], 0
+    for i in range(len(zs) - 1):
+        flo, fhi = fs[i], fs[i + 1]
+        if math.isnan(flo) or math.isnan(fhi):
+            continue
+        if np.signbit(flo) == np.signbit(fhi):
+            continue
+        if min(abs(flo), abs(fhi)) > 0.5:
+            rejected += 1
+            continue
+        lo, hi = float(zs[i]), float(zs[i + 1])
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            fmid = f_scan(mid)
+            if math.isnan(fmid):
+                break
+            if (fmid < 0.0) == (flo < 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+            if hi - lo < 1e-12:
+                break
+        mid = 0.5 * (lo + hi)
+        try:
+            residual = abs(r_buy(mid, welfare_coefficient(mid, params), inp)
+                           - 1.0)
+        except ArithmeticError:
+            residual = math.inf
+        if residual <= _ROOT_ACCEPT:
+            roots.append(mid)
+        else:
+            rejected += 1
+    return roots, rejected
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +167,13 @@ class TestFindZMinus:
             assert sol.z_minus == min(roots)
             assert all(r < 0 for r in roots)
 
+    def test_z_minus_matches_bisection_oracle(self, expansions):
+        for K, (inp, sol) in expansions.items():
+            roots, rejected = bisection_oracle(inp)
+            assert len(sol.diagnostics["roots"]) == len(roots), K
+            assert len(sol.diagnostics["rejected_crossings"]) == rejected, K
+            assert abs(sol.z_minus - min(roots)) <= 1e-12, K
+
     def test_slope_constant_matches_riccati_identity(self, expansions):
         # At the matched boundary the quadratic term vanishes, so the slope
         # of r_B there is pinned by the equation itself.
@@ -145,7 +209,7 @@ class TestPolicyExpansion:
         eps = inp.params.epsilon
         for z in (sol.z_minus, 0.0, sol.z_plus):
             y = inp.y_star + z * eps ** (1.0 / 3.0)
-            assert asymptotic_policy(y, sol, inp) == 0.0
+            assert asymptotic_policy(y, sol) == 0.0
 
     def test_vanishes_approaching_buy_boundary(self, expansions):
         inp, sol = expansions[1.0]
@@ -153,15 +217,15 @@ class TestPolicyExpansion:
         values = []
         for dz in (0.1, 0.01, 0.001):
             y = inp.y_star + (sol.z_minus - dz) * eps ** (1.0 / 3.0)
-            values.append(asymptotic_policy(y, sol, inp))
+            values.append(asymptotic_policy(y, sol))
         assert values[0] > values[1] > values[2] > 0.0
         assert values[2] < 0.05 * values[0]
 
     def test_antisymmetric_about_target(self, expansions):
         inp, sol = expansions[1.0]
         for dy in (0.05, 0.1, 0.2):
-            buy = asymptotic_policy(inp.y_star - dy, sol, inp)
-            sell = asymptotic_policy(inp.y_star + dy, sol, inp)
+            buy = asymptotic_policy(inp.y_star - dy, sol)
+            sell = asymptotic_policy(inp.y_star + dy, sol)
             assert sell == pytest.approx(-buy, rel=1e-9)
 
     def test_far_field_turnover_law(self, expansions):
@@ -169,19 +233,19 @@ class TestPolicyExpansion:
         p = inp.params
         y = inp.y_star - 0.2
         law = p.sigma * math.sqrt(p.gamma / 2) * 0.2 / math.sqrt(p.lam)
-        assert asymptotic_policy(y, sol, inp) == pytest.approx(law, rel=0.02)
+        assert asymptotic_policy(y, sol) == pytest.approx(law, rel=0.02)
 
     def test_near_boundary_slopes_equal_and_negative(self, expansions):
         for K, (inp, sol) in expansions.items():
-            slope_buy, slope_sell = near_boundary_slope(sol, inp)
+            slope_buy, slope_sell = near_boundary_slope(sol)
             assert slope_buy == slope_sell
             assert slope_buy < 0.0
 
     def test_near_boundary_slope_matches_policy_difference(self, expansions):
         inp, sol = expansions[1.0]
         eps = inp.params.epsilon
-        slope_buy, _ = near_boundary_slope(sol, inp)
+        slope_buy, _ = near_boundary_slope(sol)
         h = 1e-6
         y_edge = inp.y_star + sol.z_minus * eps ** (1.0 / 3.0)
-        fd = (asymptotic_policy(y_edge - h, sol, inp) - 0.0) / (-h)
+        fd = (asymptotic_policy(y_edge - h, sol) - 0.0) / (-h)
         assert fd == pytest.approx(slope_buy, rel=1e-3)

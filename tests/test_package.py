@@ -29,7 +29,6 @@ PUBLIC = {
     "degenerate_regime",
     "estimate_esr",
     "find_z_minus",
-    "midfield_r",
     "near_boundary_slope",
     "policy",
     "r_buy",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spreadimpact._radau import bracket_root as _bracket_root
 from spreadimpact.hjb import band_buy, band_sell, equation_terms
 from spreadimpact.market import MarketParams, ParameterError, baseline
 from spreadimpact.solver import (
@@ -13,7 +14,6 @@ from spreadimpact.solver import (
     RTOL,
     NoMatchError,
     _auto_atol,
-    _bracket_root,
     _fast_guard,
     _monotone_cubic,
     policy,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spreadimpact.whittaker import (
+    _ASYMPTOTIC_MAX_TERMS,
     CancellationError,
     GammaPoleError,
     KummerRangeError,
@@ -27,6 +28,23 @@ def kummer_series_exact(a, b, x, terms=200):
         term *= (a + n) * x / ((b + n) * (n + 1))
         total += term
     return float(total)
+
+
+def asymptotic_sum_exact(k, m, x):
+    """Independent oracle: the truncated large-argument series of
+    W / (x^k e^(-x/2)) in exact rational arithmetic, with the library's term
+    recurrence, stopping rules and truncation at the smallest term after the
+    first. Returns (sum, smallest term / |sum|)."""
+    k, m, x = Fraction(k), Fraction(m), Fraction(x)
+    terms = [Fraction(1)]
+    for s in range(1, _ASYMPTOTIC_MAX_TERMS):
+        terms.append(terms[-1] * (m * m - (k - s + Fraction(1, 2)) ** 2)
+                     / (s * x))
+        if abs(terms[-1]) < 1e-18 or abs(terms[-1]) > 1e8:
+            break
+    best = min(range(1, len(terms)), key=lambda s: abs(terms[s]))
+    total = sum(terms[: best + 1])
+    return float(total), float(abs(terms[best]) / abs(total))
 
 
 class TestGamma:
@@ -176,6 +194,15 @@ class TestWhittakerW:
                 checked += 1
                 assert via_series == pytest.approx(via_asym, rel=1e-5), (k, x)
             assert checked >= 5
+
+    @given(k=st.floats(-1.5, 4.0), x=st.floats(30.0, 1500.0))
+    @settings(max_examples=100, deadline=None)
+    def test_asymptotic_sum_matches_exact_series(self, k, x):
+        from spreadimpact.whittaker import _w_asymptotic_sum
+        total, err = _w_asymptotic_sum(k, -0.25, x)
+        exact_total, exact_err = asymptotic_sum_exact(k, -0.25, x)
+        assert total == pytest.approx(exact_total, rel=1e-13)
+        assert err == pytest.approx(exact_err, rel=1e-12, abs=1e-300)
 
     def test_cancellation_monitor_trips(self):
         # Small first index near the switch: the combination cancels more
