@@ -13,11 +13,11 @@ both plain thresholds on q and a threshold on the product q*y are supported,
 the latter catching trajectories that climb toward the singular curve
 q = 1/y whose approach otherwise stalls any error-controlled stepper.
 
-The dense output is a :class:`PiecewisePolynomial`, the searchsorted-plus-
-Horner evaluator that also carries the solver's Hermite interpolant. The
-package's one bracketing root finder, :func:`bracket_root` (Brent's
-method), lives here too: the rate search, the band edges and the small-cost
-expansion's boundary root all use it.
+The dense output is a :class:`PiecewisePolynomial`, a searchsorted-plus-
+Horner evaluator; the solver's q is the two final legs' dense output
+stitched into one. The package's one bracketing root finder,
+:func:`bracket_root` (Brent's method), lives here too: the rate search, the
+band edges and the small-cost expansion's boundary root all use it.
 """
 
 from __future__ import annotations
@@ -97,19 +97,6 @@ class PiecewisePolynomial:
     def __init__(self, knots: np.ndarray, coeffs: np.ndarray):
         self.knots = knots
         self.coeffs = coeffs
-
-    @classmethod
-    def hermite(cls, knots, values, slopes) -> "PiecewisePolynomial":
-        """The cubic Hermite interpolant of values and slopes at the knots."""
-        knots = np.asarray(knots, dtype=float)
-        values = np.asarray(values, dtype=float)
-        slopes = np.asarray(slopes, dtype=float)
-        h = np.diff(knots)
-        step = np.diff(values)
-        d0, d1 = slopes[:-1] * h, slopes[1:] * h
-        return cls(knots, np.column_stack([values[:-1], d0,
-                                           3.0 * step - 2.0 * d0 - d1,
-                                           d0 + d1 - 2.0 * step]))
 
     def __call__(self, t):
         """Evaluate at t (scalar or array)."""

@@ -77,7 +77,8 @@ def _build_parser() -> _Parser:
     _add_market_flags(p_solve)
     _add_output_flags(p_solve, "json")
     p_solve.add_argument("--grid-points", type=int, default=2001,
-                         help="rows in the emitted grid")
+                         help="uniform rows in the emitted grid, to which "
+                              "both band edges are added")
 
     p_asym = sub.add_parser("asymptotic", help="small-cost expansion constants")
     _add_market_flags(p_asym)
@@ -265,8 +266,7 @@ def _cmd_sweep(args) -> int:
     lines = ["epsilon,lambda,y,q,u"]
     for p in points:
         sol = solve(p)
-        ys = np.linspace(sol.y_grid[0], sol.y_grid[-1], args.grid_points)
-        ys = np.unique(np.concatenate([ys, [sol.y_minus, sol.y_plus]]))
+        ys = sol.sample_points(args.grid_points)
         qs = sol.q_at(ys)
         us = sol.turnover_at(ys)
         for a, b, c in zip(ys, qs, us):

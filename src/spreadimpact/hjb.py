@@ -8,8 +8,8 @@ continuous. This module holds that one equation twice, and nowhere else:
 
 - :func:`make_rhs_jac`, scalar closures for the slope and its q-derivative
   (the integrator's hot path);
-- :func:`equation_terms`, its additive terms on arrays (node slopes and the
-  residual check of the solution grid).
+- :func:`equation_terms`, its additive terms on arrays (the residual check
+  of the solution).
 
 It also holds the boundary data at y = 0 and y = 1 and the pointwise
 optimal turnover. Integrating the equation is the job of the solver.
@@ -32,7 +32,6 @@ __all__ = [
     "equation_terms",
     "make_rhs_jac",
     "optimal_turnover",
-    "slope_field",
 ]
 
 
@@ -138,13 +137,6 @@ def equation_terms(params: MarketParams, beta: float, y, q, q_prime=None):
                              + (1.0 - params.gamma) * q * q))
     terms.append(bracket)
     return terms, coef
-
-
-def slope_field(params: MarketParams, beta: float, y, q):
-    """Vectorized ODE slope q'(y) at states (y, q); regime from the band."""
-    terms, coef = equation_terms(params, beta, y, q)
-    q = np.asarray(q, dtype=float)
-    return -sum(terms) / coef - (1.0 - params.gamma) * q * q
 
 
 def boundary_value_0(params: MarketParams, beta: float) -> tuple[float, float]:

@@ -8,8 +8,14 @@ changes sign exactly once in beta on the admissible bracket; trajectories
 that diverge before reaching y* are classified by which side of the band
 they left through, and count as a surplus of +-1 with the sign that side
 implies. Brent's method on the surplus pins beta in about ten evaluations,
-after which a final high-accuracy pass stitches the matched trajectory,
-locates the no-trade boundaries, and samples q on a grid.
+after which a final high-accuracy pass shoots the matched legs and locates
+the no-trade boundaries.
+
+The solution's q is the legs' own dense output: the Radau collocation cubic
+of every accepted step, forward from y = delta up to y*, then backward from
+y* to y = 1 - delta, stitched into one piecewise cubic on increasing knots.
+It is checked once against the equation, at the quarter points of every
+step; missing the advertised residual budget raises, it is never returned.
 
 Both boundary starts are first refined onto the local algebraic balance of
 the equation (the term multiplied by the vanishing coefficient dropped):
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,8 +68,8 @@ __all__ = [
 
 # Numerical controls; they meet the documented tolerances. RTOL is the
 # advertised integration tolerance; the final stitched pass runs tighter
-# (FINAL_RTOL, with steps capped at FINAL_MAX_STEP) so that sampled values
-# and the interpolant stay well inside the advertised budget. DELTA is the
+# (FINAL_RTOL, with steps capped at FINAL_MAX_STEP) so that its dense output,
+# the solution's q, stays well inside the advertised budget. DELTA is the
 # offset of both boundary starts. The rate search ends when the beta
 # bracket is no wider than BETA_TOL_REL times its initial width.
 RTOL = 1e-10
@@ -71,7 +78,6 @@ FINAL_MAX_STEP = 2.5e-4
 BETA_TOL_REL = 1e-12
 Y_TOL = 1e-12
 DELTA = 1e-6
-GRID_POINTS = 2001
 # Hard divergence guards: |q| >= 10, or q y within a relative 1e-9 of the
 # singular curve q = 1/y.
 HARD_GUARD = GuardBox(upper_q=10.0, lower_q=-10.0, upper_qt=1.0 - 1e-9)
@@ -88,51 +94,67 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class FreeBoundarySolution:
-    """Matched rate, trading boundaries, and the sampled function q.
+    """Matched rate, trading boundaries, and the function q.
 
-    ``y_grid``/``q_grid`` sample q on [delta, 1-delta] with the boundaries
-    included as knots, and ``q_slope_grid`` holds the exact node slopes from
-    the equation itself. Interpolation between knots is cubic Hermite on
-    those slopes, clipped into the monotonicity region of the adjacent
-    secants, so the single-crossing structure of q survives interpolation.
+    ``q`` is the final stitched pass itself: the collocation cubic of every
+    accepted Radau step, on increasing knots from delta through y* to
+    1 - delta. ``q_at`` and ``q_prime_at`` evaluate it and its derivative.
+    ``y_grid`` is its knots with both boundaries added, and ``q_grid`` its
+    values there; ``diagnostics["residual_ratio_half_budget"]`` is its worst
+    equation residual at the quarter points of every step, relative to the
+    largest additive term and to 0.7 of the 10 x RTOL budget.
     """
 
     params: MarketParams
     beta: float
     y_minus: float
     y_plus: float
-    y_grid: np.ndarray
-    q_grid: np.ndarray
-    q_slope_grid: np.ndarray
+    q: PiecewisePolynomial
     diagnostics: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self._interp = _monotone_cubic(self.y_grid, self.q_grid,
-                                       self.q_slope_grid)
-        self._interp_deriv = self._interp.derivative()
+    @cached_property
+    def y_grid(self) -> np.ndarray:
+        """The knots of ``q`` plus ``y_minus`` and ``y_plus``."""
+        return np.unique(np.concatenate([self.q.knots,
+                                         [self.y_minus, self.y_plus]]))
+
+    @cached_property
+    def q_grid(self) -> np.ndarray:
+        """``q`` on ``y_grid``."""
+        return self.q(self.y_grid)
+
+    @cached_property
+    def _q_prime(self) -> PiecewisePolynomial:
+        return self.q.derivative()
 
     def q_at(self, y):
-        """Interpolated q at y (scalar or array)."""
-        out = self._interp(y)
-        return float(out) if np.ndim(y) == 0 else out
+        """q at y (scalar or array)."""
+        return self.q(y)
 
     def q_prime_at(self, y):
-        """Derivative of the interpolant at y."""
-        out = self._interp_deriv(y)
-        return float(out) if np.ndim(y) == 0 else out
+        """Derivative of q at y (scalar or array)."""
+        return self._q_prime(y)
 
     def turnover_at(self, y):
         """Optimal wealth turnover at y; zero inside [y_minus, y_plus].
 
-        The trading-branch values are clipped at zero so that interpolation
-        wiggle cannot flip the sign the exact solution guarantees.
+        The trading-branch values are clipped at zero so that rounding at
+        the boundaries cannot flip the sign the exact solution guarantees.
         """
         y_arr = np.asarray(y, dtype=float)
-        u = hjb.optimal_turnover(y_arr, self._interp(y_arr),
+        u = hjb.optimal_turnover(y_arr, self.q(y_arr),
                                  self.params.epsilon, self.params.lam)
         out = np.where(y_arr < self.y_minus, np.maximum(u, 0.0),
                        np.where(y_arr > self.y_plus, np.minimum(u, 0.0), 0.0))
         return float(out) if np.ndim(y) == 0 else out
+
+    def sample_points(self, n: int | None = None) -> np.ndarray:
+        """Output abscissae: ``n`` uniform points over [delta, 1-delta] plus
+        both boundaries, or ``y_grid`` when ``n`` is None."""
+        if n is None:
+            return self.y_grid
+        ys = np.linspace(self.y_grid[0], self.y_grid[-1], n)
+        return np.unique(np.concatenate([ys, [self.y_minus, self.y_plus]]))
 
     def to_json_dict(self, grid_points: int | None = None) -> dict:
         ys, qs, us = self._output_grid(grid_points)
@@ -153,14 +175,8 @@ class FreeBoundarySolution:
             fh.write(f"{float(a)!r},{float(b)!r},{float(c)!r}\n")
 
     def _output_grid(self, grid_points: int | None):
-        if grid_points is None or grid_points >= len(self.y_grid):
-            ys = self.y_grid
-            qs = self.q_grid
-        else:
-            ys = np.linspace(self.y_grid[0], self.y_grid[-1], grid_points)
-            ys = np.unique(np.concatenate([ys, [self.y_minus, self.y_plus]]))
-            qs = self.q_at(ys)
-        return ys, qs, self.turnover_at(ys)
+        ys = self.sample_points(grid_points)
+        return ys, self.q(ys), self.turnover_at(ys)
 
 
 @dataclass(frozen=True)
@@ -190,11 +206,9 @@ class TradingPolicy:
         Turnover is piecewise smooth with kinks only at the boundaries, so a
         dense table (8,193 uniform knots plus the boundaries) reproduces it
         to a relative accuracy far below any Monte Carlo resolution, at a
-        fraction of the spline cost per call.
+        fraction of the cubic's cost per call.
         """
-        sol = self.solution
-        ys = np.linspace(sol.y_grid[0], sol.y_grid[-1], 8193)
-        ys = np.unique(np.concatenate([ys, [sol.y_minus, sol.y_plus]]))
+        ys = self.solution.sample_points(8193)
         us = self(ys)
 
         def fast_policy(y):
@@ -206,28 +220,6 @@ class TradingPolicy:
 def policy(solution: FreeBoundarySolution) -> TradingPolicy:
     """Optimal trading policy of a solved free-boundary problem."""
     return TradingPolicy(solution)
-
-
-def _monotone_cubic(ys: np.ndarray, qs: np.ndarray, slopes: np.ndarray):
-    """Cubic Hermite interpolant on the given node slopes, kept monotone.
-
-    The slopes are clipped into the Fritsch-Carlson monotonicity region of
-    the neighboring secants (a no-op wherever the grid resolves the
-    function), so the interpolant cannot manufacture spurious crossings.
-    """
-    d = np.array(slopes, dtype=float)
-    secant = np.diff(qs) / np.diff(ys)
-    left = np.concatenate([secant[:1], secant])
-    right = np.concatenate([secant, secant[-1:]])
-    # Fritsch-Carlson box: a node slope at most three times the smaller
-    # adjacent secant (zero next to a flat piece) keeps every piece of
-    # monotone data from overshooting.
-    bound = 3.0 * np.minimum(np.abs(left), np.abs(right))
-    d = np.clip(d, -bound, bound)
-    # A slope opposing both secants would break monotonicity outright.
-    opposing = (d * left < 0.0) & (d * right < 0.0)
-    d[opposing] = 0.0
-    return PiecewisePolynomial.hermite(ys, qs, d)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +367,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         The surplus has the same sign at both ends of the admissible rate
         bracket; the frictions are too large for the construction.
     NumericalFailure
-        An integration leg failed in a way that cannot be classified.
+        An integration leg failed in a way that cannot be classified, or
+        the stitched q breaks an invariant or misses its residual budget.
     """
     validate(params)
     if degenerate_regime(params) is not AllocationRegime.INTERIOR:
@@ -444,18 +437,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         )
 
     matching_residual = leg_f.y_end - leg_b.y_end
-
-    def q_of(y):
-        y_arr = np.asarray(y, dtype=float)
-        out = np.where(y_arr <= y_mid, leg_f.sol(np.minimum(y_arr, y_mid)),
-                       leg_b.sol(np.maximum(y_arr, y_mid)))
-        return float(out) if np.ndim(y) == 0 else out
-
-    y_minus, y_plus = _locate_boundaries(params, q_of, leg_f, leg_b)
-
-    y_grid, q_grid, d_grid, residual_ratio = _build_grid(
-        params, beta, q_of, leg_f, leg_b, y_mid, y_minus, y_plus
-    )
+    q = _stitch(leg_f.sol, leg_b.sol)
+    y_minus, y_plus = _locate_boundaries(params, q)
 
     diagnostics = {
         "bisection_iterations": iterations,
@@ -467,35 +450,52 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         "forward_steps": int(leg_f.naccepted),
         "backward_steps": int(leg_b.naccepted),
         "beta_bracket_width": abs(beta_other - beta),
-        "grid_size": int(len(y_grid)),
-        "residual_ratio_half_budget": residual_ratio,
     }
     solution = FreeBoundarySolution(
         params=params,
         beta=beta,
         y_minus=y_minus,
         y_plus=y_plus,
-        y_grid=y_grid,
-        q_grid=q_grid,
-        q_slope_grid=d_grid,
+        q=q,
         diagnostics=diagnostics,
     )
-    _check_solution(solution, base)
+    diagnostics["grid_size"] = int(len(solution.y_grid))
+    diagnostics["residual_ratio_half_budget"] = _check_solution(solution,
+                                                                base)
     return solution
 
 
-def _locate_boundaries(params, q_of, leg_f, leg_b):
+def _stitch(forward: PiecewisePolynomial,
+            backward: PiecewisePolynomial) -> PiecewisePolynomial:
+    """The matched q on increasing knots: the forward leg's step cubics up
+    to y*, then the backward leg's, each rewritten on its reversed step.
+
+    Both legs end exactly on y*. A backward piece p(x) runs from its later
+    knot (x = 1) down to its earlier one; on the reversed step it is
+    p(1 - x) = sum_j x^j (-1)^j sum_k C(k, j) c_k.
+    """
+    degree = backward.coeffs.shape[1]
+    flip = np.array([[(-1.0) ** j * math.comb(k, j) for k in range(degree)]
+                     for j in range(degree)])
+    return PiecewisePolynomial(
+        np.concatenate([forward.knots, backward.knots[-2::-1]]),
+        np.concatenate([forward.coeffs, backward.coeffs[::-1] @ flip.T]),
+    )
+
+
+def _locate_boundaries(params: MarketParams,
+                       q: PiecewisePolynomial) -> tuple[float, float]:
     """Root-bracket the crossings of q with the two band curves."""
     eps = params.epsilon
 
     def g_buy(y):
-        return q_of(y) - hjb.band_buy(y, eps)
+        return q(y) - hjb.band_buy(y, eps)
 
     def g_sell(y):
-        return q_of(y) - hjb.band_sell(y, eps)
+        return q(y) - hjb.band_sell(y, eps)
 
-    # Scan on a mesh made of the accepted step points of both legs.
-    mesh = np.unique(np.concatenate([leg_f.ts, leg_b.ts[::-1]]))
+    # Scan on the knots: the accepted step points of both legs.
+    mesh = q.knots
     gb = g_buy(mesh)
     gs = g_sell(mesh)
 
@@ -516,67 +516,38 @@ def _locate_boundaries(params, q_of, leg_f, leg_b):
     return y_minus, y_plus
 
 
-def _build_grid(params, beta, q_of, leg_f, leg_b, y_mid, y_minus, y_plus):
-    """Residual-driven sampling mesh.
+def _residual_ratio(params: MarketParams, beta: float,
+                    q: PiecewisePolynomial) -> tuple[float, float]:
+    """Worst equation residual of q and where it occurs.
 
-    Starts from the accepted step points, a uniform backbone, and geometric
-    clusters around the boundary knots (where the curvature jumps), then
-    refines any interval whose midpoint residual under the monotone-cubic
-    interpolant exceeds half the advertised budget. The values come from the
-    stitched dense output and the node slopes from the equation itself, so
-    refinement converges at the interpolant's full order.
+    Some error modes of a step cubic vanish at the step's midpoint, so
+    every step is checked at its quarter points as well, one quarter at a
+    time to keep the temporaries small. The residual is measured against
+    the largest additive term and the advertised budget of 10 x RTOL;
+    returns ``(ratio, y)`` at the worst point.
     """
-    backbone = np.linspace(DELTA, 1.0 - DELTA, GRID_POINTS)
-    pieces = [backbone, leg_f.ts, leg_b.ts[::-1], [y_mid]]
-    for knot in (y_minus, y_plus):
-        offsets = np.geomspace(1e-9, 3e-2, 60)
-        pieces.append(knot + offsets)
-        pieces.append(knot - offsets)
-        pieces.append([knot])
-    y_grid = np.unique(np.concatenate([np.asarray(p, dtype=float) for p in pieces]))
-    y_grid = y_grid[(y_grid >= DELTA) & (y_grid <= 1.0 - DELTA)]
-    keep = np.concatenate([[True], np.diff(y_grid) > 1e-13])
-    y_grid = y_grid[keep]
-    q_grid = q_of(y_grid)
-    d_grid = hjb.slope_field(params, beta, y_grid, q_grid)
-
-    # Refine toward 70% of the advertised residual budget. The few grid
-    # spacings next to the singular endpoints amplify value noise through
-    # the vanishing coefficient and are left to the boundary data.
-    budget = 0.7 * 10.0 * RTOL
-    worst = math.inf
-    interior = (4.0 * DELTA, 1.0 - 4.0 * DELTA)
-    for _ in range(20):
-        interp = _monotone_cubic(y_grid, q_grid, d_grid)
-        deriv = interp.derivative()
-        lo, hi = y_grid[:-1], y_grid[1:]
-        width = np.diff(y_grid)
-        # Some interpolation-error modes vanish at interval midpoints, so
-        # each interval is checked at the quarter points as well. The
-        # residual is measured against the largest additive term.
-        worst_ratio = np.zeros(len(width))
-        for theta in (0.25, 0.5, 0.75):
-            pts = lo + theta * width
-            terms, _ = hjb.equation_terms(params, beta, pts, interp(pts),
-                                          deriv(pts))
-            scale = np.max(np.abs(np.stack(terms)), axis=0)
-            worst_ratio = np.maximum(worst_ratio,
-                                     np.abs(sum(terms)) / (budget * scale))
-        mids = lo + 0.5 * width
-        refinable = ((mids > interior[0]) & (mids < interior[1])
-                     & (width > 1e-8))
-        worst = float(np.max(np.where(refinable, worst_ratio, 0.0)))
-        bad = np.nonzero((worst_ratio > 1.0) & refinable)[0]
-        if len(bad) == 0 or len(y_grid) > 200000:
-            break
-        y_grid = np.sort(np.concatenate([y_grid, mids[bad]]))
-        q_grid = q_of(y_grid)
-        d_grid = hjb.slope_field(params, beta, y_grid, q_grid)
-    return y_grid, q_grid, d_grid, worst
+    deriv = q.derivative()
+    lo = q.knots[:-1]
+    width = np.diff(q.knots)
+    pts, ratios = [], []
+    for theta in (0.25, 0.5, 0.75):
+        y = lo + theta * width
+        terms, _ = hjb.equation_terms(params, beta, y, q(y), deriv(y))
+        scale = np.max(np.abs(np.stack(terms)), axis=0)
+        pts.append(y)
+        ratios.append(np.abs(sum(terms)) / (10.0 * RTOL * scale))
+    ratio = np.concatenate(ratios)
+    worst = int(np.argmax(ratio))
+    return float(ratio[worst]), float(np.concatenate(pts)[worst])
 
 
-def _check_solution(solution: FreeBoundarySolution, base) -> None:
-    """Post-solve invariant battery; violations raise NumericalFailure."""
+def _check_solution(solution: FreeBoundarySolution, base) -> float:
+    """Post-solve invariant battery; violations raise NumericalFailure.
+
+    Returns the worst residual of q relative to 0.7 of its 10 x RTOL budget
+    (the ``residual_ratio_half_budget`` diagnostic); q beyond the budget
+    itself raises.
+    """
     p = solution.params
     lo = max(0.0, base.full_risky_esr)
     hi = base.frictionless_esr
@@ -599,3 +570,10 @@ def _check_solution(solution: FreeBoundarySolution, base) -> None:
                 f"value matching violated at y={knot!r}: "
                 f"q={solution.q_at(knot)!r} vs band={band!r}"
             )
+    ratio, y_worst = _residual_ratio(p, solution.beta, solution.q)
+    if not ratio <= 1.0:
+        raise NumericalFailure(
+            f"q misses its residual budget of 10 x RTOL relative to the "
+            f"largest term: ratio {ratio:.3g} at y={y_worst!r}"
+        )
+    return ratio / 0.7

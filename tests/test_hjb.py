@@ -10,9 +10,9 @@ from spreadimpact.hjb import (
     band_sell,
     boundary_value_0,
     boundary_value_1,
+    equation_terms,
     make_rhs_jac,
     optimal_turnover,
-    slope_field,
 )
 from spreadimpact.market import MarketParams
 
@@ -138,7 +138,8 @@ class TestSlope:
         assume(q * y < 0.99)
         p = make(epsilon=eps, lam=lam)
         s = rhs_of(p, beta)(y, q)
-        v = float(slope_field(p, beta, y, q))
+        terms, coef = equation_terms(p, beta, y, q)
+        v = float(-sum(terms) / coef - (1.0 - p.gamma) * q * q)
         assert abs(s - v) <= 1e-14 * max(1.0, abs(s))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
+from scipy.interpolate import PPoly
 
 from spreadimpact._radau import (GuardBox, PiecewisePolynomial,
                                  integrate_guarded)
@@ -108,29 +108,42 @@ class TestAgainstScipy:
 
 
 @st.composite
-def hermite_data(draw):
-    """Increasing knots with arbitrary values and slopes."""
+def piecewise_data(draw):
+    """Monotone knots, increasing or decreasing, with arbitrary cubic
+    coefficients in the scaled variable of each piece."""
     n = draw(st.integers(2, 12))
     start = draw(st.floats(-10.0, 10.0))
     gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1,
                          max_size=n - 1))
-    knots = start + np.concatenate([[0.0], np.cumsum(gaps)])
-    values = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=n,
-                                    max_size=n)))
-    slopes = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=n,
-                                    max_size=n)))
-    return knots, values, slopes
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    knots = start + sign * np.concatenate([[0.0], np.cumsum(gaps)])
+    coeffs = np.array(draw(st.lists(st.floats(-100.0, 100.0),
+                                    min_size=4 * (n - 1),
+                                    max_size=4 * (n - 1)))).reshape(n - 1, 4)
+    return knots, coeffs
+
+
+def ppoly_oracle(knots, coeffs):
+    """scipy's PPoly of the same function: powers of (t - knots[i]),
+    highest first, with the scaling of each piece moved into the
+    coefficients."""
+    knots = np.asarray(knots, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float)
+    h = np.diff(knots)
+    powers = np.arange(coeffs.shape[1])
+    return PPoly((coeffs / h[:, None] ** powers).T[::-1], knots,
+                 extrapolate=True)
 
 
 class TestPiecewisePolynomial:
-    @given(data=hermite_data(), theta=st.floats(0.0, 1.0))
+    @given(data=piecewise_data(), theta=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
-    def test_hermite_matches_scipy(self, data, theta):
+    def test_matches_scipy_ppoly(self, data, theta):
         # At the knots, inside every piece, and beyond both ends, values and
-        # derivatives agree with scipy's CubicHermiteSpline.
-        knots, values, slopes = data
-        mine = PiecewisePolynomial.hermite(knots, values, slopes)
-        ref = CubicHermiteSpline(knots, values, slopes, extrapolate=True)
+        # derivatives agree with scipy's PPoly.
+        knots, coeffs = data
+        mine = PiecewisePolynomial(knots, coeffs)
+        ref = ppoly_oracle(knots, coeffs)
         span = knots[-1] - knots[0]
         pts = np.concatenate([
             knots,
@@ -141,12 +154,13 @@ class TestPiecewisePolynomial:
         for got, want in ((mine(pts), ref(pts)),
                           (mine.derivative()(pts), ref.derivative()(pts))):
             scale = max(1.0, float(np.max(np.abs(want))))
-            np.testing.assert_allclose(got, want, rtol=1e-13,
-                                       atol=1e-13 * scale)
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * scale)
 
     def test_scalar_evaluation(self):
-        poly = PiecewisePolynomial.hermite([0.0, 1.0, 3.0], [1.0, 2.0, 0.0],
-                                           [0.0, 1.0, -1.0])
+        poly = PiecewisePolynomial(np.array([0.0, 1.0, 3.0]),
+                                   np.array([[1.0, 0.0, 2.0, -1.0],
+                                             [2.0, 2.0, -5.0, 1.0]]))
         value = poly(2.0)
         assert isinstance(value, float)
         assert value == poly(np.array([2.0]))[0]
@@ -154,13 +168,13 @@ class TestPiecewisePolynomial:
 
     def test_decreasing_knots(self):
         # A backward leg's dense output runs on decreasing knots.
-        rising = PiecewisePolynomial.hermite([0.0, 0.5, 2.0], [0.0, 1.0, 0.0],
-                                             [2.0, 0.0, -1.0])
-        falling = PiecewisePolynomial.hermite([2.0, 0.5, 0.0], [0.0, 1.0, 0.0],
-                                              [-1.0, 0.0, 2.0])
+        knots = np.array([2.0, 0.5, 0.0])
+        coeffs = np.array([[0.0, -1.5, 6.0, -3.5], [1.0, 0.0, -2.0, 1.0]])
+        falling = PiecewisePolynomial(knots, coeffs)
+        ref = ppoly_oracle(knots, coeffs)
         pts = np.linspace(-0.5, 2.5, 31)
-        np.testing.assert_allclose(falling(pts), rising(pts), rtol=1e-14,
+        np.testing.assert_allclose(falling(pts), ref(pts), rtol=1e-14,
                                    atol=1e-14)
         np.testing.assert_allclose(falling.derivative()(pts),
-                                   rising.derivative()(pts), rtol=1e-14,
+                                   ref.derivative()(pts), rtol=1e-14,
                                    atol=1e-14)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -6,16 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spreadimpact._radau import PiecewisePolynomial
 from spreadimpact._radau import bracket_root as _bracket_root
 from spreadimpact.hjb import band_buy, band_sell, equation_terms
 from spreadimpact.market import MarketParams, ParameterError, baseline
 from spreadimpact.solver import (
+    DELTA,
     HARD_GUARD,
     RTOL,
     NoMatchError,
+    NumericalFailure,
     _auto_atol,
+    _check_solution,
     _fast_guard,
-    _monotone_cubic,
+    _stitch,
     policy,
     shoot_leg,
     solve,
@@ -167,17 +172,49 @@ class TestSolve:
             assert sol.turnover_at(y) == pytest.approx(law, rel=0.02)
 
     def test_residual_of_interpolant(self, solve_cache):
-        # The interpolated q satisfies the equation at off-grid points to
-        # within ten times the integration tolerance, relative to the
-        # largest additive term.
-        sol = solve_cache(1e-3, 1e-4)
+        # q satisfies the equation at off-knot points to within ten times
+        # the integration tolerance, relative to the largest additive term:
+        # at random points, and at log-spaced points within 1e-3 of both
+        # singular endpoints, where the coefficient of q' vanishes.
         rng = np.random.default_rng(20140221)
-        ys = rng.uniform(sol.y_grid[0], sol.y_grid[-1], 1000)
-        terms, _ = equation_terms(sol.params, sol.beta, ys, sol.q_at(ys),
-                                  sol.q_prime_at(ys))
-        residual = sum(terms)
-        scale = np.max(np.abs(np.stack(terms)), axis=0)
-        assert np.max(np.abs(residual) / (10.0 * 1e-10 * scale)) <= 1.0
+        near = np.geomspace(DELTA, 1e-3, 200)
+        for eps, lam in ((1e-3, 1e-4), (3.13e-3, 2.23e-7)):
+            sol = solve_cache(eps, lam)
+            ys = np.concatenate([
+                rng.uniform(sol.y_grid[0], sol.y_grid[-1], 1000),
+                near, 1.0 - near,
+            ])
+            terms, _ = equation_terms(sol.params, sol.beta, ys, sol.q_at(ys),
+                                      sol.q_prime_at(ys))
+            residual = sum(terms)
+            scale = np.max(np.abs(np.stack(terms)), axis=0)
+            assert np.max(np.abs(residual) / (10.0 * 1e-10 * scale)) <= 1.0
+
+    @pytest.mark.parametrize("eps,lam", [(1e-2, 1e-10), (1e-3, 1e-10)])
+    def test_residual_within_half_budget_at_tiny_impact(self, eps, lam,
+                                                        solve_cache):
+        sol = solve_cache(eps, lam)
+        assert sol.diagnostics["residual_ratio_half_budget"] <= 1.0
+
+    def test_residual_check_raises_on_a_perturbed_q(self, solve_cache):
+        sol = solve_cache(1e-3, 1e-4)
+        coeffs = sol.q.coeffs.copy()
+        coeffs[len(coeffs) // 3, 2] += 1e-9  # a bump inside one step
+        broken = dataclasses.replace(
+            sol, q=PiecewisePolynomial(sol.q.knots, coeffs), diagnostics={})
+        with pytest.raises(NumericalFailure, match="residual budget"):
+            _check_solution(broken, baseline(sol.params))
+        assert _check_solution(sol, baseline(sol.params)) == \
+            sol.diagnostics["residual_ratio_half_budget"]
+
+    def test_q_is_one_interpolant_on_increasing_knots(self, solve_cache):
+        sol = solve_cache(1e-3, 1e-4)
+        assert np.all(np.diff(sol.q.knots) > 0.0)
+        assert sol.q.knots[0] == DELTA and sol.q.knots[-1] == 1.0 - DELTA
+        assert sol.y_grid[0] == DELTA and sol.y_grid[-1] == 1.0 - DELTA
+        assert {sol.y_minus, sol.y_plus} <= set(sol.y_grid)
+        assert sol.diagnostics["grid_size"] == len(sol.y_grid)
+        np.testing.assert_array_equal(sol.q_grid, sol.q_at(sol.y_grid))
 
     def test_comparative_statics_impact_narrows_band(self, solve_cache):
         widths = [solve_cache(1e-3, lam).y_plus - solve_cache(1e-3, lam).y_minus
@@ -270,30 +307,30 @@ class TestBracketRoot:
         assert abs(f(x)) <= abs(f(other))
 
 
-class TestMonotoneCubic:
-    @given(
-        gaps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=12),
-        steps=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 100.0)),
-                       min_size=12, max_size=12),
-        slopes=st.lists(st.floats(-1e4, 1e4), min_size=13, max_size=13),
-        decreasing=st.booleans(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_monotone_data_give_a_monotone_interpolant(self, gaps, steps,
-                                                       slopes, decreasing):
-        n = len(gaps) + 1
-        ys = np.concatenate([[0.0], np.cumsum(gaps)])
-        qs = np.concatenate([[0.0], np.cumsum(steps[: n - 1])])
-        if decreasing:
-            qs = -qs
-        interp = _monotone_cubic(ys, qs, np.array(slopes[:n]))
-        scale = max(1.0, float(np.max(np.abs(qs))))
-        np.testing.assert_allclose(interp(ys), qs, rtol=0.0,
-                                   atol=1e-14 * scale)
-        theta = np.linspace(0.0, 1.0, 65)
-        pts = (ys[:-1, None] + theta * np.diff(ys)[:, None]).ravel()
-        change = np.diff(interp(pts)) * (-1.0 if decreasing else 1.0)
-        assert np.all(change >= -1e-13 * scale)
+class TestStitch:
+    def test_reproduces_both_legs(self):
+        # Forward pieces on increasing knots and backward ones on
+        # decreasing knots, meeting at 0.5: the stitched polynomial agrees
+        # with each leg on its own side, in value and derivative.
+        rng = np.random.default_rng(7)
+        forward = PiecewisePolynomial(np.array([0.0, 0.2, 0.35, 0.5]),
+                                      rng.normal(size=(3, 4)))
+        backward = PiecewisePolynomial(np.array([1.0, 0.9, 0.6, 0.5]),
+                                       rng.normal(size=(3, 4)))
+        q = _stitch(forward, backward)
+        np.testing.assert_array_equal(q.knots, [0.0, 0.2, 0.35, 0.5, 0.6,
+                                                0.9, 1.0])
+        # Off the knots, where the random pieces do not join up.
+        left = np.linspace(0.0, 0.5, 41)[:-1] + 0.00625
+        right = left + 0.5
+        for ours, theirs_f, theirs_b in (
+                (q, forward, backward),
+                (q.derivative(), forward.derivative(),
+                 backward.derivative())):
+            np.testing.assert_allclose(ours(left), theirs_f(left),
+                                       rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(ours(right), theirs_b(right),
+                                       rtol=1e-13, atol=1e-13)
 
 
 class TestPolicy:
