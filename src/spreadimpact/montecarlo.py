@@ -40,7 +40,6 @@ __all__ = [
 _CHUNK = 65536
 _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0xB00757
-_U_ZERO_TOL = 0.0  # turnover is exactly zero inside the band by construction
 
 
 class DegenerateEnsembleError(RuntimeError):
@@ -168,6 +167,8 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
         drift = np.empty(n)
         vol = np.empty(n)
         scratch = np.empty(n)
+        au = np.empty(n)
+        cost = np.empty(n)
         for step in range(n_steps):
             if cfg.antithetic:
                 rng.standard_normal(half, out=dw[:half])
@@ -181,9 +182,15 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
                 nt_steps += 1.0
             else:
                 u = np.asarray(turnover(y), dtype=float)
-                au = np.abs(u)
-                nt_steps += (au <= _U_ZERO_TOL)
+                np.abs(u, out=au)
+                nt_steps += (au == 0.0)
                 tu_sum += au
+                # Trading cost rate eps |u| + lam u^2, shared by both
+                # increments.
+                np.multiply(u, u, out=cost)
+                cost *= lam
+                np.multiply(au, eps, out=scratch)
+                cost += scratch
 
             # Log-wealth increment: drift * dt + sigma * y * dw.
             np.multiply(y, y, out=drift)
@@ -191,9 +198,7 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
             np.multiply(y, mu, out=scratch)
             drift += scratch
             if u is not None:
-                drift -= eps * au
-                np.multiply(u, u, out=scratch)
-                drift -= lam * scratch
+                drift -= cost
             drift *= dt
             np.multiply(y, dw, out=vol)
             vol *= sigma
@@ -208,10 +213,7 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
             drift *= y
             if u is not None:
                 drift += u
-                np.multiply(au, eps * y, out=vol)
-                drift += vol
-                np.multiply(u, u, out=vol)
-                vol *= lam * y
+                np.multiply(y, cost, out=vol)
                 drift += vol
             drift *= dt
             np.multiply(y, dw, out=vol)

@@ -115,6 +115,7 @@ def test_criterion_4_buy_and_hold_rates():
 
 
 def test_criterion_5_simulated_optimality(solve_cache):
+    started = time.perf_counter()
     sol = solve_cache(1e-3, 1e-4)
     cfg = SimConfig(horizon_T=14.0, dt=1e-3, n_paths=30_000, seed=1,
                     y0=None, burn_in_T=3.5)
@@ -133,7 +134,8 @@ def test_criterion_5_simulated_optimality(solve_cache):
         tol = 2 * max(optimal.esr_stderr, report.esr_stderr)
         assert report.esr_estimate <= optimal.esr_estimate + tol, scale
         lines.append(f"x{scale} {report.esr_estimate:.6f}")
-    print("\nPASS criterion 5: " + "; ".join(lines))
+    elapsed = time.perf_counter() - started
+    print("\nPASS criterion 5: " + "; ".join(lines) + f" in {elapsed:.0f}s")
 
 
 def test_criterion_6_expansion_fit(solve_cache):

@@ -155,6 +155,21 @@ class TestWithSolverPolicy:
         assert rep_scaled.esr_estimate <= rep.esr_estimate + tol
 
 
+class TestPolicyTable:
+    def test_table_paths_match_exact_policy_paths(self, solve_cache):
+        # The tabulated policy against the solution's own cubic, on the same
+        # shocks: per-path log wealth agrees far below any Monte Carlo error.
+        sol = solve_cache(1e-3, 1e-4)
+        cfg = SimConfig(horizon_T=0.5, dt=1e-3, n_paths=2000, seed=11,
+                        burn_in_T=0.25)
+        table = simulate_paths(sol.params, policy(sol).tabulated(), cfg)
+        exact = simulate_paths(sol.params, policy(sol), cfg)
+        assert np.max(np.abs(table.log_wealth_final
+                             - exact.log_wealth_final)) <= 1e-7
+        assert np.max(np.abs(table.log_wealth_burn_in
+                             - exact.log_wealth_burn_in)) <= 1e-7
+
+
 class TestReproducibility:
     def test_bitwise_given_seed(self):
         cfg = small_cfg(n_paths=1000)

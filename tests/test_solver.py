@@ -15,8 +15,10 @@ from spreadimpact.solver import (
     DELTA,
     HARD_GUARD,
     RTOL,
+    TABLE_KNOTS,
     NoMatchError,
     NumericalFailure,
+    TradingPolicy,
     _auto_atol,
     _check_solution,
     _fast_guard,
@@ -369,6 +371,33 @@ class TestPolicy:
         ys = np.linspace(0.05, 0.95, 1001)
         assert np.max(np.abs(fast(ys) - pol(ys))) < 1e-4 * max(
             1.0, float(np.max(np.abs(pol(ys)))))
+
+        # Over the whole table range and next to both kinks: exactly zero
+        # on the band, the exact sign outside it, and a small error.
+        for eps, lam in ((1e-3, 1e-4), (1e-2, 1e-2)):
+            sol = solve_cache(eps, lam)
+            edges = np.array([sol.y_minus, sol.y_plus])
+            ys = np.concatenate([
+                np.linspace(sol.y_grid[0], sol.y_grid[-1], 400_001),
+                edges, edges - 1e-9, edges + 1e-9])
+            band = (ys >= sol.y_minus) & (ys <= sol.y_plus)
+            for scale in (0.5, 1.0, 2.0):
+                pol = TradingPolicy(sol, scale_outside_band=scale)
+                exact, table = pol(ys), pol.tabulated()(ys)
+                assert np.all(table[band] == 0.0), (eps, lam, scale)
+                assert np.array_equal(np.sign(table[~band]),
+                                      np.sign(exact[~band])), (eps, lam, scale)
+                assert np.max(np.abs(table - exact)) <= 1e-6 * np.max(
+                    np.abs(exact)), (eps, lam, scale)
+
+        # A y_minus whose cell coordinate rounds to just below its knot
+        # index (about one width in eight) still starts the exact zero.
+        sol = solve_cache(1e-3, 1e-4)
+        lo, y_minus, n = sol.y_grid[0], sol.y_minus, TABLE_KNOTS
+        while (y_minus - lo) * ((n - 1) / (y_minus - lo)) >= n - 1:
+            y_minus = math.nextafter(y_minus, 1.0)
+        shifted = dataclasses.replace(sol, y_minus=y_minus)
+        assert policy(shifted).tabulated()(np.array([y_minus]))[0] == 0.0
 
     def test_scaling_wrapper(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
