@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._radau import REACHED, bracket_root, integrate_guarded
 from .market import MarketParams, baseline, validate
 from .whittaker import CancellationError, whittaker_w_ratio
@@ -40,22 +38,26 @@ __all__ = [
 
 # Second Whittaker index used throughout the closed form.
 _M_INDEX = -0.25
-# Scan controls for the z_minus search: the spread-only half-width scales
-# like (y*(1-y*))^(2/3), so this window covers every sane coupling K.
-_SCAN_FACTOR = 50.0
-_SCAN_POINTS = 20000
-_Z_EPS = 1e-4
+# March for z_minus: start this factor beyond the pure-spread boundary, step
+# toward 0 by this factor, and give up inside |z| < _Z_FLOOR, where the
+# closed form is singular. The root is refined to _Z_TOL.
+_START_MARGIN = 1.05
+_STEP_FACTOR = 0.99
+_Z_FLOOR = 1e-4
 _Z_TOL = 1e-12
 _ROOT_ACCEPT = 1e-6
 
 
 class NoRootError(RuntimeError):
-    """No admissible root of r_B(z, l(z)) = 1 in the scan window."""
+    """No verified root of r_B(z, l(z)) = 1: ``z`` is where the march for
+    z_minus stopped and ``f`` the value of r_B(z, l(z)) - 1 there (NaN where
+    the closed form failed)."""
 
-    def __init__(self, message: str, scan_z=None, scan_f=None):
+    def __init__(self, message: str, z: float = math.nan,
+                 f: float = math.nan):
         super().__init__(message)
-        self.scan_z = scan_z
-        self.scan_f = scan_f
+        self.z = z
+        self.f = f
 
 
 @dataclass(frozen=True)
@@ -236,75 +238,53 @@ def r_buy(z: float, l: float, inputs: AsymptoticInputs,
 def find_z_minus(inputs: AsymptoticInputs) -> AsymptoticSolution:
     """Locate the rescaled buy boundary and assemble the expansion constants.
 
-    Scans r_B(z, l(z)) - 1 on a dense window of negative z with the closed
-    form, refines every bracketed sign change to 1e-12 with the package's
-    Brent search (``_radau.bracket_root``, the one the exact solver uses),
-    discards crossings that are poles of the Whittaker ratio rather than
-    roots (or where the closed form fails inside the bracket), and keeps the
-    most negative root. All located roots are reported in the diagnostics.
+    The pure-spread limit K -> 0 (Janecek & Shreve 2004) puts the boundary
+    at -z0, z0 = (3/(2 gamma) y*^2 (1-y*)^2)^(1/3), and -z_minus/z0 falls
+    from about 1 as K grows. The closed form of r_B(z, l(z)) - 1 is positive
+    at -_START_MARGIN z0; the march steps toward 0 by the factor _STEP_FACTOR
+    until it is not, and the package's Brent search
+    (``_radau.bracket_root``, the one the exact solver uses) refines that one
+    bracket to _Z_TOL. Right of z_minus the roots alternate with poles of the
+    Whittaker ratio, no closer to each other than a few percent of |z|, so
+    the first sign change is the most negative root. The root is accepted
+    only if r_B(z_minus, l(z_minus)) meets 1 to _ROOT_ACCEPT on the ``auto``
+    route; every failure raises NoRootError.
     """
     params = inputs.params
     y = inputs.y_star
-    half_width_scale = (y * (1.0 - y)) ** (2.0 / 3.0)
-    z_lo = -_SCAN_FACTOR * half_width_scale
-    z_hi = -_Z_EPS
+    z = -_START_MARGIN * (1.5 / params.gamma * (y * (1.0 - y)) ** 2) ** (
+        1.0 / 3.0)
 
-    def f_closed(z: float) -> float:
+    def f(z: float, method: str = "whittaker") -> float:
         return r_buy(z, welfare_coefficient(z, params), inputs,
-                     method="whittaker") - 1.0
+                     method=method) - 1.0
 
-    def f_scan(z: float) -> float:
-        # Scan with the closed form only; points where it loses significance
-        # are recorded as gaps rather than paid for with an integration.
-        try:
-            return f_closed(z)
-        except ArithmeticError:
-            return math.nan
+    def failure(reason: str) -> NoRootError:
+        return NoRootError(f"{reason} at z={z:g} (f={fz:g}) for "
+                           f"K={inputs.K:g}", z=z, f=fz)
 
-    def f_exact(z: float) -> float:
-        return r_buy(z, welfare_coefficient(z, params), inputs) - 1.0
+    try:
+        fz = f(z)
+        evaluations = 1
+        if not fz > 0.0:
+            raise failure("r_B(z, l(z)) - 1 is not positive where the march "
+                          "starts")
+        while fz > 0.0:
+            if z > -_Z_FLOOR:
+                raise failure("the march reached z = 0 without a sign change")
+            z_out, f_out = z, fz
+            z *= _STEP_FACTOR
+            fz = f(z)
+            evaluations += 1
+        z, _, refinements = bracket_root(f, z_out, z, f_out, fz, _Z_TOL)
+        fz = f(z, "auto")
+    except ArithmeticError as exc:
+        fz = math.nan
+        raise failure(f"the closed form failed ({exc})") from exc
+    if not abs(fz) <= _ROOT_ACCEPT:
+        raise failure("the refined root misses r_B(z, l(z)) = 1")
 
-    zs = np.linspace(z_lo, z_hi, _SCAN_POINTS)
-    fs = np.array([f_scan(float(z)) for z in zs])
-
-    roots: list[float] = []
-    rejected: list[float] = []
-    sign = np.signbit(fs)
-    for i in range(len(zs) - 1):
-        if math.isnan(fs[i]) or math.isnan(fs[i + 1]):
-            continue
-        if sign[i] == sign[i + 1]:
-            continue
-        if min(abs(fs[i]), abs(fs[i + 1])) > 0.5:
-            # Sign flip through a pole of the Whittaker ratio, not a root.
-            rejected.append(float(zs[i]))
-            continue
-        try:
-            candidate = bracket_root(f_closed, float(zs[i]), float(zs[i + 1]),
-                                     float(fs[i]), float(fs[i + 1]),
-                                     _Z_TOL)[0]
-        except ArithmeticError:
-            # The closed form fails inside the bracket: no verified root.
-            rejected.append(float(zs[i]))
-            continue
-        try:
-            residual = abs(f_exact(candidate))
-        except ArithmeticError:
-            residual = math.inf
-        if residual <= _ROOT_ACCEPT:
-            roots.append(candidate)
-        else:
-            rejected.append(candidate)
-
-    if not roots:
-        raise NoRootError(
-            f"no root of the boundary equation in [{z_lo:g}, {z_hi:g}] "
-            f"for K={inputs.K:g}",
-            scan_z=zs,
-            scan_f=fs,
-        )
-
-    z_minus = min(roots)
+    z_minus = z
     l = welfare_coefficient(z_minus, params)
     S = inputs.growth_slope
     a, c, k, x_minus, g_const = _whittaker_parameters(z_minus, l, inputs)
@@ -349,11 +329,7 @@ def find_z_minus(inputs: AsymptoticInputs) -> AsymptoticSolution:
         beta_approx=beta_approx,
         y_minus_approx=y_minus_approx,
         y_plus_approx=y_plus_approx,
-        diagnostics={
-            "roots": roots,
-            "rejected_crossings": rejected,
-            "scan_window": [z_lo, z_hi],
-        },
+        diagnostics={"evaluations": evaluations + refinements + 1},
     )
 
 

@@ -350,14 +350,14 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool,
 
 
 def _match_surplus(params: MarketParams, beta: float, y_mid: float,
-                   atol: float, guard: GuardBox) -> tuple[float, bool]:
+                   atol: float, guard: GuardBox) -> float:
     """Surplus q0(y_mid) - q1(y_mid) of the two legs at rate beta.
 
-    Returns (surplus, both_reached). A leg that diverges before y_mid gives
-    a surplus of +-1, with the sign its divergence implies: forward above
-    means positive, below negative, and the backward leg mirrors both. The
-    sign is exact; the unit size (beyond the surplus of matched legs near
-    the root) only steers the interpolation of the root search.
+    A leg that diverges before y_mid gives a surplus of +-1, with the sign
+    its divergence implies: forward above means positive, below negative,
+    and the backward leg mirrors both. The sign is exact; the unit size
+    (beyond the surplus of matched legs near the root) only steers the
+    interpolation of the root search.
     """
     ends = []
     for forward, upper_sign in ((True, 1.0), (False, -1.0)):
@@ -370,11 +370,11 @@ def _match_surplus(params: MarketParams, beta: float, y_mid: float,
                 f"y={leg.t_end:.6g}, q={leg.y_end:.6g}"
             )
         if status == GUARD_UPPER:
-            return upper_sign, False
+            return upper_sign
         if status == GUARD_LOWER:
-            return -upper_sign, False
+            return -upper_sign
         ends.append(leg.y_end)
-    return ends[0] - ends[1], True
+    return ends[0] - ends[1]
 
 
 def solve(params: MarketParams) -> FreeBoundarySolution:
@@ -421,15 +421,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     atol = _auto_atol(params, hi, RTOL)
     guard = _fast_guard(params, hi)
 
-    best_both = None
-
     def surplus(beta_try: float) -> float:
-        nonlocal best_both
-        value, both_reached = _match_surplus(params, beta_try, y_mid, atol,
-                                             guard)
-        if both_reached:
-            best_both = beta_try
-        return value
+        return _match_surplus(params, beta_try, y_mid, atol, guard)
 
     surplus_lo = surplus(lo_in)
     surplus_hi = surplus(hi_in)
@@ -448,15 +441,10 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     # cap so the dense output is uniformly accurate between step points.
     final_atol = max(1e-18, 0.01 * FINAL_RTOL * _q_scale(params, hi))
 
-    def final_legs(beta_try: float):
-        return [shoot_leg(params, beta_try, forward, y_mid, FINAL_RTOL,
-                          final_atol, HARD_GUARD, max_step=FINAL_MAX_STEP)
-                for forward in (True, False)]
-
-    (leg_f, status_f), (leg_b, status_b) = final_legs(beta)
-    if (status_f != REACHED or status_b != REACHED) and best_both is not None:
-        beta = best_both
-        (leg_f, status_f), (leg_b, status_b) = final_legs(beta)
+    (leg_f, status_f), (leg_b, status_b) = (
+        shoot_leg(params, beta, forward, y_mid, FINAL_RTOL, final_atol,
+                  HARD_GUARD, max_step=FINAL_MAX_STEP)
+        for forward in (True, False))
     if status_f != REACHED or status_b != REACHED:
         raise NumericalFailure(
             f"final stitched pass did not reach the matching point "

@@ -6,7 +6,9 @@ below ``X_SWITCH`` through its defining combination of the regular solutions
 truncated at its smallest term. The combination route cancels catastrophically
 as the argument grows, so it carries a loss-of-significance monitor; callers
 that trip it fall back to direct integration of the underlying Riccati
-equation (see the asymptotic module).
+equation (see the asymptotic module). The ratio ``whittaker_w_ratio`` also
+takes the large-argument route below ``X_SWITCH`` where its error estimate
+beats the combination's.
 
 This is not a general special-function library: real arguments only, second
 index away from half-integers (here always +-1/4), accuracy validated on the
@@ -38,6 +40,8 @@ CANCELLATION_DIGITS_LIMIT = 10.0
 # Certification threshold for the truncated large-argument series; stricter
 # than the advertised 1e-6 so the handoff test has headroom.
 _ASYMPTOTIC_CERTIFY = 1e-7
+# Relative rounding error of the combination before its cancellation.
+_ROUNDOFF = math.ulp(1.0)
 _SERIES_MAX_TERMS = 800
 _ASYMPTOTIC_MAX_TERMS = 120
 
@@ -177,8 +181,9 @@ def whittaker_m(k: float, m: float, x: float) -> float:
     return _m_series(k, m, x)
 
 
-def _w_series(k: float, m: float, x: float) -> float:
-    """W via its defining M-combination, with a cancellation monitor."""
+def _w_combination(k: float, m: float, x: float) -> tuple[float, float]:
+    """W via its defining M-combination, and the factor (at least 1) by
+    which the combination cancels."""
     if x > 600.0:
         # e^(x/2) overflows the combination long before this point.
         raise CancellationError(
@@ -192,14 +197,26 @@ def _w_series(k: float, m: float, x: float) -> float:
     biggest = max(abs(t1), abs(t2))
     if combined == 0.0 and biggest > 0.0:
         raise CancellationError(f"complete cancellation at k={k:g}, x={x:g}")
-    if biggest > 0.0:
-        digits_lost = math.log10(biggest / abs(combined))
-        if digits_lost > CANCELLATION_DIGITS_LIMIT:
-            raise CancellationError(
-                f"combination cancels {digits_lost:.1f} digits at "
-                f"k={k:g}, m={m:g}, x={x:g}"
-            )
-    return math.pi / math.sin(2.0 * m * math.pi) * combined
+    cancellation = biggest / abs(combined) if biggest > 0.0 else 1.0
+    return math.pi / math.sin(2.0 * m * math.pi) * combined, cancellation
+
+
+def _refuse_cancellation(cancellation: float, k: float, m: float,
+                         x: float) -> None:
+    """The cancellation monitor: raise beyond CANCELLATION_DIGITS_LIMIT."""
+    digits_lost = math.log10(cancellation)
+    if digits_lost > CANCELLATION_DIGITS_LIMIT:
+        raise CancellationError(
+            f"combination cancels {digits_lost:.1f} digits at "
+            f"k={k:g}, m={m:g}, x={x:g}"
+        )
+
+
+def _w_series(k: float, m: float, x: float) -> float:
+    """W via its defining M-combination, with a cancellation monitor."""
+    value, cancellation = _w_combination(k, m, x)
+    _refuse_cancellation(cancellation, k, m, x)
+    return value
 
 
 def _w_asymptotic_sum(k: float, m: float, x: float) -> tuple[float, float]:
@@ -254,13 +271,29 @@ def whittaker_w_ratio(k: float, m: float, x: float) -> float:
 
     On the large-argument route the common x^k e^(-x/2) scale cancels
     analytically, keeping the ratio finite far beyond the range where the
-    individual W values overflow or underflow.
+    individual W values overflow or underflow. Above X_SWITCH that route is
+    taken whenever it certifies. Below it the combination, whose rounding
+    error grows with its cancellation (to about 1e-5 relative near
+    X_SWITCH at k ~ 1/4), gives way to a certified large-argument series
+    with a smaller error estimate.
     """
     if x <= 0.0:
         raise ValueError(f"whittaker_w_ratio requires x > 0, got {x!r}")
-    if x > X_SWITCH:
-        num, err_num = _w_asymptotic_sum(k + 1.0, m, x)
-        den, err_den = _w_asymptotic_sum(k, m, x)
-        if max(err_num, err_den) <= _ASYMPTOTIC_CERTIFY and den != 0.0:
+    num, err_num = _w_asymptotic_sum(k + 1.0, m, x)
+    den, err_den = _w_asymptotic_sum(k, m, x)
+    err = max(err_num, err_den) if den != 0.0 else math.inf
+    certified = err <= _ASYMPTOTIC_CERTIFY
+    if certified and x > X_SWITCH:
+        return x * num / den
+    try:
+        w_num, cancel_num = _w_combination(k + 1.0, m, x)
+        w_den, cancel_den = _w_combination(k, m, x)
+    except CancellationError:
+        if certified:
             return x * num / den
-    return _w_series(k + 1.0, m, x) / _w_series(k, m, x)
+        raise
+    cancellation = max(cancel_num, cancel_den)
+    if certified and err < _ROUNDOFF * cancellation:
+        return x * num / den
+    _refuse_cancellation(cancellation, k, m, x)
+    return w_num / w_den

@@ -88,6 +88,16 @@ class TestAsymptoticCommand:
         assert doc["z_minus"] < 0.0
         assert doc["l"] > 0.0
 
+    def test_coupling_domain_exit_codes(self, capsys):
+        flags = ("asymptotic", *BASE_FLAGS, "--epsilon", "0.001",
+                 "--lambda", "0.0001")
+        code, out, _ = run(capsys, *flags, "--k", "1e4")
+        assert code == 0
+        assert json.loads(out)["K"] == 1e4
+        code, _, err = run(capsys, *flags, "--k", "1e-4")
+        assert code == 3
+        assert err.startswith("numerical failure:")
+
 
 class TestPolicyCommand:
     def test_csv(self, capsys):
