@@ -237,9 +237,13 @@ class TradingPolicy:
             y = np.clip(y, lo, hi)
             t = np.where(y > y_plus, (y - y_plus) * inv_h_sell + n,
                          np.minimum((y - lo) * inv_h_buy, n - 1))
-            cell = t.astype(np.intp)
-            t -= cell
-            return values[cell] + t * slopes[cell]
+            cell = np.floor(t)
+            t -= cell  # exact, since t >= 0
+            cell = cell.astype(np.intp)
+            u = slopes.take(cell)
+            u *= t
+            u += values.take(cell)
+            return u
 
         return turnover_table
 

@@ -6,9 +6,9 @@ below ``X_SWITCH`` through its defining combination of the regular solutions
 truncated at its smallest term. The combination route cancels catastrophically
 as the argument grows, so it carries a loss-of-significance monitor; callers
 that trip it fall back to direct integration of the underlying Riccati
-equation (see the asymptotic module). The ratio ``whittaker_w_ratio`` also
-takes the large-argument route below ``X_SWITCH`` where its error estimate
-beats the combination's.
+equation (see the asymptotic module). Below ``X_SWITCH`` both
+``whittaker_w`` and the ratio ``whittaker_w_ratio`` take the large-argument
+route where its error estimate beats the combination's.
 
 This is not a general special-function library: real arguments only, second
 index away from half-integers (here always +-1/4), accuracy validated on the
@@ -212,13 +212,6 @@ def _refuse_cancellation(cancellation: float, k: float, m: float,
         )
 
 
-def _w_series(k: float, m: float, x: float) -> float:
-    """W via its defining M-combination, with a cancellation monitor."""
-    value, cancellation = _w_combination(k, m, x)
-    _refuse_cancellation(cancellation, k, m, x)
-    return value
-
-
 def _w_asymptotic_sum(k: float, m: float, x: float) -> tuple[float, float]:
     """Truncated large-argument series for W / (x^k e^(-x/2)).
 
@@ -248,22 +241,30 @@ def _w_asymptotic_sum(k: float, m: float, x: float) -> tuple[float, float]:
 def whittaker_w(k: float, m: float, x: float) -> float:
     """Decaying Whittaker function W(k, m, x), x > 0, 2m not an integer.
 
-    Below X_SWITCH the defining combination is used; above it the truncated
-    large-argument series, matching W ~ x^k e^(-x/2) to relative accuracy
-    1e-6 or better. When the series cannot certify that accuracy (large k at
-    moderate x) the combination is tried instead, and a CancellationError is
-    raised if it loses more than CANCELLATION_DIGITS_LIMIT digits.
+    Routes as ``whittaker_w_ratio`` does: above X_SWITCH the truncated
+    large-argument series, matching W ~ x^k e^(-x/2), wherever it certifies
+    1e-7 relative accuracy; below it the defining combination, unless the
+    certified series has the smaller error estimate. A CancellationError is
+    raised if the combination is needed and loses more than
+    CANCELLATION_DIGITS_LIMIT digits.
     """
     if x <= 0.0:
         raise ValueError(f"whittaker_w requires x > 0, got {x!r}")
     if 2.0 * m == math.floor(2.0 * m):
         raise ValueError(f"whittaker_w requires 2m not an integer, got m={m!r}")
-    if x <= X_SWITCH:
-        return _w_series(k, m, x)
     total, err = _w_asymptotic_sum(k, m, x)
-    if err <= _ASYMPTOTIC_CERTIFY:
-        return math.exp(k * math.log(x) - 0.5 * x) * total
-    return _w_series(k, m, x)
+    certified = err <= _ASYMPTOTIC_CERTIFY
+    if not (certified and x > X_SWITCH):
+        try:
+            value, cancellation = _w_combination(k, m, x)
+        except CancellationError:
+            if not certified:
+                raise
+        else:
+            if not (certified and err < _ROUNDOFF * cancellation):
+                _refuse_cancellation(cancellation, k, m, x)
+                return value
+    return math.exp(k * math.log(x) - 0.5 * x) * total
 
 
 def whittaker_w_ratio(k: float, m: float, x: float) -> float:

@@ -178,7 +178,8 @@ class TestWhittakerW:
 
     def test_handoff_continuity_between_routes(self):
         # Series route and large-argument route agree on an overlap window.
-        from spreadimpact.whittaker import _w_asymptotic_sum, _w_series
+        from spreadimpact.whittaker import (
+            _refuse_cancellation, _w_asymptotic_sum, _w_combination)
         for k in (0.6, 1.7, 3.1):
             checked = 0
             for x in np.geomspace(X_SWITCH / 2, 4 * X_SWITCH, 25):
@@ -188,7 +189,8 @@ class TestWhittakerW:
                     continue
                 via_asym = math.exp(k * math.log(x) - 0.5 * x) * total
                 try:
-                    via_series = _w_series(k, -0.25, x)
+                    via_series, cancellation = _w_combination(k, -0.25, x)
+                    _refuse_cancellation(cancellation, k, -0.25, x)
                 except CancellationError:
                     continue
                 checked += 1
@@ -207,14 +209,27 @@ class TestWhittakerW:
     def test_cancellation_monitor_trips(self):
         # Small first index near the switch: the combination cancels more
         # than ten digits and must be refused rather than returned.
+        from spreadimpact.whittaker import _refuse_cancellation, _w_combination
+        _, cancellation = _w_combination(0.05, -0.25, 29.5)
         with pytest.raises(CancellationError):
-            from spreadimpact.whittaker import _w_series
-            _w_series(0.05, -0.25, 29.5)
+            _refuse_cancellation(cancellation, 0.05, -0.25, 29.5)
 
     def test_ratio_survives_extreme_arguments(self):
         # The individual W values underflow near x ~ 1400; the ratio must not.
         r = whittaker_w_ratio(2.0, -0.25, 1421.0)
         assert r == pytest.approx(1421.0, rel=0.02)
+
+    def test_below_switch_against_mpmath(self):
+        # Where the combination cancels up to ~12 digits below X_SWITCH, the
+        # certified large-argument series takes over: W is accurate to
+        # 1e-10 relative, not just the combination's ~1e-5.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for k in (0.2, 0.2574, 0.3, 0.5):
+                for x in np.linspace(20.0, 29.5, 20):
+                    want = float(mpmath.whitw(k, -0.25, float(x)))
+                    assert whittaker_w(k, -0.25, float(x)) == pytest.approx(
+                        want, rel=1e-10), (k, x)
 
     def test_rejects_integer_two_m(self):
         with pytest.raises(ValueError):
