@@ -192,7 +192,9 @@ class IntegrationResult:
 
     ``sol`` is the dense output: on each accepted step it is the collocation
     cubic, with the accepted step points ``ts`` as knots. ``t_end``/``y_end``
-    refine the guard crossing when the run ended on a guard.
+    is the last accepted step point, or on a stall the last point reached;
+    when the run ended on a guard it is the first step point inside the
+    guard region, so the last step brackets the crossing.
     """
 
     status: str
@@ -232,21 +234,6 @@ def _initial_step(f, t0, q0, f0, direction, t_bound, rtol, atol):
     return min(100.0 * h0, h1, abs(t_bound - t0))
 
 
-def _refine_guard_crossing(guard, t_old, h, y_old, p0, p1, p2, t_new, y_new):
-    """Bisect the step cubic for the earliest point inside the guard region."""
-    def value(x):
-        return y_old + x * (p0 + x * (p1 + x * p2))
-
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if guard.breach(t_old + mid * h, value(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return t_old + hi * h, value(hi)
-
-
 def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
                       guard: GuardBox | None = None,
                       max_step: float = math.inf) -> IntegrationResult:
@@ -263,7 +250,7 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
         Local error is kept below ``atol + rtol * |q|`` per step.
     guard : GuardBox, optional
         Terminal region; crossing it ends the run with status "upper" or
-        "lower" and the crossing point refined on the step cubic.
+        "lower" at the first accepted step point inside the region.
     max_step : float, optional
         Upper bound on the step size.
     """
@@ -499,9 +486,7 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
 
         breach = guard.breach(t_new, q_new) if guard is not None else None
         if breach is not None:
-            t_end, y_end = _refine_guard_crossing(
-                guard, t, h, q, p0, p1, p2, t_new, q_new
-            )
+            t_end, y_end = t_new, q_new
             status = breach
             break
 

@@ -61,8 +61,8 @@ class SimConfig:
 
     ``horizon_T`` and ``burn_in_T`` are in years; the estimator uses the
     growth between them. ``y0`` is the initial risky weight. With
-    ``antithetic`` set, the second half of every chunk mirrors the shocks of
-    the first half.
+    ``antithetic`` set, paths come in adjacent pairs: each odd-numbered path
+    mirrors the shocks of the path before it.
     """
 
     horizon_T: float = 100.0
@@ -170,7 +170,7 @@ class _ShockBlocks:
         try:
             if self._antithetic:
                 half = self._buffers[0].shape[1] // 2
-                # out= needs a contiguous array, not the strided left half.
+                # out= needs a contiguous array, not the strided even columns.
                 pairs = np.empty((_BLOCK_ROWS, half))
             for i, rows in self._blocks():
                 self._free[i].acquire()
@@ -180,8 +180,8 @@ class _ShockBlocks:
                 if self._antithetic:
                     draw = pairs[:rows]
                     self._rng.standard_normal(out=draw)
-                    block[:, :half] = draw
-                    np.negative(draw, out=block[:, half:])
+                    block[:, 0::2] = draw
+                    np.negative(draw, out=block[:, 1::2])
                 else:
                     self._rng.standard_normal(out=block)
                 block *= self._scale
@@ -256,7 +256,6 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
         y = np.full(n, y0)
         nt_steps = np.zeros(n)
         tu_sum = np.zeros(n)
-        half = n // 2
         # Scratch buffers reused across steps; the loop is memory-bound.
         drift = np.empty(n)
         scratch = np.empty(n)
@@ -315,20 +314,9 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
                     lw_burn[done:done + n] = log_x
         if turnover is None:
             nt_steps.fill(n_steps)  # every step is a no-trade step
-        if cfg.antithetic:
-            # Store mirrored pairs adjacently so the bootstrap can resample
-            # pairs and keep their negative covariance.
-            order = np.empty(n, dtype=np.intp)
-            order[0::2] = np.arange(half)
-            order[1::2] = np.arange(half, n)
-            lw_burn[done:done + n] = lw_burn[done:done + n][order]
-            lw_final[done:done + n] = log_x[order]
-            nt_frac[done:done + n] = (nt_steps / n_steps)[order]
-            tu_avg[done:done + n] = (tu_sum / n_steps)[order]
-        else:
-            lw_final[done:done + n] = log_x
-            nt_frac[done:done + n] = nt_steps / n_steps
-            tu_avg[done:done + n] = tu_sum / n_steps
+        lw_final[done:done + n] = log_x
+        nt_frac[done:done + n] = nt_steps / n_steps
+        tu_avg[done:done + n] = tu_sum / n_steps
         done += n
         chunk_index += 1
 

@@ -314,17 +314,21 @@ def _leg_start(params: MarketParams, beta: float, forward: bool, rhs,
     return y, q
 
 
-def _classify_stall(leg: IntegrationResult, params: MarketParams) -> str:
+def _classify_stall(leg: IntegrationResult, params: MarketParams,
+                    forward: bool) -> str:
     """Interpret a step-size collapse by where the trajectory got stuck.
 
     A stall hugging the singular curve q = 1/y is an upper divergence (the
     guard there is asymptotically unreachable); a stall far below the band
-    is a lower divergence. Anything else is a genuine failure.
+    is a lower divergence, and so is a forward leg's stall at or below the
+    sell curve, which it can only reach by leaving the band downward.
+    Anything else is a genuine failure.
     """
     y, q = leg.t_end, leg.y_end
     if q * y >= 0.5 or q >= 0.15:
         return GUARD_UPPER
-    if q <= min(-0.15, 2.0 * hjb.band_sell(y, params.epsilon)):
+    sell = hjb.band_sell(y, params.epsilon)
+    if q <= min(-0.15, 2.0 * sell) or (forward and q <= sell):
         return GUARD_LOWER
     return STALLED
 
@@ -345,7 +349,7 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool,
                             guard=guard, max_step=max_step)
     status = leg.status
     if status == STALLED:
-        status = _classify_stall(leg, params)
+        status = _classify_stall(leg, params, forward)
     return leg, status
 
 

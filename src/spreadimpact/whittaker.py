@@ -1,14 +1,14 @@
-"""Gamma, Kummer, and Whittaker functions on the ranges the expansion needs.
+"""Whittaker functions on the ranges the small-cost expansion needs.
 
-The decaying confluent solution ``whittaker_w`` is evaluated by two routes:
-below ``X_SWITCH`` through its defining combination of the regular solutions
-(each a Kummer series), above it through the divergent large-argument series
-truncated at its smallest term. The combination route cancels catastrophically
-as the argument grows, so it carries a loss-of-significance monitor; callers
-that trip it fall back to direct integration of the underlying Riccati
-equation (see the asymptotic module). Below ``X_SWITCH`` both
-``whittaker_w`` and the ratio ``whittaker_w_ratio`` take the large-argument
-route where its error estimate beats the combination's.
+The decaying confluent solution W(k, m, x) is evaluated by two routes: its
+defining combination of the regular solutions (each a Kummer series), and the
+divergent large-argument series truncated at its smallest term. The
+combination cancels catastrophically as the argument grows, so it carries a
+loss-of-significance monitor; callers that trip it fall back to direct
+integration of the underlying Riccati equation (see the asymptotic module).
+``whittaker_w`` and the ratio ``whittaker_w_ratio`` share one route rule:
+above ``X_SWITCH`` the large-argument series wherever it certifies, below it
+the combination, unless the certified series has the smaller error estimate.
 
 This is not a general special-function library: real arguments only, second
 index away from half-integers (here always +-1/4), accuracy validated on the
@@ -20,15 +20,8 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "CANCELLATION_DIGITS_LIMIT",
     "CancellationError",
-    "GammaPoleError",
-    "KummerRangeError",
     "SpecialFunctionError",
-    "X_SWITCH",
-    "gamma_fn",
-    "kummer_1f1",
-    "whittaker_m",
     "whittaker_w",
     "whittaker_w_ratio",
 ]
@@ -48,14 +41,6 @@ _ASYMPTOTIC_MAX_TERMS = 120
 
 class SpecialFunctionError(ArithmeticError):
     """Base class for special-function evaluation failures."""
-
-
-class GammaPoleError(SpecialFunctionError):
-    """Evaluation requested at (or conditioned on) a gamma-function pole."""
-
-
-class KummerRangeError(SpecialFunctionError):
-    """Argument outside the range where the direct series is certified."""
 
 
 class CancellationError(SpecialFunctionError):
@@ -80,10 +65,6 @@ _LANCZOS = (
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
-
-
 def _lanczos_positive(x: float) -> float:
     """Gamma(x) for x > 0.5 via the Lanczos sum."""
     z = x - 1.0
@@ -94,28 +75,13 @@ def _lanczos_positive(x: float) -> float:
     return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
 
 
-def gamma_fn(x: float) -> float:
-    """Euler gamma function for real non-pole arguments.
-
-    Raises
-    ------
-    GammaPoleError
-        If ``x`` is zero or a negative integer.
-    """
-    if _is_nonpositive_integer(x):
-        raise GammaPoleError(f"gamma pole at x={x!r}")
-    if x >= 0.5:
-        return _lanczos_positive(x)
-    # Reflection: gamma(x) = pi / (sin(pi x) * gamma(1 - x)).
-    return math.pi / (math.sin(math.pi * x) * _lanczos_positive(1.0 - x))
-
-
 def _reciprocal_gamma(x: float) -> float:
     """1 / gamma(x), with the entire-function value 0 at the poles."""
-    if _is_nonpositive_integer(x):
+    if x <= 0.0 and x == math.floor(x):
         return 0.0
     if x >= 0.5:
         return 1.0 / _lanczos_positive(x)
+    # Reflection: gamma(x) gamma(1 - x) = pi / sin(pi x).
     return math.sin(math.pi * x) * _lanczos_positive(1.0 - x) / math.pi
 
 
@@ -138,47 +104,12 @@ def _kummer_series(a: float, b: float, x: float) -> float:
     return math.fsum(terms)
 
 
-def kummer_1f1(a: float, b: float, x: float) -> float:
-    """Confluent hypergeometric function 1F1(a, b, x) by direct series.
-
-    Certified to ~1e-10 relative accuracy for |x| <= X_SWITCH; larger
-    arguments are refused so callers switch to the asymptotic route.
-    Negative arguments go through the reflection e^x 1F1(b-a, b, -x), whose
-    series is free of the cancellation the direct sum suffers for x < 0.
-    """
-    if _is_nonpositive_integer(b):
-        raise GammaPoleError(f"1F1 undefined for b={b!r} (nonpositive integer)")
-    if abs(x) > X_SWITCH:
-        raise KummerRangeError(
-            f"|x|={abs(x):g} exceeds the series range {X_SWITCH:g}; "
-            "use the asymptotic route"
-        )
-    if x < 0.0:
-        return math.exp(x) * _kummer_series(b - a, b, -x)
-    return _kummer_series(a, b, x)
-
-
 def _m_series(k: float, m: float, x: float) -> float:
     """M(k, m, x) = x^(1/2+m) e^(-x/2) 1F1(1/2+m-k, 1+2m, x) for x > 0, by
     the direct series at any x."""
     return x ** (0.5 + m) * math.exp(-0.5 * x) * _kummer_series(
         0.5 + m - k, 1.0 + 2.0 * m, x
     )
-
-
-def whittaker_m(k: float, m: float, x: float) -> float:
-    """Regular Whittaker function M(k, m, x) = x^(1/2+m) e^(-x/2) 1F1(...),
-    certified like ``kummer_1f1`` for x <= X_SWITCH."""
-    if x <= 0.0:
-        raise ValueError(f"whittaker_m requires x > 0, got {x!r}")
-    if _is_nonpositive_integer(1.0 + 2.0 * m):
-        raise GammaPoleError(f"M undefined for 1+2m={1.0 + 2.0 * m!r}")
-    if x > X_SWITCH:
-        raise KummerRangeError(
-            f"x={x:g} exceeds the series range {X_SWITCH:g}; "
-            "use the asymptotic route"
-        )
-    return _m_series(k, m, x)
 
 
 def _w_combination(k: float, m: float, x: float) -> tuple[float, float]:
@@ -238,63 +169,66 @@ def _w_asymptotic_sum(k: float, m: float, x: float) -> tuple[float, float]:
     return total, smallest / abs(total)
 
 
+def _w_route(ks: tuple[float, ...], m: float,
+             x: float) -> tuple[bool, tuple[float, ...]]:
+    """The route rule shared by ``whittaker_w`` and ``whittaker_w_ratio``.
+
+    Evaluates W(k, m, x) for each k in ``ks`` by one common route and returns
+    (large_argument, values). On the large-argument route the values are the
+    truncated sums W / (x^k e^(-x/2)); otherwise they are W itself, from the
+    defining combination. Above X_SWITCH the large-argument series is taken
+    whenever it certifies 1e-7 relative accuracy. Below it the combination,
+    whose rounding error grows with its cancellation (to about 1e-5 relative
+    near X_SWITCH at k ~ 1/4), gives way only to a certified series with a
+    smaller error estimate. Error estimates and cancellations are maxed over
+    ``ks``. A CancellationError is raised if the combination is needed and
+    loses more than CANCELLATION_DIGITS_LIMIT digits.
+    """
+    sums, errs = zip(*[_w_asymptotic_sum(k, m, x) for k in ks])
+    err = max(errs)
+    certified = err <= _ASYMPTOTIC_CERTIFY
+    if certified and x > X_SWITCH:
+        return True, sums
+    try:
+        values, cancels = zip(*[_w_combination(k, m, x) for k in ks])
+    except CancellationError:
+        if certified:
+            return True, sums
+        raise
+    cancellation = max(cancels)
+    if certified and err < _ROUNDOFF * cancellation:
+        return True, sums
+    _refuse_cancellation(cancellation, min(ks), m, x)
+    return False, values
+
+
 def whittaker_w(k: float, m: float, x: float) -> float:
     """Decaying Whittaker function W(k, m, x), x > 0, 2m not an integer.
 
-    Routes as ``whittaker_w_ratio`` does: above X_SWITCH the truncated
-    large-argument series, matching W ~ x^k e^(-x/2), wherever it certifies
-    1e-7 relative accuracy; below it the defining combination, unless the
-    certified series has the smaller error estimate. A CancellationError is
-    raised if the combination is needed and loses more than
-    CANCELLATION_DIGITS_LIMIT digits.
+    Routed by the rule it shares with ``whittaker_w_ratio`` (``_w_route``),
+    which raises CancellationError where the combination is needed but
+    cancels too far. On the large-argument route W is x^k e^(-x/2) times the
+    truncated series.
     """
     if x <= 0.0:
         raise ValueError(f"whittaker_w requires x > 0, got {x!r}")
     if 2.0 * m == math.floor(2.0 * m):
         raise ValueError(f"whittaker_w requires 2m not an integer, got m={m!r}")
-    total, err = _w_asymptotic_sum(k, m, x)
-    certified = err <= _ASYMPTOTIC_CERTIFY
-    if not (certified and x > X_SWITCH):
-        try:
-            value, cancellation = _w_combination(k, m, x)
-        except CancellationError:
-            if not certified:
-                raise
-        else:
-            if not (certified and err < _ROUNDOFF * cancellation):
-                _refuse_cancellation(cancellation, k, m, x)
-                return value
-    return math.exp(k * math.log(x) - 0.5 * x) * total
+    large_argument, (value,) = _w_route((k,), m, x)
+    if large_argument:
+        return math.exp(k * math.log(x) - 0.5 * x) * value
+    return value
 
 
 def whittaker_w_ratio(k: float, m: float, x: float) -> float:
     """W(k+1, m, x) / W(k, m, x) without forming the huge or tiny factors.
 
+    Both W values take one route, by the rule shared with ``whittaker_w``.
     On the large-argument route the common x^k e^(-x/2) scale cancels
     analytically, keeping the ratio finite far beyond the range where the
-    individual W values overflow or underflow. Above X_SWITCH that route is
-    taken whenever it certifies. Below it the combination, whose rounding
-    error grows with its cancellation (to about 1e-5 relative near
-    X_SWITCH at k ~ 1/4), gives way to a certified large-argument series
-    with a smaller error estimate.
+    individual W values overflow or underflow.
     """
     if x <= 0.0:
         raise ValueError(f"whittaker_w_ratio requires x > 0, got {x!r}")
-    num, err_num = _w_asymptotic_sum(k + 1.0, m, x)
-    den, err_den = _w_asymptotic_sum(k, m, x)
-    err = max(err_num, err_den) if den != 0.0 else math.inf
-    certified = err <= _ASYMPTOTIC_CERTIFY
-    if certified and x > X_SWITCH:
-        return x * num / den
-    try:
-        w_num, cancel_num = _w_combination(k + 1.0, m, x)
-        w_den, cancel_den = _w_combination(k, m, x)
-    except CancellationError:
-        if certified:
-            return x * num / den
-        raise
-    cancellation = max(cancel_num, cancel_den)
-    if certified and err < _ROUNDOFF * cancellation:
-        return x * num / den
-    _refuse_cancellation(cancellation, k, m, x)
-    return w_num / w_den
+    large_argument, (num, den) = _w_route((k + 1.0, k), m, x)
+    return x * num / den if large_argument else num / den

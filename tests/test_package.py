@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import spreadimpact
-from spreadimpact import solver
+from spreadimpact import solver, whittaker
 
 PUBLIC = {
     "AllocationRegime",
@@ -36,6 +36,13 @@ PUBLIC = {
     "solve",
     "validate",
     "welfare_coefficient",
+}
+
+WHITTAKER_PUBLIC = {
+    "CancellationError",
+    "SpecialFunctionError",
+    "whittaker_w",
+    "whittaker_w_ratio",
 }
 
 
@@ -71,3 +78,13 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_whittaker_exports_only_what_the_package_uses():
+    assert set(whittaker.__all__) == WHITTAKER_PUBLIC
+    assert len(whittaker.__all__) == len(WHITTAKER_PUBLIC)
+    for name in whittaker.__all__:
+        assert getattr(whittaker, name) is not None
+    for name in ("gamma_fn", "kummer_1f1", "whittaker_m", "GammaPoleError",
+                 "KummerRangeError"):
+        assert not hasattr(whittaker, name), name

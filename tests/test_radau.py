@@ -16,6 +16,17 @@ from spreadimpact.solver import _leg_start
 from spreadimpact import hjb
 
 
+def assert_last_step_brackets_crossing(res, guard, t_cross):
+    """A guard-stopped run ends at its first accepted step point inside the
+    guard region: the step before it is outside, and the exact crossing
+    lies in between."""
+    t_prev = res.ts[-2]
+    assert guard.breach(t_prev, float(res.sol(t_prev))) is None
+    assert guard.breach(res.t_end, res.y_end) == res.status
+    assert res.t_end == res.ts[-1]
+    assert t_prev < t_cross <= res.t_end
+
+
 class TestAgainstClosedForms:
     def test_stiff_relaxation_onto_cosine(self):
         rate = 1e6
@@ -45,7 +56,7 @@ class TestAgainstClosedForms:
                                 0.0, 2.0, 0.0, 1e-10, 1e-12,
                                 guard=GuardBox(upper_q=0.5))
         assert res.status == "upper"
-        assert res.t_end == pytest.approx(0.5, abs=1e-9)
+        assert_last_step_brackets_crossing(res, GuardBox(upper_q=0.5), 0.5)
 
     def test_product_guard(self):
         # q = t - 1 crosses q*t = 0.6 at the positive root of t^2 - t - 0.6.
@@ -54,14 +65,15 @@ class TestAgainstClosedForms:
                                 guard=GuardBox(upper_qt=0.6))
         expected = 0.5 * (1.0 + math.sqrt(1.0 + 2.4))
         assert res.status == "upper"
-        assert res.t_end == pytest.approx(expected, abs=1e-9)
+        assert_last_step_brackets_crossing(res, GuardBox(upper_qt=0.6),
+                                           expected)
 
     def test_lower_guard(self):
         res = integrate_guarded(lambda t, q: -2.0, lambda t, q: 0.0,
                                 0.0, 5.0, 0.0, 1e-10, 1e-12,
                                 guard=GuardBox(lower_q=-1.0))
         assert res.status == "lower"
-        assert res.t_end == pytest.approx(0.5, abs=1e-9)
+        assert_last_step_brackets_crossing(res, GuardBox(lower_q=-1.0), 0.5)
 
     def test_nonfinite_region_handled(self):
         # dq/dt = 1/(1-q) blows up at q -> 1; a guard below keeps it clean.
@@ -76,7 +88,8 @@ class TestAgainstClosedForms:
         res = integrate_guarded(f, jac, 0.0, 1.0, 0.0, 1e-10, 1e-12,
                                 guard=GuardBox(upper_q=0.9))
         assert res.status == "upper"
-        assert res.t_end == pytest.approx((1 - 0.01) / 2, abs=1e-8)
+        assert_last_step_brackets_crossing(res, GuardBox(upper_q=0.9),
+                                           (1 - 0.01) / 2)
 
     def test_max_step_is_respected(self):
         res = integrate_guarded(lambda t, q: -q, lambda t, q: -1.0,

@@ -198,6 +198,23 @@ class TestSolve:
         sol = solve_cache(eps, lam)
         assert sol.diagnostics["residual_ratio_half_budget"] <= 1.0
 
+    def test_small_target_weight_at_small_impact(self):
+        # y* = 0.15: the rate bracket's floor is 0, and at small lambda the
+        # low probe's forward leg stalls below the sell curve at its start.
+        # That stall is a lower divergence, not an unclassified failure.
+        betas = []
+        for lam in (1e-10, 1e-8, 1e-6):
+            sol = solve(MarketParams(mu=0.03, sigma=0.2, gamma=5.0,
+                                     epsilon=1e-3, lam=lam))
+            p = sol.params
+            assert abs(sol.q_at(sol.y_minus)
+                       - band_buy(sol.y_minus, p.epsilon)) <= 1e-8
+            assert abs(sol.q_at(sol.y_plus)
+                       - band_sell(sol.y_plus, p.epsilon)) <= 1e-8
+            assert sol.diagnostics["residual_ratio_half_budget"] <= 1.0
+            betas.append(sol.beta)
+        assert betas[0] >= betas[1] >= betas[2]
+
     def test_residual_check_raises_on_a_perturbed_q(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
         coeffs = sol.q.coeffs.copy()
