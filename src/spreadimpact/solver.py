@@ -319,13 +319,15 @@ def _classify_stall(leg: IntegrationResult, params: MarketParams,
     """Interpret a step-size collapse by where the trajectory got stuck.
 
     A stall hugging the singular curve q = 1/y is an upper divergence (the
-    guard there is asymptotically unreachable); a stall far below the band
-    is a lower divergence, and so is a forward leg's stall at or below the
-    sell curve, which it can only reach by leaving the band downward.
+    guard there is asymptotically unreachable), and so is a backward leg's
+    stall at or above the buy curve, which it can only reach by leaving the
+    band upward. A stall far below the band is a lower divergence, and so
+    is a forward leg's stall at or below the sell curve, the mirror case.
     Anything else is a genuine failure.
     """
     y, q = leg.t_end, leg.y_end
-    if q * y >= 0.5 or q >= 0.15:
+    if (q * y >= 0.5 or q >= 0.15
+            or (not forward and q >= hjb.band_buy(y, params.epsilon))):
         return GUARD_UPPER
     sell = hjb.band_sell(y, params.epsilon)
     if q <= min(-0.15, 2.0 * sell) or (forward and q <= sell):

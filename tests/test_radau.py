@@ -91,6 +91,28 @@ class TestAgainstClosedForms:
         assert_last_step_brackets_crossing(res, GuardBox(upper_q=0.9),
                                            (1 - 0.01) / 2)
 
+    def test_rejected_steps_are_counted(self):
+        # q' = 1 has a zero error estimate, so the step grows tenfold per
+        # accepted step until a trial's stages reach q >= 0.5, where the
+        # slope is NaN; Newton fails there and the step is halved. From
+        # t = 0.1111 the trials h = 1 and 0.5 fail (0.25 is accepted), and
+        # from t = 0.3611 the trials h = 1.6389 (up to t_bound), 0.819, 0.41
+        # and 0.205 fail (0.102 is accepted).
+        res = integrate_guarded(lambda t, q: 1.0 if q < 0.5 else math.nan,
+                                lambda t, q: 0.0, 0.0, 2.0, 0.0, 1e-10,
+                                1e-12, guard=GuardBox(upper_q=0.45))
+        assert res.status == "upper"
+        assert res.naccepted == 6
+        assert res.nrejected == 6
+
+        # A slope that does not depend on q never fails Newton; steps grown
+        # on the flat part overshoot the turn at t = 1 and fail the error
+        # test instead.
+        res = integrate_guarded(lambda t, q: math.tanh(50.0 * (t - 1.0)),
+                                lambda t, q: 0.0, 0.0, 2.0, 0.0, 1e-8, 1e-10)
+        assert res.status == "reached"
+        assert res.nrejected > 0
+
     def test_max_step_is_respected(self):
         res = integrate_guarded(lambda t, q: -q, lambda t, q: -1.0,
                                 0.0, 1.0, 1.0, 1e-6, 1e-9, max_step=1e-2)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from spreadimpact._radau import PiecewisePolynomial
 from spreadimpact._radau import bracket_root as _bracket_root
 from spreadimpact.hjb import band_buy, band_sell, equation_terms
+from spreadimpact import solver
 from spreadimpact.market import MarketParams, ParameterError, baseline
 from spreadimpact.solver import (
     DELTA,
@@ -92,7 +93,7 @@ class TestSolve:
     def test_reference_rates(self, eps, lam, solve_cache):
         sol = solve_cache(eps, lam)
         assert sol.beta == pytest.approx(REFERENCE_BETAS[(eps, lam)],
-                                         abs=2e-10)
+                                         abs=1e-12)
 
     @pytest.mark.parametrize("eps,lam", sorted(REFERENCE_BETAS))
     def test_root_search_is_short(self, eps, lam, solve_cache):
@@ -102,6 +103,29 @@ class TestSolve:
         assert sol.diagnostics["bisection_iterations"] <= 12
         assert sol.diagnostics["beta_bracket_width"] <= 1e-12 * (
             FRICTIONLESS - FLOOR)
+
+    @pytest.mark.parametrize("eps,lam", sorted(REFERENCE_BETAS))
+    def test_search_legs_do_not_waste_newton_work(self, eps, lam,
+                                                  monkeypatch):
+        # Newton stops at a fixed fraction of the local error tolerance, so
+        # at the search's rtol it no longer fails on error it cannot see:
+        # about 9 rhs calls per accepted step and one rejected step in ten,
+        # where a sqrt(rtol) stopping test took 12-14 calls and rejected
+        # about half as many steps as it accepted.
+        work = {"nfev": 0, "naccepted": 0, "nrejected": 0}
+        integrate = solver.integrate_guarded
+
+        def counting(*args, **kwargs):
+            leg = integrate(*args, **kwargs)
+            if math.isinf(kwargs["max_step"]):  # only the final pass caps
+                for key in work:
+                    work[key] += getattr(leg, key)
+            return leg
+
+        monkeypatch.setattr(solver, "integrate_guarded", counting)
+        solve(params_with(eps, lam))
+        assert work["nfev"] <= 11 * work["naccepted"]
+        assert 0.03 <= work["nrejected"] / work["naccepted"] <= 0.25
 
     def test_rate_matches_bisection_oracle(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
@@ -214,6 +238,20 @@ class TestSolve:
             assert sol.diagnostics["residual_ratio_half_budget"] <= 1.0
             betas.append(sol.beta)
         assert betas[0] >= betas[1] >= betas[2]
+
+    def test_backward_stall_above_the_buy_curve_is_upper(self):
+        # A point of the sampled domain box with y* = 0.93 and a tiny
+        # impact: at one rate the search tries, the backward leg stalls at
+        # y = 0.93 with q = 0.06, above the buy curve, which it can only
+        # reach by leaving the band upward.
+        sol = solve(MarketParams(mu=0.3676317237664915, sigma=0.2,
+                                 gamma=9.929310931103286,
+                                 epsilon=0.021498288955334118,
+                                 lam=2.2828195114161202e-11))
+        assert sol.beta == pytest.approx(0.170031234711, abs=1e-11)
+        assert sol.y_minus <= sol.params.merton_weight <= sol.y_plus
+        assert abs(sol.diagnostics["matching_residual"]) <= 1e-11
+        assert sol.diagnostics["residual_ratio_half_budget"] <= 1.0
 
     def test_residual_check_raises_on_a_perturbed_q(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
