@@ -15,16 +15,19 @@ aversion above one the relevant power of wealth is dominated by the poorest
 paths, so all aggregation happens in the log domain with a max shift.
 
 The Gaussian shocks do not depend on the state, so they are drawn a block of
-steps ahead on one helper thread while the main thread steps the paths. The
-helper draws from the same per-chunk generator in the same order, so the
-ensembles are bit-identical to drawing each step's shocks in turn. The
-overlap needs a second core; on one core the draws and the steps share it.
+steps ahead by the one worker thread of a ``ThreadPoolExecutor`` while the
+calling thread steps the paths; waiting on the block's future is the only
+synchronisation. The worker draws from the same per-chunk generator in the
+same order, so the ensembles are bit-identical to drawing each step's shocks
+in turn. The overlap needs a second core; on one core the draws and the steps
+share it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +48,7 @@ __all__ = [
 # results are bit-identical for a given (seed, n_paths, dt) regardless of
 # memory pressure or the number of chunks processed.
 _CHUNK = 65536
-# Steps of shocks drawn per block; a helper thread draws one block ahead.
+# Steps of shocks drawn per block; one worker thread draws a block ahead.
 _BLOCK_ROWS = 8
 _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0xB00757
@@ -78,6 +81,11 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not self.horizon_T > self.burn_in_T > 0.0:
             raise ValueError("need horizon_T > burn_in_T > 0")
+        if not 1 <= self.burn_in_step < self.n_steps:
+            raise ValueError(
+                f"burn-in of {self.burn_in_T!r} rounds to step "
+                f"{self.burn_in_step} of {self.n_steps}; it must fall on a "
+                "step strictly between the start and the horizon")
         if self.n_paths < 2:
             raise ValueError("need at least two paths")
         if self.y0 is not None and not 0.0 < self.y0 < 1.0:
@@ -131,83 +139,43 @@ class SimulationReport:
         }
 
 
-class _ShockBlocks:
-    """A chunk's scaled shocks sqrt(dt) dW, drawn a block ahead of use.
+def _shock_rows(rng: np.random.Generator, n: int, n_steps: int,
+                antithetic: bool, scale: float):
+    """Yield a chunk's scaled shocks sqrt(dt) dW, one row of n per step.
 
-    A helper thread owns the chunk's generator and fills blocks of
-    ``_BLOCK_ROWS`` steps in turn, alternating between two buffers: while
-    the main thread steps through one block, the helper draws the next one
-    into the other buffer. ``Generator.standard_normal`` releases the GIL,
-    so with a second core the draws cost the main thread nothing. The draws
-    come in serial order and one (rows, n) draw is the same stream as rows
-    draws of n, so iterating yields exactly the rows a step-by-step draw
-    gives. Use as a context manager: the helper is stopped and joined on
-    every exit, and an exception raised while drawing is raised again in
-    the main thread.
+    One worker thread draws the rows a block of ``_BLOCK_ROWS`` steps ahead
+    of use, alternating between two buffers; ``Generator.standard_normal``
+    releases the GIL, so with a second core the draws cost the caller
+    nothing. Block i+1 is submitted only after block i's result has
+    returned, when the caller has finished every row of block i-1, whose
+    buffer it reuses. One (rows, n) draw is the same stream as rows draws
+    of n, so the rows are those a step-by-step draw gives. A draw error is
+    raised in the calling thread; the worker is joined when the generator
+    finishes or is closed.
     """
+    buffers = (np.empty((_BLOCK_ROWS, n)), np.empty((_BLOCK_ROWS, n)))
+    # out= needs a contiguous array, not the strided even columns.
+    pairs = np.empty((_BLOCK_ROWS, n // 2)) if antithetic else None
 
-    def __init__(self, rng: np.random.Generator, n: int, n_steps: int,
-                 antithetic: bool, scale: float):
-        self._rng = rng
-        self._n_steps = n_steps
-        self._antithetic = antithetic
-        self._scale = scale
-        self._buffers = (np.empty((_BLOCK_ROWS, n)),
-                         np.empty((_BLOCK_ROWS, n)))
-        self._free = (threading.Semaphore(1), threading.Semaphore(1))
-        self._ready = (threading.Semaphore(0), threading.Semaphore(0))
-        self._stop = False
-        self._error = None
-        self._thread = threading.Thread(target=self._fill, daemon=True,
-                                        name="spreadimpact-shocks")
+    def draw(start):
+        block = buffers[start // _BLOCK_ROWS % 2][:n_steps - start]
+        if antithetic:
+            half = pairs[:len(block)]
+            rng.standard_normal(out=half)
+            block[:, 0::2] = half
+            np.negative(half, out=block[:, 1::2])
+        else:
+            rng.standard_normal(out=block)
+        block *= scale
+        return block
 
-    def _blocks(self):
-        """(buffer index, rows) of each block, in step order."""
-        for b, start in enumerate(range(0, self._n_steps, _BLOCK_ROWS)):
-            yield b % 2, min(_BLOCK_ROWS, self._n_steps - start)
-
-    def _fill(self):
-        try:
-            if self._antithetic:
-                half = self._buffers[0].shape[1] // 2
-                # out= needs a contiguous array, not the strided even columns.
-                pairs = np.empty((_BLOCK_ROWS, half))
-            for i, rows in self._blocks():
-                self._free[i].acquire()
-                if self._stop:
-                    return
-                block = self._buffers[i][:rows]
-                if self._antithetic:
-                    draw = pairs[:rows]
-                    self._rng.standard_normal(out=draw)
-                    block[:, 0::2] = draw
-                    np.negative(draw, out=block[:, 1::2])
-                else:
-                    self._rng.standard_normal(out=block)
-                block *= self._scale
-                self._ready[i].release()
-        except BaseException as exc:  # raised again by the main thread
-            self._error = exc
-            for ready in self._ready:
-                ready.release()
-
-    def __enter__(self) -> _ShockBlocks:
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        for free in self._free:
-            free.release()
-        self._thread.join()
-
-    def __iter__(self):
-        for i, rows in self._blocks():
-            self._ready[i].acquire()
-            if self._error is not None:
-                raise self._error
-            yield from self._buffers[i][:rows]
-            self._free[i].release()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(draw, 0)
+        for start in range(0, n_steps, _BLOCK_ROWS):
+            block = ahead.result()
+            if start + _BLOCK_ROWS < n_steps:
+                ahead = pool.submit(draw, start + _BLOCK_ROWS)
+            yield from block
 
 
 def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemble:
@@ -218,12 +186,13 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
     zero-turnover (buy-and-hold) policy on a faster code path. Weights are
     clamped to [0, 1] after every step and clamping is counted.
 
-    The shocks are drawn a block ahead on one helper thread (see
-    ``_ShockBlocks``), bit-identical to a serial draw; ``turnover`` is
-    only ever called from the calling thread. The speed-up needs a second
+    The shocks are drawn a block ahead by one worker thread (see
+    ``_shock_rows``), bit-identical to a serial draw; ``turnover`` is only
+    ever called from the calling thread, and the worker is joined on every
+    exit, a raising ``turnover`` included. The speed-up needs a second
     core: at 16,384 paths and 1,000 steps on a 2-vCPU Xeon VM the optimal
-    policy ran in 0.64 of the serial-draw time, and in 0.98 to 1.03 of it
-    pinned to one CPU.
+    policy ran in 0.65 of the serial-draw time (buy-and-hold 0.73), and in
+    0.93 to 1.12 of it pinned to one CPU (buy-and-hold 0.82 to 1.06).
     """
     validate(params)
     mu, sigma = params.mu, params.sigma
@@ -263,7 +232,8 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
         one_minus_y = np.empty(n)
         au = np.empty(n)
         cost = np.empty(n)
-        with _ShockBlocks(rng, n, n_steps, cfg.antithetic, sqrt_dt) as shocks:
+        with closing(_shock_rows(rng, n, n_steps, cfg.antithetic,
+                                 sqrt_dt)) as shocks:
             for step, dw in enumerate(shocks):
                 if turnover is not None:
                     u = np.asarray(turnover(y), dtype=float)

@@ -77,6 +77,9 @@ FINAL_RTOL = 1e-13
 FINAL_MAX_STEP = 2.5e-4
 BETA_TOL_REL = 1e-12
 Y_TOL = 1e-12
+# Largest jump of the stitched q at y* (and of q against the band curve at
+# each boundary): the value-matching bound.
+MATCH_TOL = 1e-8
 DELTA = 1e-6
 # Hard divergence guards: |q| >= 10, or q y within a relative 1e-9 of the
 # singular curve q = 1/y.
@@ -150,15 +153,13 @@ class FreeBoundarySolution:
                        np.where(y_arr > self.y_plus, np.minimum(u, 0.0), 0.0))
         return float(out) if np.ndim(y) == 0 else out
 
-    def sample_points(self, n: int | None = None) -> np.ndarray:
+    def sample_points(self, n: int) -> np.ndarray:
         """Output abscissae: ``n`` uniform points over [delta, 1-delta] plus
-        both boundaries, or ``y_grid`` when ``n`` is None."""
-        if n is None:
-            return self.y_grid
+        both boundaries."""
         ys = np.linspace(self.y_grid[0], self.y_grid[-1], n)
         return np.unique(np.concatenate([ys, [self.y_minus, self.y_plus]]))
 
-    def to_json_dict(self, grid_points: int | None = None) -> dict:
+    def to_json_dict(self, grid_points: int) -> dict:
         ys, qs, us = self._output_grid(grid_points)
         return {
             "beta": self.beta,
@@ -169,14 +170,14 @@ class FreeBoundarySolution:
             "diagnostics": self.diagnostics,
         }
 
-    def to_csv(self, fh, grid_points: int | None = None) -> None:
+    def to_csv(self, fh, grid_points: int) -> None:
         """Write the grid as CSV with header ``y,q,u``."""
         ys, qs, us = self._output_grid(grid_points)
         fh.write("y,q,u\n")
         for a, b, c in zip(ys, qs, us):
             fh.write(f"{float(a)!r},{float(b)!r},{float(c)!r}\n")
 
-    def _output_grid(self, grid_points: int | None):
+    def _output_grid(self, grid_points: int):
         ys = self.sample_points(grid_points)
         return ys, self.q(ys), self.turnover_at(ys)
 
@@ -404,8 +405,10 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         The surplus has the same sign at both ends of the admissible rate
         bracket; the frictions are too large for the construction.
     NumericalFailure
-        An integration leg failed in a way that cannot be classified, or
-        the stitched q breaks an invariant or misses its residual budget.
+        An integration leg failed in a way that cannot be classified, the
+        surplus changes sign the wrong way round on the rate bracket, the
+        final legs meet at y* with a jump beyond the value-matching bound,
+        or the stitched q breaks an invariant or misses its residual budget.
     """
     validate(params)
     if degenerate_regime(params) is not AllocationRegime.INTERIOR:
@@ -444,6 +447,12 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
             f"[{lo:.6g}, {hi:.6g}] (signs {sign_lo:+.0f}/{sign_hi:+.0f}); "
             "the frictions are too large for the free-boundary construction"
         )
+    if not bracket_as_expected:
+        raise NumericalFailure(
+            f"the shooting surplus changes sign the wrong way round on the "
+            f"rate bracket [{lo:.6g}, {hi:.6g}] (signs "
+            f"{sign_lo:+.0f}/{sign_hi:+.0f}); a leg was misclassified"
+        )
     beta, beta_other, iterations = bracket_root(
         surplus, lo_in, hi_in, surplus_lo, surplus_hi, beta_tol)
 
@@ -462,6 +471,12 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         )
 
     matching_residual = leg_f.y_end - leg_b.y_end
+    if not abs(matching_residual) <= MATCH_TOL:
+        raise NumericalFailure(
+            f"the final legs meet y*={y_mid!r} with a jump of "
+            f"{matching_residual:.3g} in q at beta={beta!r}, beyond the "
+            f"value-matching bound {MATCH_TOL:g}"
+        )
     q = _stitch(leg_f.sol, leg_b.sol)
     y_minus, y_plus = _locate_boundaries(params, q)
 
@@ -590,7 +605,7 @@ def _check_solution(solution: FreeBoundarySolution, base) -> float:
     for knot in (solution.y_minus, solution.y_plus):
         band = (hjb.band_buy(knot, p.epsilon) if knot == solution.y_minus
                 else hjb.band_sell(knot, p.epsilon))
-        if abs(solution.q_at(knot) - band) > 1e-8:
+        if abs(solution.q_at(knot) - band) > MATCH_TOL:
             raise NumericalFailure(
                 f"value matching violated at y={knot!r}: "
                 f"q={solution.q_at(knot)!r} vs band={band!r}"

@@ -134,6 +134,18 @@ class TestSimulateCommand:
         assert lines[0] == "path_id,logX_T,time_in_NT,turnover_avg"
         assert len(lines) == 51
 
+    @pytest.mark.parametrize("burn_in", ["0.004", "0.996"])
+    def test_burn_in_off_the_step_grid_exit_code(self, capsys, burn_in):
+        # At dt = 0.01 these round to step 0 and to the last step.
+        code, out, err = run(capsys, "simulate", *BASE_FLAGS, "--epsilon", "0",
+                             "--lambda", "0", "--policy", "hold",
+                             "--paths", "50", "--horizon", "1",
+                             "--burn-in", burn_in, "--dt", "0.01",
+                             "--y0", "0.5")
+        assert code == 1
+        assert out == ""
+        assert "burn-in" in err
+
 
 class TestSweepCommand:
     def test_long_format(self, capsys):

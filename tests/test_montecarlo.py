@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 import threading
@@ -156,6 +157,12 @@ class TestConfig:
             SimConfig(n_paths=1)
         with pytest.raises(ValueError):
             SimConfig(n_paths=10001, antithetic=True)
+        # Burn-ins that round to step 0 or to the last step leave the
+        # estimator without a first horizon.
+        with pytest.raises(ValueError, match="rounds to step 0 of 50"):
+            SimConfig(horizon_T=0.05, dt=1e-3, burn_in_T=4e-4, n_paths=64)
+        with pytest.raises(ValueError, match="rounds to step 50 of 50"):
+            SimConfig(horizon_T=0.05, dt=1e-3, burn_in_T=0.0496, n_paths=64)
 
     def test_default_start_is_target_weight(self):
         cfg = small_cfg(y0=None, horizon_T=0.1, burn_in_T=0.05, n_paths=16)
@@ -350,7 +357,7 @@ def golden_policies(solve_cache):
 
 
 class TestBlockAheadShocks:
-    """Shocks drawn a block of steps ahead, on a helper thread, give the
+    """Shocks drawn a block of steps ahead, by one worker thread, give the
     same ensembles bit for bit as drawing them one step at a time."""
 
     # 203 steps: not a multiple of the block rows. Burn-in at step 100
@@ -381,7 +388,7 @@ class TestBlockAheadShocks:
         assert_bitwise_equal(got, serial_oracle(params, policies[name], cfg))
 
     def test_concurrent_runs_under_fast_switching(self, golden_policies):
-        # More simulations than cores, each with its own helper, and a
+        # More simulations than cores, each with its own worker, and a
         # thread switch forced every microsecond: a buffer handed back
         # before it is read, or filled before it is free, changes the paths.
         params, policies = golden_policies
@@ -408,21 +415,27 @@ class TestBlockAheadShocks:
         for got in results:
             assert_bitwise_equal(got, want)
 
-    def test_helper_joined_when_the_policy_raises(self):
+    @pytest.mark.parametrize("fail_at", [None, 13], ids=["returns", "raises"])
+    def test_worker_joined_on_every_exit(self, fail_at):
         calls = []
 
-        def failing(y):
+        def policy_under_test(y):
             calls.append(1)
-            if len(calls) == 13:
+            if len(calls) == fail_at:
                 raise FloatingPointError("policy failed at step 12")
             return np.zeros_like(y)
 
+        cfg = small_cfg(n_paths=64)
+        outcome = (pytest.raises(FloatingPointError, match="step 12")
+                   if fail_at else contextlib.nullcontext())
         before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="step 12"):
-            simulate_paths(FRICTIONLESS, failing, small_cfg(n_paths=64))
-        assert len(calls) == 13
+        # A caught error stays bound to `failure`, and its traceback keeps
+        # the engine's frame alive: the worker must have been joined before
+        # the error left the engine, not when the frame is collected.
+        with outcome as failure:
+            simulate_paths(FRICTIONLESS, policy_under_test, cfg)
+        assert len(calls) == (fail_at or cfg.n_steps)
         assert threading.active_count() == before
-
 
     def test_draw_error_raised_in_the_calling_thread(self):
         class FailingGenerator:
@@ -431,9 +444,7 @@ class TestBlockAheadShocks:
 
         before = threading.active_count()
         with pytest.raises(MemoryError, match="no room"):
-            with montecarlo._ShockBlocks(FailingGenerator(), 4, 20, False,
-                                         1.0) as shocks:
-                list(shocks)
+            list(montecarlo._shock_rows(FailingGenerator(), 4, 20, False, 1.0))
         assert threading.active_count() == before
 
 

@@ -171,6 +171,55 @@ class TestSolve:
         assert abs(sol.diagnostics["matching_residual"]) < 1e-10
         assert sol.diagnostics["bracket_signs_expected"]
 
+    def test_reversed_bracket_raises(self, monkeypatch):
+        # A misclassified leg can flip the surplus's sign; Brent would then
+        # converge onto the step it makes.
+        surplus = solver._match_surplus
+        monkeypatch.setattr(solver, "_match_surplus",
+                            lambda *args: -surplus(*args))
+        with pytest.raises(NumericalFailure, match="wrong way round"):
+            solve(params_with(1e-3, 1e-4))
+
+    def test_jump_at_the_matching_point_raises(self, monkeypatch):
+        shoot_real = solver.shoot_leg
+
+        def shoot_with_a_jump(params, beta, forward, y_stop, rtol, *args,
+                              **kwargs):
+            leg, status = shoot_real(params, beta, forward, y_stop, rtol,
+                                     *args, **kwargs)
+            if forward and rtol == solver.FINAL_RTOL:
+                leg = dataclasses.replace(leg, y_end=leg.y_end + 1e-7)
+            return leg, status
+
+        monkeypatch.setattr(solver, "shoot_leg", shoot_with_a_jump)
+        with pytest.raises(NumericalFailure, match="jump of 1e-07"):
+            solve(params_with(1e-3, 1e-4))
+
+    def test_pure_spread_limit(self, solve_cache):
+        # Janecek & Shreve: as lam -> 0 the band half-width tends to
+        # (3/(4 gamma) y*^2 (1-y*)^2)^(1/3) (2 eps)^(1/3), and the welfare
+        # loss to (gamma sigma^2 / 2) half-width^2. Measured gaps at
+        # lam = 1e-12: width +0.014%, +0.47%, +2.3% and loss -0.18%, -0.83%,
+        # -3.8%; the loss gap shrinks about 10^(2/3) per decade of eps.
+        loss_gaps = []
+        for eps, width_tol, loss_tol in ((1e-4, 5e-4, 4e-3),
+                                         (1e-3, 1e-2, 1.5e-2),
+                                         (1e-2, 4e-2, 6e-2)):
+            sol = solve_cache(eps, 1e-12)
+            p = sol.params
+            y = p.merton_weight
+            half = ((3.0 / (4.0 * p.gamma) * y * y * (1.0 - y) ** 2)
+                    ** (1.0 / 3.0) * (2.0 * eps) ** (1.0 / 3.0))
+            loss = 0.5 * p.gamma * p.sigma ** 2 * half ** 2
+            width_gap = (sol.y_plus - sol.y_minus) / (2.0 * half) - 1.0
+            loss_gap = (baseline(p).frictionless_esr - sol.beta) / loss - 1.0
+            assert abs(width_gap) <= width_tol
+            assert -loss_tol <= loss_gap < 0.0
+            loss_gaps.append(loss_gap)
+        rate = 10.0 ** (2.0 / 3.0)
+        for fine, coarse in zip(loss_gaps, loss_gaps[1:]):
+            assert 0.75 * rate <= coarse / fine <= 1.25 * rate
+
     def test_band_collapses_without_spread(self, solve_cache):
         sol = solve_cache(1e-9, 1e-4)
         assert sol.y_plus - sol.y_minus < 1e-3
