@@ -252,8 +252,7 @@ def _initial_step(f, t0, q0, f0, direction, t_bound, rtol, atol):
 
 
 def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
-                      guard: GuardBox | None = None,
-                      max_step: float = math.inf) -> IntegrationResult:
+                      guard: GuardBox | None = None) -> IntegrationResult:
     """Integrate dq/dt = f(t, q) from t0 to t_bound with terminal guards.
 
     Parameters
@@ -268,8 +267,6 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
     guard : GuardBox, optional
         Terminal region; crossing it ends the run with status "upper" or
         "lower" at the first accepted step point inside the region.
-    max_step : float, optional
-        Upper bound on the step size.
     """
     direction = 1.0 if t_bound >= t0 else -1.0
     f0 = f(t0, q0)
@@ -277,8 +274,7 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
     njev = 0
     if not math.isfinite(f0):
         raise ValueError(f"right-hand side not finite at the start point t={t0!r}")
-    h_abs = min(_initial_step(f, t0, q0, f0, direction, t_bound, rtol, atol),
-                max_step)
+    h_abs = _initial_step(f, t0, q0, f0, direction, t_bound, rtol, atol)
     nfev += 1
 
     newton_tol = max(10.0 * _EPS / rtol, _NEWTON_KAPPA)
@@ -496,7 +492,7 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
 
         h_abs_old = h_abs
         error_norm_old = error_norm
-        h_abs = min(h_abs * factor, max_step)
+        h_abs *= factor
 
         sol_prev = (t, h, q, p0, p1, p2)
         ts.append(t_new)

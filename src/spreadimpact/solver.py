@@ -14,8 +14,12 @@ the no-trade boundaries.
 The solution's q is the legs' own dense output: the Radau collocation cubic
 of every accepted step, forward from y = delta up to y*, then backward from
 y* to y = 1 - delta, stitched into one piecewise cubic on increasing knots.
-It is checked once against the equation, at the quarter points of every
-step; missing the advertised residual budget raises, it is never returned.
+The final legs run without a step cap. Each step's cubic is checked against
+the equation at its quarter points, and the few steps (a fraction of a
+percent) whose residual is above the refinement target are re-integrated on 2, 4, 8, ...
+equal sub-intervals, whose cubics replace the step's. The stitched q is
+checked once more the same way; missing the advertised residual budget
+raises, it is never returned.
 
 Both boundary starts are first refined onto the local algebraic balance of
 the equation (the term multiplied by the vanishing coefficient dropped):
@@ -68,17 +72,22 @@ __all__ = [
 
 # Numerical controls; they meet the documented tolerances. RTOL is the
 # advertised integration tolerance; the final stitched pass runs tighter
-# (FINAL_RTOL, with steps capped at FINAL_MAX_STEP) so that its dense output,
-# the solution's q, stays well inside the advertised budget. DELTA is the
-# offset of both boundary starts. The rate search ends when the beta
-# bracket is no wider than BETA_TOL_REL times its initial width.
+# (FINAL_RTOL) so that its dense output, the solution's q, stays well inside
+# the advertised budget, and its steps whose residual ratio (relative to the
+# 10 x RTOL budget) exceeds REFINE_TARGET are re-integrated on sub-intervals.
+# REFINE_TARGET is 0.5 on the scale of residual_ratio_half_budget (0.7 of
+# the budget), which leaves room for the rounding of the stitched backward
+# pieces. DELTA is the offset of both boundary starts. The rate search ends
+# when the beta bracket is no wider than BETA_TOL_REL times its initial
+# width.
 RTOL = 1e-10
 FINAL_RTOL = 1e-13
-FINAL_MAX_STEP = 2.5e-4
+REFINE_TARGET = 0.5 * 0.7
 BETA_TOL_REL = 1e-12
 Y_TOL = 1e-12
-# Largest jump of the stitched q at y* (and of q against the band curve at
-# each boundary): the value-matching bound.
+# Largest jump of the stitched q at y* and at the right end of a refined
+# step (and of q against the band curve at each boundary): the
+# value-matching bound.
 MATCH_TOL = 1e-8
 DELTA = 1e-6
 # Hard divergence guards: |q| >= 10, or q y within a relative 1e-9 of the
@@ -102,12 +111,19 @@ class FreeBoundarySolution:
     """Matched rate, trading boundaries, and the function q.
 
     ``q`` is the final stitched pass itself: the collocation cubic of every
-    accepted Radau step, on increasing knots from delta through y* to
-    1 - delta. ``q_at`` and ``q_prime_at`` evaluate it and its derivative.
-    ``y_grid`` is its knots with both boundaries added, and ``q_grid`` its
-    values there; ``diagnostics["residual_ratio_half_budget"]`` is its worst
-    equation residual at the quarter points of every step, relative to the
-    largest additive term and to 0.7 of the 10 x RTOL budget.
+    accepted Radau step of the two uncapped final legs, on increasing knots
+    from delta through y* to 1 - delta, where each refined step contributes
+    the cubics of its sub-steps instead of its own. ``q_at`` and
+    ``q_prime_at`` evaluate it and its derivative. ``y_grid`` is its knots
+    with both boundaries added, and ``q_grid`` its values there.
+
+    ``diagnostics["residual_ratio_half_budget"]`` is q's worst equation
+    residual at the quarter points of every step, relative to the largest
+    additive term and to 0.7 of the 10 x RTOL budget.
+    ``diagnostics["forward_steps"]`` and ``["backward_steps"]`` count the
+    accepted steps of the final legs, ``["refined_steps"]`` how many of them
+    were refined, and ``["max_splice_jump"]`` the largest jump in q at the
+    right end of a refined step (at most ``MATCH_TOL``).
     """
 
     params: MarketParams
@@ -337,8 +353,8 @@ def _classify_stall(leg: IntegrationResult, params: MarketParams,
 
 
 def shoot_leg(params: MarketParams, beta: float, forward: bool,
-              y_stop: float, rtol: float, atol: float, guard: GuardBox,
-              max_step: float = math.inf) -> tuple[IntegrationResult, str]:
+              y_stop: float, rtol: float, atol: float,
+              guard: GuardBox) -> tuple[IntegrationResult, str]:
     """Shoot one leg onto ``y_stop``, forward from y = delta or backward
     from y = 1 - delta.
 
@@ -349,7 +365,7 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool,
     rhs, jac = hjb.make_rhs_jac(params, beta)
     y0, q0 = _leg_start(params, beta, forward, rhs, jac)
     leg = integrate_guarded(rhs, jac, y0, y_stop, q0, rtol, atol,
-                            guard=guard, max_step=max_step)
+                            guard=guard)
     status = leg.status
     if status == STALLED:
         status = _classify_stall(leg, params, forward)
@@ -399,8 +415,9 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     Raises
     ------
     ParameterError
-        Invalid parameters, a degenerate regime, or lam == 0 (the exact
-        construction needs a strictly positive impact cost).
+        Invalid parameters, a degenerate regime, an empty rate bracket (y*
+        interior only to rounding), or lam == 0 (the exact construction
+        needs a strictly positive impact cost).
     NoMatchError
         The surplus has the same sign at both ends of the admissible rate
         bracket; the frictions are too large for the construction.
@@ -408,7 +425,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         An integration leg failed in a way that cannot be classified, the
         surplus changes sign the wrong way round on the rate bracket, the
         final legs meet at y* with a jump beyond the value-matching bound,
-        or the stitched q breaks an invariant or misses its residual budget.
+        a flagged final step cannot be refined, or the stitched q breaks an
+        invariant or misses its residual budget.
     """
     validate(params)
     if degenerate_regime(params) is not AllocationRegime.INTERIOR:
@@ -427,6 +445,11 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     lo = max(0.0, base.full_risky_esr)
     hi = base.frictionless_esr
     width0 = hi - lo
+    if not width0 > 0.0:
+        raise ParameterError(
+            f"the admissible rate bracket [{lo!r}, {hi!r}] is empty: y* = "
+            f"{y_mid!r} is interior, but only to rounding"
+        )
     beta_tol = BETA_TOL_REL * width0
     nudge = 1e-13 * width0
     lo_in, hi_in = lo + nudge, hi - nudge
@@ -456,13 +479,13 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     beta, beta_other, iterations = bracket_root(
         surplus, lo_in, hi_in, surplus_lo, surplus_hi, beta_tol)
 
-    # Final stitched pass: tighter tolerance, hard guards only, and a step
-    # cap so the dense output is uniformly accurate between step points.
+    # Final stitched pass: tighter tolerance and hard guards only; the steps
+    # whose dense output misses REFINE_TARGET are refined before stitching.
     final_atol = max(1e-18, 0.01 * FINAL_RTOL * _q_scale(params, hi))
 
     (leg_f, status_f), (leg_b, status_b) = (
         shoot_leg(params, beta, forward, y_mid, FINAL_RTOL, final_atol,
-                  HARD_GUARD, max_step=FINAL_MAX_STEP)
+                  HARD_GUARD)
         for forward in (True, False))
     if status_f != REACHED or status_b != REACHED:
         raise NumericalFailure(
@@ -477,7 +500,9 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
             f"{matching_residual:.3g} in q at beta={beta!r}, beyond the "
             f"value-matching bound {MATCH_TOL:g}"
         )
-    q = _stitch(leg_f.sol, leg_b.sol)
+    (sol_f, refined_f, jump_f), (sol_b, refined_b, jump_b) = (
+        _refine(params, beta, leg, final_atol) for leg in (leg_f, leg_b))
+    q = _stitch(sol_f, sol_b)
     y_minus, y_plus = _locate_boundaries(params, q)
 
     diagnostics = {
@@ -489,6 +514,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         "final_atol": final_atol,
         "forward_steps": int(leg_f.naccepted),
         "backward_steps": int(leg_b.naccepted),
+        "refined_steps": refined_f + refined_b,
+        "max_splice_jump": max(jump_f, jump_b),
         "beta_bracket_width": abs(beta_other - beta),
     }
     solution = FreeBoundarySolution(
@@ -503,6 +530,87 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     diagnostics["residual_ratio_half_budget"] = _check_solution(solution,
                                                                 base)
     return solution
+
+
+def _refine(params: MarketParams, beta: float, leg: IntegrationResult,
+            atol: float) -> tuple[PiecewisePolynomial, int, float]:
+    """A final leg's dense output with every step whose residual ratio
+    exceeds REFINE_TARGET replaced by the cubics of a finer re-integration.
+
+    A flagged step is re-shot from its starting node, in the leg's
+    direction, on m = 2, 4, 8, ... equal sub-intervals, each integrated to
+    its own end with the final pass's tolerances and guards, until every
+    sub-step meets the target. A doubling of m that does not lower the worst
+    sub-step ratio raises, and so does a sub-integration that ends more than
+    MATCH_TOL away from the step's right node, where the spliced cubics meet
+    the leg's next step. Returns ``(dense output, refined steps, largest
+    jump at a splice)``.
+    """
+    sol = leg.sol
+    ratios = _residual_ratio(params, beta, sol)
+    flagged = np.nonzero(~(ratios <= REFINE_TARGET))[0]
+    if len(flagged) == 0:
+        return sol, 0, 0.0
+    rhs, jac = hjb.make_rhs_jac(params, beta)
+    knots, coeffs = sol.knots, sol.coeffs
+    right_nodes = np.append(coeffs[1:, 0], leg.y_end)
+    parts_k, parts_c = [], []
+    start, max_jump = 0, 0.0
+    for i in flagged:
+        t0 = float(knots[i])
+        worst, m = float(ratios[i]), 2
+        while True:
+            refined, q_end = _reshoot(rhs, jac, t0, float(knots[i + 1]),
+                                      float(coeffs[i, 0]), m, atol)
+            sub_worst = float(np.max(_residual_ratio(params, beta, refined)))
+            if sub_worst <= REFINE_TARGET:
+                break
+            if not sub_worst < worst:
+                raise NumericalFailure(
+                    f"refining the final step at y={t0!r} does not lower "
+                    f"its residual ratio: {sub_worst:.3g} on {m} "
+                    f"sub-intervals, {worst:.3g} on {m // 2}"
+                )
+            worst, m = sub_worst, 2 * m
+        jump = abs(q_end - float(right_nodes[i]))
+        if not jump <= MATCH_TOL:
+            raise NumericalFailure(
+                f"the refined final step at y={t0!r} ends with a jump of "
+                f"{jump:.3g} in q, beyond the value-matching bound "
+                f"{MATCH_TOL:g}"
+            )
+        max_jump = max(max_jump, jump)
+        parts_k += [knots[start:i], refined.knots[:-1]]
+        parts_c += [coeffs[start:i], refined.coeffs]
+        start = i + 1
+    parts_k.append(knots[start:])
+    parts_c.append(coeffs[start:])
+    return (PiecewisePolynomial(np.concatenate(parts_k),
+                                np.concatenate(parts_c)),
+            len(flagged), max_jump)
+
+
+def _reshoot(rhs, jac, t0: float, t1: float, q0: float, m: int,
+             atol: float) -> tuple[PiecewisePolynomial, float]:
+    """The step from (t0, q0) to t1 integrated again on m equal
+    sub-intervals, each to its own end: the sub-steps' dense output and the
+    value reached at t1."""
+    knots, coeffs = [np.array([t0])], []
+    a, q_a = t0, q0
+    for k in range(1, m + 1):
+        b = t1 if k == m else t0 + (t1 - t0) * k / m
+        sub = integrate_guarded(rhs, jac, a, b, q_a, FINAL_RTOL, atol,
+                                guard=HARD_GUARD)
+        if sub.status != REACHED:
+            raise NumericalFailure(
+                f"refining the final step at y={t0!r}: a sub-step ended "
+                f"{sub.status} at y={sub.t_end!r}"
+            )
+        knots.append(sub.sol.knots[1:])
+        coeffs.append(sub.sol.coeffs)
+        a, q_a = b, sub.y_end
+    return (PiecewisePolynomial(np.concatenate(knots), np.concatenate(coeffs)),
+            q_a)
 
 
 def _stitch(forward: PiecewisePolynomial,
@@ -557,28 +665,27 @@ def _locate_boundaries(params: MarketParams,
 
 
 def _residual_ratio(params: MarketParams, beta: float,
-                    q: PiecewisePolynomial) -> tuple[float, float]:
-    """Worst equation residual of q and where it occurs.
+                    q: PiecewisePolynomial) -> np.ndarray:
+    """Worst equation residual of each step of q.
 
     Some error modes of a step cubic vanish at the step's midpoint, so
     every step is checked at its quarter points as well, one quarter at a
     time to keep the temporaries small. The residual is measured against
     the largest additive term and the advertised budget of 10 x RTOL;
-    returns ``(ratio, y)`` at the worst point.
+    returns the worst of the three ratios of every step (NaN where one is
+    NaN). The knots may run in either direction.
     """
     deriv = q.derivative()
     lo = q.knots[:-1]
     width = np.diff(q.knots)
-    pts, ratios = [], []
+    worst = np.zeros(len(width))
     for theta in (0.25, 0.5, 0.75):
         y = lo + theta * width
         terms, _ = hjb.equation_terms(params, beta, y, q(y), deriv(y))
         scale = np.max(np.abs(np.stack(terms)), axis=0)
-        pts.append(y)
-        ratios.append(np.abs(sum(terms)) / (10.0 * RTOL * scale))
-    ratio = np.concatenate(ratios)
-    worst = int(np.argmax(ratio))
-    return float(ratio[worst]), float(np.concatenate(pts)[worst])
+        np.maximum(worst, np.abs(sum(terms)) / (10.0 * RTOL * scale),
+                   out=worst)
+    return worst
 
 
 def _check_solution(solution: FreeBoundarySolution, base) -> float:
@@ -610,10 +717,13 @@ def _check_solution(solution: FreeBoundarySolution, base) -> float:
                 f"value matching violated at y={knot!r}: "
                 f"q={solution.q_at(knot)!r} vs band={band!r}"
             )
-    ratio, y_worst = _residual_ratio(p, solution.beta, solution.q)
+    ratios = _residual_ratio(p, solution.beta, solution.q)
+    worst = int(np.argmax(ratios))
+    ratio = float(ratios[worst])
     if not ratio <= 1.0:
         raise NumericalFailure(
             f"q misses its residual budget of 10 x RTOL relative to the "
-            f"largest term: ratio {ratio:.3g} at y={y_worst!r}"
+            f"largest term: ratio {ratio:.3g} in the step at "
+            f"y={float(solution.q.knots[worst])!r}"
         )
     return ratio / 0.7

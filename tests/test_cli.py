@@ -54,6 +54,13 @@ class TestSolveCommand:
         assert code == 1
         assert "gamma" in err
 
+    def test_empty_rate_bracket_exit_code(self, capsys):
+        code, _, err = run(capsys, "solve", "--mu", "0.08", "--sigma", "0.2",
+                           "--gamma", "2", "--epsilon", "0.001",
+                           "--lambda", "0.0001")
+        assert code == 1
+        assert "empty" in err
+
     def test_no_match_exit_code(self, capsys):
         code, _, err = run(capsys, "solve", *BASE_FLAGS, "--epsilon", "0.95",
                            "--lambda", "2.0")

@@ -113,11 +113,6 @@ class TestAgainstClosedForms:
         assert res.status == "reached"
         assert res.nrejected > 0
 
-    def test_max_step_is_respected(self):
-        res = integrate_guarded(lambda t, q: -q, lambda t, q: -1.0,
-                                0.0, 1.0, 1.0, 1e-6, 1e-9, max_step=1e-2)
-        assert np.max(np.abs(np.diff(res.ts))) <= 1e-2 + 1e-12
-
 
 class TestAgainstScipy:
     @pytest.mark.parametrize("eps,lam,beta,forward", [

@@ -80,6 +80,29 @@ def bisection_oracle(params, steps=40):
     return 0.5 * (a + b)
 
 
+def assert_pure_spread_limit(solutions, tolerances):
+    """The pure-spread limit (Janecek & Shreve 2004) at increasing eps: the
+    band half-width tends to (3/(4 gamma) y*^2 (1-y*)^2)^(1/3) (2 eps)^(1/3)
+    and the welfare loss to (gamma sigma^2 / 2) half-width^2. Each solution
+    has its (width, loss) tolerance on the relative gaps; the loss gap is
+    negative and shrinks about 10^(2/3) per decade of eps."""
+    loss_gaps = []
+    for sol, (width_tol, loss_tol) in zip(solutions, tolerances):
+        p = sol.params
+        y = p.merton_weight
+        half = ((3.0 / (4.0 * p.gamma) * y * y * (1.0 - y) ** 2)
+                ** (1.0 / 3.0) * (2.0 * p.epsilon) ** (1.0 / 3.0))
+        loss = 0.5 * p.gamma * p.sigma ** 2 * half ** 2
+        width_gap = (sol.y_plus - sol.y_minus) / (2.0 * half) - 1.0
+        loss_gap = (baseline(p).frictionless_esr - sol.beta) / loss - 1.0
+        assert abs(width_gap) <= width_tol
+        assert -loss_tol <= loss_gap < 0.0
+        loss_gaps.append(loss_gap)
+    rate = 10.0 ** (2.0 / 3.0)
+    for fine, coarse in zip(loss_gaps, loss_gaps[1:]):
+        assert 0.75 * rate <= coarse / fine <= 1.25 * rate
+
+
 def shoot(params, beta, forward, y_stop):
     """One leg at the advertised tolerance with the hard guards:
     (status, y_end, q_end)."""
@@ -117,7 +140,7 @@ class TestSolve:
 
         def counting(*args, **kwargs):
             leg = integrate(*args, **kwargs)
-            if math.isinf(kwargs["max_step"]):  # only the final pass caps
+            if args[5] == solver.RTOL:  # the final pass runs at FINAL_RTOL
                 for key in work:
                     work[key] += getattr(leg, key)
             return leg
@@ -201,24 +224,23 @@ class TestSolve:
         # loss to (gamma sigma^2 / 2) half-width^2. Measured gaps at
         # lam = 1e-12: width +0.014%, +0.47%, +2.3% and loss -0.18%, -0.83%,
         # -3.8%; the loss gap shrinks about 10^(2/3) per decade of eps.
-        loss_gaps = []
-        for eps, width_tol, loss_tol in ((1e-4, 5e-4, 4e-3),
-                                         (1e-3, 1e-2, 1.5e-2),
-                                         (1e-2, 4e-2, 6e-2)):
-            sol = solve_cache(eps, 1e-12)
-            p = sol.params
-            y = p.merton_weight
-            half = ((3.0 / (4.0 * p.gamma) * y * y * (1.0 - y) ** 2)
-                    ** (1.0 / 3.0) * (2.0 * eps) ** (1.0 / 3.0))
-            loss = 0.5 * p.gamma * p.sigma ** 2 * half ** 2
-            width_gap = (sol.y_plus - sol.y_minus) / (2.0 * half) - 1.0
-            loss_gap = (baseline(p).frictionless_esr - sol.beta) / loss - 1.0
-            assert abs(width_gap) <= width_tol
-            assert -loss_tol <= loss_gap < 0.0
-            loss_gaps.append(loss_gap)
-        rate = 10.0 ** (2.0 / 3.0)
-        for fine, coarse in zip(loss_gaps, loss_gaps[1:]):
-            assert 0.75 * rate <= coarse / fine <= 1.25 * rate
+        assert_pure_spread_limit(
+            [solve_cache(eps, 1e-12) for eps in (1e-4, 1e-3, 1e-2)],
+            [(5e-4, 4e-3), (1e-2, 1.5e-2), (4e-2, 6e-2)])
+
+    @pytest.mark.parametrize("market", [
+        dict(mu=0.032, sigma=0.2, gamma=2.0),  # y* = 0.4
+        dict(mu=0.06, sigma=0.2, gamma=3.0),   # y* = 0.5
+    ])
+    def test_pure_spread_limit_off_the_base_market(self, market):
+        # The same limit on two other markets, at lam = 1e-12. Measured
+        # gaps: width -0.030%, +0.287% and loss -0.154%, -0.714% at
+        # y* = 0.4; width -0.015%, +0.384% and loss -0.159%, -0.736% at
+        # y* = 0.5. The loss gap shrinks 4.62x per decade on both.
+        assert_pure_spread_limit(
+            [solve(MarketParams(epsilon=eps, lam=1e-12, **market))
+             for eps in (1e-4, 1e-3)],
+            [(5e-4, 4e-3), (1e-2, 1.5e-2)])
 
     def test_band_collapses_without_spread(self, solve_cache):
         sol = solve_cache(1e-9, 1e-4)
@@ -253,7 +275,7 @@ class TestSolve:
         # singular endpoints, where the coefficient of q' vanishes.
         rng = np.random.default_rng(20140221)
         near = np.geomspace(DELTA, 1e-3, 200)
-        for eps, lam in ((1e-3, 1e-4), (3.13e-3, 2.23e-7)):
+        for eps, lam in ((1e-3, 1e-4), (3.13e-3, 2.23e-7), (3e-3, 1e-8)):
             sol = solve_cache(eps, lam)
             ys = np.concatenate([
                 rng.uniform(sol.y_grid[0], sol.y_grid[-1], 1000),
@@ -264,6 +286,46 @@ class TestSolve:
             residual = sum(terms)
             scale = np.max(np.abs(np.stack(terms)), axis=0)
             assert np.max(np.abs(residual) / (10.0 * 1e-10 * scale)) <= 1.0
+
+    def test_final_pass_refines_flagged_steps(self, solve_cache):
+        # At this point the uncapped final legs leave a few steps above the
+        # refinement target; their re-integrated sub-steps pass, and the
+        # splices stay far inside the value-matching bound. The solution
+        # also meets the off-quarter-point residual test above.
+        sol = solve_cache(3e-3, 1e-8)
+        assert sol.diagnostics["refined_steps"] > 0
+        assert sol.diagnostics["max_splice_jump"] <= solver.MATCH_TOL
+        assert sol.diagnostics["residual_ratio_half_budget"] <= 1.0
+
+    def test_refinement_without_progress_raises(self, monkeypatch):
+        # A step whose residual ratio does not fall when its sub-intervals
+        # are halved raises at once, naming where, instead of halving on.
+        monkeypatch.setattr(
+            solver, "_residual_ratio",
+            lambda params, beta, q: np.full(len(q.knots) - 1, 0.5))
+        with pytest.raises(NumericalFailure,
+                           match=r"step at y=.* does not lower"):
+            solve(params_with(1e-3, 1e-4))
+
+    @pytest.mark.parametrize("eps,lam,bound", [
+        # 0.7 x the accepted steps of the final legs when every step was
+        # capped at 2.5e-4 (6306, 5904, 5899 and 5623 steps).
+        (1e-3, 1e-4, 4414),
+        (1e-2, 1e-2, 4132),
+        (1e-2, 1e-4, 4129),
+        (5e-2, 5e-2, 3936),
+    ])
+    def test_final_pass_takes_few_steps(self, eps, lam, bound, solve_cache):
+        diagnostics = solve_cache(eps, lam).diagnostics
+        assert diagnostics["forward_steps"] + diagnostics["backward_steps"] \
+            <= bound
+
+    def test_empty_rate_bracket_is_a_parameter_error(self):
+        # y* = 0.9999999999999998 is interior, but the frictionless and
+        # full-risky rates are the same float, so no rate can be shot.
+        with pytest.raises(ParameterError, match="empty"):
+            solve(MarketParams(mu=0.08, sigma=0.2, gamma=2.0, epsilon=1e-3,
+                               lam=1e-4))
 
     @pytest.mark.parametrize("eps,lam", [(1e-2, 1e-10), (1e-3, 1e-10)])
     def test_residual_within_half_budget_at_tiny_impact(self, eps, lam,
