@@ -16,10 +16,11 @@ of every accepted step, forward from y = delta up to y*, then backward from
 y* to y = 1 - delta, stitched into one piecewise cubic on increasing knots.
 The final legs run without a step cap. Each step's cubic is checked against
 the equation at its quarter points, and the few steps (a fraction of a
-percent) whose residual is above the refinement target are re-integrated on 2, 4, 8, ...
-equal sub-intervals, whose cubics replace the step's. The stitched q is
-checked once more the same way; missing the advertised residual budget
-raises, it is never returned.
+percent) whose residual is above the refinement target are re-integrated on
+2, 4, 8, ... equal sub-intervals while that lowers their residual; the best
+split tried, the unrefined step included, is kept. The stitched q is checked
+once more the same way; missing the advertised residual budget raises, it
+is never returned.
 
 Both boundary starts are first refined onto the local algebraic balance of
 the equation (the term multiplied by the vanishing coefficient dropped):
@@ -27,9 +28,14 @@ the raw boundary data sit a few picounits off the attracting slow manifold,
 and resolving that transient would force astronomically small steps.
 
 Every leg, in the root search and in the final pass alike, goes through
-:func:`shoot_leg`; the equation itself lives in :mod:`spreadimpact.hjb`.
-The same root finder, :func:`._radau.bracket_root`, locates the band
-crossings.
+:func:`shoot_leg` and stops as diverged by one rule, on its far band curve:
+a forward leg at q <= -3 s (past the sell curve), a backward one at
+q >= 3 s (past the buy curve), with s = eps + 2 sqrt(lam beta_hi). The
+curves lie within eps^2/(1-eps) of -+eps and s >= eps, so this guard is at
+least 2 s - eps^2/(1-eps) past the curve; on sampled inputs no leg that
+reached y* went 0.9 s past it. A step-size collapse is classified by the
+curve itself. The equation lives in :mod:`spreadimpact.hjb`;
+:func:`._radau.bracket_root` finds both beta and the band crossings.
 """
 
 from __future__ import annotations
@@ -90,9 +96,8 @@ Y_TOL = 1e-12
 # value-matching bound.
 MATCH_TOL = 1e-8
 DELTA = 1e-6
-# Hard divergence guards: |q| >= 10, or q y within a relative 1e-9 of the
-# singular curve q = 1/y.
-HARD_GUARD = GuardBox(upper_q=10.0, lower_q=-10.0, upper_qt=1.0 - 1e-9)
+# Every leg's divergence guard on its far side, in units of s (see above).
+GUARD_MARGIN = 3.0
 # Knots of each side's table in TradingPolicy.tabulated.
 TABLE_KNOTS = 8193
 
@@ -283,19 +288,13 @@ def _auto_atol(params: MarketParams, beta_hi: float, rtol: float) -> float:
     return max(1e-17, min(1e-13, 100.0 * rtol * _q_scale(params, beta_hi)))
 
 
-def _fast_guard(params: MarketParams, beta_hi: float) -> GuardBox:
-    """Early-exit guards used during the rate search.
-
-    They sit several times beyond the envelope any matched trajectory can
-    reach (|q| stays near the boundary data, q y stays far below 1), so a
-    crossing has the same meaning as the hard guards but is detected long
-    before the integrator grinds into the singular curve.
-    """
-    scale = _q_scale(params, beta_hi)
-    q1 = hjb.boundary_value_1(params, beta_hi)
-    upper = min(HARD_GUARD.upper_q, max(0.2, 4.0 * scale))
-    lower = max(HARD_GUARD.lower_q, min(-0.25, 5.0 * q1))
-    return GuardBox(upper_q=upper, lower_q=lower, upper_qt=0.6)
+def _leg_guard(params: MarketParams, forward: bool) -> GuardBox:
+    """A leg's divergence guard: GUARD_MARGIN s out on its far side, |q| 10
+    on its near side, and q y 0.6 under the singular curve."""
+    far = GUARD_MARGIN * _q_scale(params, baseline(params).frictionless_esr)
+    if forward:
+        return GuardBox(upper_q=10.0, lower_q=-far, upper_qt=0.6)
+    return GuardBox(upper_q=far, lower_q=-10.0, upper_qt=0.6)
 
 
 def _leg_start(params: MarketParams, beta: float, forward: bool, rhs,
@@ -333,30 +332,25 @@ def _leg_start(params: MarketParams, beta: float, forward: bool, rhs,
 
 def _classify_stall(leg: IntegrationResult, params: MarketParams,
                     forward: bool) -> str:
-    """Interpret a step-size collapse by where the trajectory got stuck.
-
-    A stall hugging the singular curve q = 1/y is an upper divergence (the
-    guard there is asymptotically unreachable), and so is a backward leg's
-    stall at or above the buy curve, which it can only reach by leaving the
-    band upward. A stall far below the band is a lower divergence, and so
-    is a forward leg's stall at or below the sell curve, the mirror case.
-    Anything else is a genuine failure.
-    """
+    """Interpret a step-size collapse by where the trajectory got stuck:
+    the guard's far-curve rule with margin 0. A forward stall at or below
+    the sell curve is ``lower``, a backward one at or above the buy curve
+    ``upper`` (a leg reaches its far curve only by leaving the band through
+    it), and so is a stall hugging the singular curve (q y >= 0.5).
+    Anything else is a genuine failure."""
     y, q = leg.t_end, leg.y_end
-    if (q * y >= 0.5 or q >= 0.15
-            or (not forward and q >= hjb.band_buy(y, params.epsilon))):
+    if q * y >= 0.5 or (not forward and q >= hjb.band_buy(y, params.epsilon)):
         return GUARD_UPPER
-    sell = hjb.band_sell(y, params.epsilon)
-    if q <= min(-0.15, 2.0 * sell) or (forward and q <= sell):
+    if forward and q <= hjb.band_sell(y, params.epsilon):
         return GUARD_LOWER
     return STALLED
 
 
 def shoot_leg(params: MarketParams, beta: float, forward: bool,
-              y_stop: float, rtol: float, atol: float,
-              guard: GuardBox) -> tuple[IntegrationResult, str]:
+              y_stop: float, rtol: float,
+              atol: float) -> tuple[IntegrationResult, str]:
     """Shoot one leg onto ``y_stop``, forward from y = delta or backward
-    from y = 1 - delta.
+    from y = 1 - delta, inside the leg's divergence guard (``_leg_guard``).
 
     Returns the leg and its status: ``reached``, ``upper`` or ``lower`` (the
     side of the band a diverging trajectory left through, a step-size
@@ -365,7 +359,7 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool,
     rhs, jac = hjb.make_rhs_jac(params, beta)
     y0, q0 = _leg_start(params, beta, forward, rhs, jac)
     leg = integrate_guarded(rhs, jac, y0, y_stop, q0, rtol, atol,
-                            guard=guard)
+                            guard=_leg_guard(params, forward))
     status = leg.status
     if status == STALLED:
         status = _classify_stall(leg, params, forward)
@@ -377,7 +371,7 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool,
 
 
 def _match_surplus(params: MarketParams, beta: float, y_mid: float,
-                   atol: float, guard: GuardBox) -> float:
+                   atol: float) -> float:
     """Surplus q0(y_mid) - q1(y_mid) of the two legs at rate beta.
 
     A leg that diverges before y_mid gives a surplus of +-1, with the sign
@@ -388,8 +382,7 @@ def _match_surplus(params: MarketParams, beta: float, y_mid: float,
     """
     ends = []
     for forward, upper_sign in ((True, 1.0), (False, -1.0)):
-        leg, status = shoot_leg(params, beta, forward, y_mid, RTOL, atol,
-                                guard)
+        leg, status = shoot_leg(params, beta, forward, y_mid, RTOL, atol)
         if status == STALLED:
             side = "forward" if forward else "backward"
             raise NumericalFailure(
@@ -425,8 +418,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         An integration leg failed in a way that cannot be classified, the
         surplus changes sign the wrong way round on the rate bracket, the
         final legs meet at y* with a jump beyond the value-matching bound,
-        a flagged final step cannot be refined, or the stitched q breaks an
-        invariant or misses its residual budget.
+        no split of a flagged final step meets the residual budget, or the
+        stitched q breaks an invariant or misses its residual budget.
     """
     validate(params)
     if degenerate_regime(params) is not AllocationRegime.INTERIOR:
@@ -455,10 +448,9 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     lo_in, hi_in = lo + nudge, hi - nudge
 
     atol = _auto_atol(params, hi, RTOL)
-    guard = _fast_guard(params, hi)
 
     def surplus(beta_try: float) -> float:
-        return _match_surplus(params, beta_try, y_mid, atol, guard)
+        return _match_surplus(params, beta_try, y_mid, atol)
 
     surplus_lo = surplus(lo_in)
     surplus_hi = surplus(hi_in)
@@ -479,13 +471,12 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     beta, beta_other, iterations = bracket_root(
         surplus, lo_in, hi_in, surplus_lo, surplus_hi, beta_tol)
 
-    # Final stitched pass: tighter tolerance and hard guards only; the steps
-    # whose dense output misses REFINE_TARGET are refined before stitching.
+    # Final stitched pass at a tighter tolerance; the steps whose dense
+    # output misses REFINE_TARGET are refined before stitching.
     final_atol = max(1e-18, 0.01 * FINAL_RTOL * _q_scale(params, hi))
 
     (leg_f, status_f), (leg_b, status_b) = (
-        shoot_leg(params, beta, forward, y_mid, FINAL_RTOL, final_atol,
-                  HARD_GUARD)
+        shoot_leg(params, beta, forward, y_mid, FINAL_RTOL, final_atol)
         for forward in (True, False))
     if status_f != REACHED or status_b != REACHED:
         raise NumericalFailure(
@@ -501,7 +492,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
             f"value-matching bound {MATCH_TOL:g}"
         )
     (sol_f, refined_f, jump_f), (sol_b, refined_b, jump_b) = (
-        _refine(params, beta, leg, final_atol) for leg in (leg_f, leg_b))
+        _refine(params, beta, forward, leg, final_atol)
+        for forward, leg in ((True, leg_f), (False, leg_b)))
     q = _stitch(sol_f, sol_b)
     y_minus, y_plus = _locate_boundaries(params, q)
 
@@ -532,19 +524,19 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     return solution
 
 
-def _refine(params: MarketParams, beta: float, leg: IntegrationResult,
+def _refine(params: MarketParams, beta: float, forward: bool,
+            leg: IntegrationResult,
             atol: float) -> tuple[PiecewisePolynomial, int, float]:
-    """A final leg's dense output with every step whose residual ratio
-    exceeds REFINE_TARGET replaced by the cubics of a finer re-integration.
+    """A final leg's dense output, each step whose residual ratio exceeds
+    REFINE_TARGET replaced by the cubics of a finer re-integration.
 
-    A flagged step is re-shot from its starting node, in the leg's
-    direction, on m = 2, 4, 8, ... equal sub-intervals, each integrated to
-    its own end with the final pass's tolerances and guards, until every
-    sub-step meets the target. A doubling of m that does not lower the worst
-    sub-step ratio raises, and so does a sub-integration that ends more than
-    MATCH_TOL away from the step's right node, where the spliced cubics meet
-    the leg's next step. Returns ``(dense output, refined steps, largest
-    jump at a splice)``.
+    A flagged step is re-shot from its starting node on m = 2, 4, 8, ...
+    equal sub-intervals (final tolerances, the leg's guard) until the worst
+    sub-step meets the target or stops falling; the best split tried, the
+    unrefined step included, is kept. It raises if that best misses the
+    budget (ratio 1, as in ``_check_solution``) or ends more than MATCH_TOL
+    from the step's right node, where it meets the leg's next step. Returns
+    ``(dense output, refined steps, largest jump at a splice)``.
     """
     sol = leg.sol
     ratios = _residual_ratio(params, beta, sol)
@@ -552,26 +544,31 @@ def _refine(params: MarketParams, beta: float, leg: IntegrationResult,
     if len(flagged) == 0:
         return sol, 0, 0.0
     rhs, jac = hjb.make_rhs_jac(params, beta)
+    guard = _leg_guard(params, forward)
     knots, coeffs = sol.knots, sol.coeffs
     right_nodes = np.append(coeffs[1:, 0], leg.y_end)
     parts_k, parts_c = [], []
-    start, max_jump = 0, 0.0
+    start, refined_steps, max_jump = 0, 0, 0.0
     for i in flagged:
         t0 = float(knots[i])
-        worst, m = float(ratios[i]), 2
-        while True:
-            refined, q_end = _reshoot(rhs, jac, t0, float(knots[i + 1]),
-                                      float(coeffs[i, 0]), m, atol)
-            sub_worst = float(np.max(_residual_ratio(params, beta, refined)))
-            if sub_worst <= REFINE_TARGET:
+        tried, best, m = [float(ratios[i])], None, 2
+        while not tried[-1] <= REFINE_TARGET:
+            split = _reshoot(rhs, jac, t0, float(knots[i + 1]),
+                             float(coeffs[i, 0]), m, atol, guard)
+            tried.append(float(np.max(_residual_ratio(params, beta,
+                                                      split[0]))))
+            if not tried[-1] < min(tried[:-1]):
                 break
-            if not sub_worst < worst:
-                raise NumericalFailure(
-                    f"refining the final step at y={t0!r} does not lower "
-                    f"its residual ratio: {sub_worst:.3g} on {m} "
-                    f"sub-intervals, {worst:.3g} on {m // 2}"
-                )
-            worst, m = sub_worst, 2 * m
+            best, m = split, 2 * m
+        if not min(tried) <= 1.0:
+            raise NumericalFailure(
+                f"no split of the final step at y={t0!r} meets the residual "
+                f"budget: ratios {', '.join(f'{r:.3g}' for r in tried)} on "
+                f"1, 2, 4, ... sub-intervals"
+            )
+        if best is None:
+            continue
+        refined, q_end = best
         jump = abs(q_end - float(right_nodes[i]))
         if not jump <= MATCH_TOL:
             raise NumericalFailure(
@@ -583,15 +580,16 @@ def _refine(params: MarketParams, beta: float, leg: IntegrationResult,
         parts_k += [knots[start:i], refined.knots[:-1]]
         parts_c += [coeffs[start:i], refined.coeffs]
         start = i + 1
+        refined_steps += 1
     parts_k.append(knots[start:])
     parts_c.append(coeffs[start:])
     return (PiecewisePolynomial(np.concatenate(parts_k),
                                 np.concatenate(parts_c)),
-            len(flagged), max_jump)
+            refined_steps, max_jump)
 
 
-def _reshoot(rhs, jac, t0: float, t1: float, q0: float, m: int,
-             atol: float) -> tuple[PiecewisePolynomial, float]:
+def _reshoot(rhs, jac, t0: float, t1: float, q0: float, m: int, atol: float,
+             guard: GuardBox) -> tuple[PiecewisePolynomial, float]:
     """The step from (t0, q0) to t1 integrated again on m equal
     sub-intervals, each to its own end: the sub-steps' dense output and the
     value reached at t1."""
@@ -600,7 +598,7 @@ def _reshoot(rhs, jac, t0: float, t1: float, q0: float, m: int,
     for k in range(1, m + 1):
         b = t1 if k == m else t0 + (t1 - t0) * k / m
         sub = integrate_guarded(rhs, jac, a, b, q_a, FINAL_RTOL, atol,
-                                guard=HARD_GUARD)
+                                guard=guard)
         if sub.status != REACHED:
             raise NumericalFailure(
                 f"refining the final step at y={t0!r}: a sub-step ended "

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spreadimpact._radau import PiecewisePolynomial
+from spreadimpact._radau import GuardBox, PiecewisePolynomial
 from spreadimpact._radau import bracket_root as _bracket_root
-from spreadimpact.hjb import band_buy, band_sell, equation_terms
+from spreadimpact.hjb import band_buy, band_sell, equation_terms, make_rhs_jac
 from spreadimpact import solver
 from spreadimpact.market import MarketParams, ParameterError, baseline
 from spreadimpact.solver import (
     DELTA,
-    HARD_GUARD,
     RTOL,
     TABLE_KNOTS,
     NoMatchError,
@@ -22,7 +21,9 @@ from spreadimpact.solver import (
     TradingPolicy,
     _auto_atol,
     _check_solution,
-    _fast_guard,
+    _classify_stall,
+    _leg_start,
+    _q_scale,
     _stitch,
     policy,
     shoot_leg,
@@ -43,23 +44,38 @@ REFERENCE_BETAS = {
 }
 
 
+# The acceptance suite's (eps, lam) grid; its solutions are in the session
+# cache by the time this module runs.
+ACCEPTANCE_GRID = [10.0 ** e for e in (-4.0, -3.5, -3.0, -2.5, -2.0)]
+# A divergence box independent of the solver's guard: |q| >= 10, or q y
+# within a relative 1e-9 of the singular curve q = 1/y.
+HARD_BOX = GuardBox(upper_q=10.0, lower_q=-10.0, upper_qt=1.0 - 1e-9)
+
+
 def params_with(eps, lam):
     return MarketParams(epsilon=eps, lam=lam, **BASE)
 
 
 def bisection_oracle(params, steps=40):
     """Matched rate by plain bisection on the sign of the shooting surplus,
-    with the solver's search tolerances, guards and bracket."""
+    with the solver's search tolerances, leg starts, stall classification
+    and bracket, but legs shot to the hard box instead of the solver's
+    guard."""
     base = baseline(params)
     y_mid = base.merton_weight
     lo, hi = max(0.0, base.full_risky_esr), base.frictionless_esr
-    atol, guard = _auto_atol(params, hi, RTOL), _fast_guard(params, hi)
+    atol = _auto_atol(params, hi, RTOL)
 
     def sign(beta):
+        rhs, jac = make_rhs_jac(params, beta)
         ends = []
         for forward, upper in ((True, 1.0), (False, -1.0)):
-            leg, status = shoot_leg(params, beta, forward, y_mid, RTOL, atol,
-                                    guard)
+            y0, q0 = _leg_start(params, beta, forward, rhs, jac)
+            leg = solver.integrate_guarded(rhs, jac, y0, y_mid, q0, RTOL,
+                                           atol, guard=HARD_BOX)
+            status = leg.status
+            if status == "stalled":
+                status = _classify_stall(leg, params, forward)
             assert status != "stalled"
             if status == "upper":
                 return upper
@@ -104,10 +120,10 @@ def assert_pure_spread_limit(solutions, tolerances):
 
 
 def shoot(params, beta, forward, y_stop):
-    """One leg at the advertised tolerance with the hard guards:
+    """One leg at the advertised tolerance inside the solver's guard:
     (status, y_end, q_end)."""
     leg, status = shoot_leg(params, beta, forward, y_stop, RTOL,
-                            _auto_atol(params, beta, RTOL), HARD_GUARD)
+                            _auto_atol(params, beta, RTOL))
     return status, leg.t_end, leg.y_end
 
 
@@ -151,8 +167,53 @@ class TestSolve:
         assert 0.03 <= work["nrejected"] / work["naccepted"] <= 0.25
 
     def test_rate_matches_bisection_oracle(self, solve_cache):
-        sol = solve_cache(1e-3, 1e-4)
-        assert abs(sol.beta - bisection_oracle(sol.params)) <= 1e-13
+        # The oracle shoots to the hard box, so it checks the solver's
+        # divergence guard as well as its root search.
+        for eps, lam in sorted(REFERENCE_BETAS):
+            sol = solve_cache(eps, lam)
+            assert abs(sol.beta - bisection_oracle(sol.params)) <= 1e-13, \
+                (eps, lam)
+
+    @pytest.mark.parametrize("eps,lam", [(5e-2, 1e-2)]
+                             + sorted(REFERENCE_BETAS))
+    def test_guard_sits_well_past_every_reaching_leg(self, eps, lam,
+                                                     monkeypatch):
+        # Every search leg that reaches y* went less than half as far past
+        # its far band curve (the sell curve forward, the buy curve
+        # backward) as the leg's guard sits past it. The farthest measured
+        # excursion is 0.88 s, at (5e-2, 1e-2), against a guard 3 s out.
+        params = params_with(eps, lam)
+        worst = []
+        integrate = solver.integrate_guarded
+
+        def checking(*args, **kwargs):
+            leg = integrate(*args, **kwargs)
+            if args[5] == RTOL and leg.status == "reached":
+                ys = leg.sol.knots
+                qs = leg.sol(ys)
+                forward = ys[-1] > ys[0]
+                guard = solver._leg_guard(params, forward)
+                if forward:
+                    curve = band_sell(ys, eps)
+                    past, guard_past = curve - qs, curve - guard.lower_q
+                else:
+                    curve = band_buy(ys, eps)
+                    past, guard_past = qs - curve, guard.upper_q - curve
+                worst.append(float(np.max(past / guard_past)))
+            return leg
+
+        monkeypatch.setattr(solver, "integrate_guarded", checking)
+        solve(params)
+        assert worst and max(worst) < 0.5
+
+    def test_rate_falls_with_either_cost(self, solve_cache):
+        # beta is non-increasing in eps and in lam, on the acceptance grid
+        # (smallest gap 6.5e-7).
+        betas = np.array([[solve_cache(eps, lam).beta
+                           for lam in ACCEPTANCE_GRID]
+                          for eps in ACCEPTANCE_GRID])
+        assert np.all(np.diff(betas, axis=0) <= 0.0)
+        assert np.all(np.diff(betas, axis=1) <= 0.0)
 
     def test_rate_bracket_and_boundary_order(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
@@ -234,13 +295,14 @@ class TestSolve:
     ])
     def test_pure_spread_limit_off_the_base_market(self, market):
         # The same limit on two other markets, at lam = 1e-12. Measured
-        # gaps: width -0.030%, +0.287% and loss -0.154%, -0.714% at
-        # y* = 0.4; width -0.015%, +0.384% and loss -0.159%, -0.736% at
-        # y* = 0.5. The loss gap shrinks 4.62x per decade on both.
+        # gaps: width -0.030%, +0.287%, +1.46% and loss -0.154%, -0.714%,
+        # -3.24% at y* = 0.4; width -0.015%, +0.384%, +1.92% and loss
+        # -0.159%, -0.736%, -3.34% at y* = 0.5. The loss gap shrinks about
+        # 4.6x per decade on both.
         assert_pure_spread_limit(
             [solve(MarketParams(epsilon=eps, lam=1e-12, **market))
-             for eps in (1e-4, 1e-3)],
-            [(5e-4, 4e-3), (1e-2, 1.5e-2)])
+             for eps in (1e-4, 1e-3, 1e-2)],
+            [(5e-4, 4e-3), (1e-2, 1.5e-2), (4e-2, 6e-2)])
 
     def test_band_collapses_without_spread(self, solve_cache):
         sol = solve_cache(1e-9, 1e-4)
@@ -298,14 +360,26 @@ class TestSolve:
         assert sol.diagnostics["residual_ratio_half_budget"] <= 1.0
 
     def test_refinement_without_progress_raises(self, monkeypatch):
-        # A step whose residual ratio does not fall when its sub-intervals
-        # are halved raises at once, naming where, instead of halving on.
+        # A step above its residual budget whose ratio does not fall when
+        # its sub-intervals are halved raises at once, naming where, instead
+        # of halving on.
+        monkeypatch.setattr(
+            solver, "_residual_ratio",
+            lambda params, beta, q: np.full(len(q.knots) - 1, 1.5))
+        with pytest.raises(NumericalFailure,
+                           match=r"no split of the final step at y=.* meets "
+                                 r"the residual budget: ratios 1.5, 1.5 "):
+            solve(params_with(1e-3, 1e-4))
+
+    def test_refinement_keeps_a_step_within_budget(self, monkeypatch):
+        # A flagged step that halving does not improve is kept as it is
+        # when it already meets the budget.
         monkeypatch.setattr(
             solver, "_residual_ratio",
             lambda params, beta, q: np.full(len(q.knots) - 1, 0.5))
-        with pytest.raises(NumericalFailure,
-                           match=r"step at y=.* does not lower"):
-            solve(params_with(1e-3, 1e-4))
+        sol = solve(params_with(1e-3, 1e-4))
+        assert sol.diagnostics["refined_steps"] == 0
+        assert sol.diagnostics["residual_ratio_half_budget"] == 0.5 / 0.7
 
     @pytest.mark.parametrize("eps,lam,bound", [
         # 0.7 x the accepted steps of the final legs when every step was
@@ -588,12 +662,14 @@ class TestShooting:
         assert status == "lower"
 
     def test_backward_upper_blow_up_below_root(self):
-        # Below the matched rate the backward solution climbs toward the
-        # singular curve q = 1/y and is classified as an upper divergence.
+        # Below the matched rate the backward solution climbs out of the
+        # band past the buy curve and is stopped by its guard, at least 2 s
+        # beyond that curve, as an upper divergence.
         p = params_with(1e-3, 1e-4)
         status, y_end, q_end = shoot(p, 0.018, False, 0.3)
         assert status == "upper"
-        assert q_end * y_end > 0.5
+        s = _q_scale(p, baseline(p).frictionless_esr)
+        assert q_end - band_buy(y_end, p.epsilon) >= 2.0 * s
 
     def test_backward_reaches_matching_point_near_root(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
