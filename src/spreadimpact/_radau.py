@@ -201,8 +201,8 @@ class IntegrationResult:
     """Accepted mesh, per-step dense cubics, and the termination status.
 
     ``sol`` is the dense output: on each accepted step it is the collocation
-    cubic, with the accepted step points ``ts`` as knots. ``t_end``/``y_end``
-    is the last accepted step point, or on a stall the last point reached;
+    cubic, with the accepted step points as knots. ``t_end``/``y_end`` is
+    the last accepted step point, or on a stall the last point reached;
     when the run ended on a guard it is the first step point inside the
     guard region, so the last step brackets the crossing.
 
@@ -221,11 +221,6 @@ class IntegrationResult:
     njev: int = 0
     naccepted: int = 0
     nrejected: int = 0
-
-    @property
-    def ts(self) -> np.ndarray:
-        """Accepted step points, in the direction of integration."""
-        return self.sol.knots
 
 
 def _initial_step(f, t0, q0, f0, direction, t_bound, rtol, atol):

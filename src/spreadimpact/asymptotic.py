@@ -129,35 +129,10 @@ class AsymptoticSolution:
     def z_plus(self) -> float:
         return -self.z_minus
 
-    def to_json_dict(self) -> dict:
-        return {
-            "z_minus": self.z_minus,
-            "l": self.l,
-            "a": self.a,
-            "c": self.c,
-            "k": self.k,
-            "x_minus": self.x_minus,
-            "D": self.D,
-            "E": self.E,
-            "F": self.F,
-            "beta_approx": self.beta_approx,
-            "y_minus_approx": self.y_minus_approx,
-            "y_plus_approx": self.y_plus_approx,
-            "K": self.inputs.K,
-            "params": self.inputs.params.to_dict(),
-        }
-
-
-def midfield_r(z: float, l: float, params: MarketParams) -> float:
-    """Explicit odd solution of the no-trade-band equation."""
-    y = params.merton_weight
-    v2 = params.sigma**2 * y * y * (1.0 - y) ** 2
-    gs2 = params.gamma * params.sigma**2
-    return (2.0 / v2) * (gs2 * z**3 / 6.0 - l * z)
-
 
 def welfare_coefficient(z_minus: float, params: MarketParams) -> float:
-    """l(z_minus): the value of l for which the mid-band cubic passes
+    """l(z_minus): the value of l for which the mid-band cubic
+    (2/v2)(gamma sigma^2 z^3/6 - l z), v2 = sigma^2 y*^2 (1-y*)^2, passes
     through 1 at z_minus (equivalently -1 at -z_minus, by oddness)."""
     y = params.merton_weight
     v2 = params.sigma**2 * y * y * (1.0 - y) ** 2

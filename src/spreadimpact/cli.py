@@ -9,7 +9,7 @@ construction reports that the frictions are too large (no matching rate),
 from __future__ import annotations
 
 import argparse
-import io
+import dataclasses
 import json
 import math
 import sys
@@ -162,6 +162,23 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header, then one line per row of Python floats and ints
+    written by ``repr`` (numpy arrays go through ``.tolist()`` first, since
+    numpy 2 writes ``repr(np.float64(x))`` as ``np.float64(x)``)."""
+    return "".join([header + "\n"]
+                   + [",".join(map(repr, row)) + "\n" for row in rows])
+
+
+def _grid_rows(solution, n: int) -> list:
+    """(y, q, u) at ``n`` uniform points over [delta, 1-delta] plus both
+    band edges."""
+    ys = np.linspace(solution.y_grid[0], solution.y_grid[-1], n)
+    ys = np.unique(np.concatenate([ys, [solution.y_minus, solution.y_plus]]))
+    return list(zip(ys.tolist(), solution.q_at(ys).tolist(),
+                    solution.turnover_at(ys).tolist()))
+
+
 def _degenerate_answer(params: MarketParams) -> dict:
     regime = degenerate_regime(params)
     return {"regime": ("FullSafe" if regime is AllocationRegime.FULL_SAFE
@@ -175,13 +192,14 @@ def _cmd_solve(args) -> int:
         _emit(_json_dumps(_degenerate_answer(params)), args.out)
         return EXIT_OK
     solution = solve(params)
+    rows = _grid_rows(solution, args.grid_points)
     if args.format == "json":
-        _emit(_json_dumps(solution.to_json_dict(grid_points=args.grid_points)),
-              args.out)
+        _emit(_json_dumps({"beta": solution.beta, "y_minus": solution.y_minus,
+                           "y_plus": solution.y_plus, "grid": rows,
+                           "params": params.to_dict(),
+                           "diagnostics": solution.diagnostics}), args.out)
     else:
-        buf = io.StringIO()
-        solution.to_csv(buf, grid_points=args.grid_points)
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv("y,q,u", rows), args.out)
     return EXIT_OK
 
 
@@ -189,9 +207,11 @@ def _cmd_asymptotic(args) -> int:
     params = _resolve_params(args)
     inputs = asym.AsymptoticInputs.from_params(params, K=args.k)
     sol = asym.find_z_minus(inputs)
-    doc = sol.to_json_dict()
+    doc = {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)
+           if f.name not in ("inputs", "diagnostics")}
     slope_buy, slope_sell = asym.near_boundary_slope(sol)
-    doc["near_boundary_slope"] = {"buy": slope_buy, "sell": slope_sell}
+    doc.update(K=inputs.K, params=params.to_dict(),
+               near_boundary_slope={"buy": slope_buy, "sell": slope_sell})
     _emit(_json_dumps(doc), args.out)
     return EXIT_OK
 
@@ -203,15 +223,13 @@ def _cmd_policy(args) -> int:
         return EXIT_OK
     solution = solve(params)
     ys = np.linspace(solution.y_grid[0], solution.y_grid[-1], args.grid_points)
-    us = solution.turnover_at(ys)
+    rows = list(zip(ys.tolist(), solution.turnover_at(ys).tolist()))
     if args.format == "json":
         doc = {"y_minus": solution.y_minus, "y_plus": solution.y_plus,
-               "beta": solution.beta,
-               "policy": [[float(a), float(b)] for a, b in zip(ys, us)]}
+               "beta": solution.beta, "policy": rows}
         _emit(_json_dumps(doc), args.out)
     else:
-        lines = ["y,u"] + [f"{float(a)!r},{float(b)!r}" for a, b in zip(ys, us)]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv("y,u", rows), args.out)
     return EXIT_OK
 
 
@@ -232,9 +250,13 @@ def _cmd_simulate(args) -> int:
     ensemble = mc.simulate_paths(params, turnover, cfg)
     report = mc.estimate_esr(ensemble, params.gamma, cfg)
     if args.paths_csv:
-        with open(args.paths_csv, "w", encoding="utf-8") as fh:
-            mc.write_path_summary_csv(ensemble, fh)
-    _emit(_json_dumps(report.to_json_dict()), args.out)
+        _emit(_csv("path_id,logX_T,time_in_NT,turnover_avg",
+                   zip(range(ensemble.n_paths),
+                       ensemble.log_wealth_final.tolist(),
+                       ensemble.time_in_no_trade.tolist(),
+                       ensemble.mean_abs_turnover.tolist())),
+              args.paths_csv)
+    _emit(_json_dumps(dataclasses.asdict(report)), args.out)
     return EXIT_OK
 
 
@@ -263,15 +285,9 @@ def _cmd_sweep(args) -> int:
     for p in points:
         validate(p)
 
-    lines = ["epsilon,lambda,y,q,u"]
-    for p in points:
-        sol = solve(p)
-        ys = sol.sample_points(args.grid_points)
-        qs = sol.q_at(ys)
-        us = sol.turnover_at(ys)
-        for a, b, c in zip(ys, qs, us):
-            lines.append(f"{p.epsilon!r},{p.lam!r},{float(a)!r},{float(b)!r},{float(c)!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [(p.epsilon, p.lam, *row) for p in points
+            for row in _grid_rows(solve(p), args.grid_points)]
+    _emit(_csv("epsilon,lambda,y,q,u", rows), args.out)
     return EXIT_OK
 
 
@@ -289,17 +305,14 @@ def _cmd_compare(args) -> int:
     hi = min(solution.y_grid[-1], y_star + half)
     ys = np.linspace(lo, hi, args.points)
 
-    lines = [
-        f"# beta_exact={solution.beta!r},beta_asym={expansion.beta_approx!r}",
-        "y,u_exact,u_asym,abs_err,rel_err",
-    ]
-    for y in ys:
-        ue = float(solution.turnover_at(y))
-        ua = asym.asymptotic_policy(float(y), expansion)
+    rows = []
+    for y, ue in zip(ys.tolist(), solution.turnover_at(ys).tolist()):
+        ua = asym.asymptotic_policy(y, expansion)
         err = abs(ue - ua)
-        rel = err / abs(ue) if ue != 0.0 else math.nan
-        lines.append(f"{float(y)!r},{ue!r},{ua!r},{err!r},{rel!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+        rows.append((y, ue, ua, err, err / abs(ue) if ue != 0.0 else math.nan))
+    _emit(_csv(f"# beta_exact={solution.beta!r},"
+               f"beta_asym={expansion.beta_approx!r}\n"
+               "y,u_exact,u_asym,abs_err,rel_err", rows), args.out)
     return EXIT_OK
 
 

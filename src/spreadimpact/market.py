@@ -152,6 +152,8 @@ def validate(params: MarketParams) -> MarketParams:
             )
     if math.isfinite(params.epsilon) and params.epsilon < 0.0:
         problems.append("epsilon must be nonnegative")
+    if math.isfinite(params.epsilon) and params.epsilon >= 1.0:
+        problems.append("epsilon must be below 1")
     if math.isfinite(params.lam) and params.lam < 0.0:
         problems.append("lambda must be nonnegative")
     if problems:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "SimulationReport",
     "estimate_esr",
     "simulate_paths",
-    "write_path_summary_csv",
 ]
 
 # Paths are simulated in fixed-size chunks with per-chunk generator seeds, so
@@ -128,15 +127,6 @@ class SimulationReport:
     mean_turnover: float
     fraction_time_in_NT: float
     y_range_violations: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "esr_estimate": self.esr_estimate,
-            "esr_stderr": self.esr_stderr,
-            "mean_turnover": self.mean_turnover,
-            "fraction_time_in_NT": self.fraction_time_in_NT,
-            "y_range_violations": self.y_range_violations,
-        }
 
 
 def _shock_rows(rng: np.random.Generator, n: int, n_steps: int,
@@ -353,14 +343,3 @@ def estimate_esr(ensemble: PathEnsemble, gamma: float,
         fraction_time_in_NT=float(np.mean(ensemble.time_in_no_trade)),
         y_range_violations=int(ensemble.clamp_events),
     )
-
-
-def write_path_summary_csv(ensemble: PathEnsemble, fh) -> None:
-    """Per-path summary with header path_id,logX_T,time_in_NT,turnover_avg."""
-    fh.write("path_id,logX_T,time_in_NT,turnover_avg\n")
-    for i in range(ensemble.n_paths):
-        fh.write(
-            f"{i},{float(ensemble.log_wealth_final[i])!r},"
-            f"{float(ensemble.time_in_no_trade[i])!r},"
-            f"{float(ensemble.mean_abs_turnover[i])!r}\n"
-        )

@@ -118,9 +118,9 @@ class FreeBoundarySolution:
     ``q`` is the final stitched pass itself: the collocation cubic of every
     accepted Radau step of the two uncapped final legs, on increasing knots
     from delta through y* to 1 - delta, where each refined step contributes
-    the cubics of its sub-steps instead of its own. ``q_at`` and
-    ``q_prime_at`` evaluate it and its derivative. ``y_grid`` is its knots
-    with both boundaries added, and ``q_grid`` its values there.
+    the cubics of its sub-steps instead of its own. ``q_at`` evaluates it.
+    ``y_grid`` is its knots with both boundaries added, and ``q_grid`` its
+    values there.
 
     ``diagnostics["residual_ratio_half_budget"]`` is q's worst equation
     residual at the quarter points of every step, relative to the largest
@@ -149,17 +149,9 @@ class FreeBoundarySolution:
         """``q`` on ``y_grid``."""
         return self.q(self.y_grid)
 
-    @cached_property
-    def _q_prime(self) -> PiecewisePolynomial:
-        return self.q.derivative()
-
     def q_at(self, y):
         """q at y (scalar or array)."""
         return self.q(y)
-
-    def q_prime_at(self, y):
-        """Derivative of q at y (scalar or array)."""
-        return self._q_prime(y)
 
     def turnover_at(self, y):
         """Optimal wealth turnover at y; zero inside [y_minus, y_plus].
@@ -173,34 +165,6 @@ class FreeBoundarySolution:
         out = np.where(y_arr < self.y_minus, np.maximum(u, 0.0),
                        np.where(y_arr > self.y_plus, np.minimum(u, 0.0), 0.0))
         return float(out) if np.ndim(y) == 0 else out
-
-    def sample_points(self, n: int) -> np.ndarray:
-        """Output abscissae: ``n`` uniform points over [delta, 1-delta] plus
-        both boundaries."""
-        ys = np.linspace(self.y_grid[0], self.y_grid[-1], n)
-        return np.unique(np.concatenate([ys, [self.y_minus, self.y_plus]]))
-
-    def to_json_dict(self, grid_points: int) -> dict:
-        ys, qs, us = self._output_grid(grid_points)
-        return {
-            "beta": self.beta,
-            "y_minus": self.y_minus,
-            "y_plus": self.y_plus,
-            "grid": [[float(a), float(b), float(c)] for a, b, c in zip(ys, qs, us)],
-            "params": self.params.to_dict(),
-            "diagnostics": self.diagnostics,
-        }
-
-    def to_csv(self, fh, grid_points: int) -> None:
-        """Write the grid as CSV with header ``y,q,u``."""
-        ys, qs, us = self._output_grid(grid_points)
-        fh.write("y,q,u\n")
-        for a, b, c in zip(ys, qs, us):
-            fh.write(f"{float(a)!r},{float(b)!r},{float(c)!r}\n")
-
-    def _output_grid(self, grid_points: int):
-        ys = self.sample_points(grid_points)
-        return ys, self.q(ys), self.turnover_at(ys)
 
 
 @dataclass(frozen=True)
@@ -657,8 +621,6 @@ def _locate_boundaries(params: MarketParams,
                                  gb[i + 1], Y_TOL)[0])
     y_plus = float(bracket_root(g_sell, mesh[j], mesh[j + 1], gs[j],
                                 gs[j + 1], Y_TOL)[0])
-    if y_minus > y_plus:
-        y_minus, y_plus = y_plus, y_minus
     return y_minus, y_plus
 
 

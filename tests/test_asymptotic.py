@@ -9,7 +9,6 @@ from spreadimpact.asymptotic import (
     NoRootError,
     asymptotic_policy,
     find_z_minus,
-    midfield_r,
     near_boundary_slope,
     r_buy,
     welfare_coefficient,
@@ -29,6 +28,15 @@ ORACLE_Z_MAX = -1e-4
 def make_inputs(K, eps=1e-3, market=BASE):
     params = MarketParams(epsilon=eps, lam=K * eps ** (4.0 / 3.0), **market)
     return AsymptoticInputs.from_params(params)
+
+
+def midfield_r(z, l, params):
+    """The explicit odd solution of the mid-band equation,
+    (2/v2)(gamma sigma^2 z^3/6 - l z) with v2 = sigma^2 y*^2 (1-y*)^2."""
+    y = params.merton_weight
+    v2 = params.sigma**2 * y * y * (1.0 - y) ** 2
+    gs2 = params.gamma * params.sigma**2
+    return (2.0 / v2) * (gs2 * z**3 / 6.0 - l * z)
 
 
 def bisection_oracle(inp):
@@ -207,12 +215,6 @@ class TestFindZMinus:
         assert sol.y_minus_approx < y_star < sol.y_plus_approx
         assert sol.y_plus_approx - y_star == pytest.approx(
             y_star - sol.y_minus_approx, rel=1e-12)
-
-    def test_serialization_names(self, expansions):
-        inp, sol = expansions[1.0]
-        doc = sol.to_json_dict()
-        for key in ("z_minus", "l", "a", "c", "k", "x_minus", "D", "E", "F"):
-            assert key in doc
 
 
 class TestPolicyExpansion:

@@ -5,11 +5,19 @@ import pytest
 from spreadimpact.cli import main
 
 BASE_FLAGS = ["--mu", "0.08", "--sigma", "0.16", "--gamma", "5"]
+# The keys of the asymptotic document: the expansion's scalar constants,
+# the coupling K, the parameters and the near-boundary slopes.
+ASYMPTOTIC_KEYS = {"z_minus", "l", "a", "c", "k", "x_minus", "D", "E", "F",
+                   "beta_approx", "y_minus_approx", "y_plus_approx", "K",
+                   "params", "near_boundary_slope"}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    # Every number the CLI prints is a plain repr: numpy 2 writes
+    # repr(np.float64(x)) as "np.float64(x)".
+    assert "np." not in captured.out
     return code, captured.out, captured.err
 
 
@@ -31,8 +39,30 @@ class TestSolveCommand:
                            "--grid-points", "21")
         assert code == 0
         doc = json.loads(out)
+        assert set(doc) == {"beta", "y_minus", "y_plus", "grid", "params",
+                            "diagnostics"}
         assert 0.016 <= doc["beta"] <= 0.025
         assert doc["params"]["lambda"] == 0.01
+        assert all(len(row) == 3 for row in doc["grid"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_rows_reproduce_interpolant(self, capsys, solve_cache, fmt):
+        code, out, _ = run(capsys, "solve", *BASE_FLAGS, "--epsilon", "0.001",
+                           "--lambda", "0.0001", "--format", fmt,
+                           "--grid-points", "201")
+        assert code == 0
+        if fmt == "json":
+            rows = json.loads(out)["grid"]
+        else:
+            rows = [[float(t) for t in line.split(",")]
+                    for line in out.splitlines()[1:]]
+        assert len(rows) == 203  # 201 uniform points and both band edges
+        sol = solve_cache(1e-3, 1e-4)
+        ys = [row[0] for row in rows]
+        assert sol.y_minus in ys and sol.y_plus in ys
+        for y, q, u in rows[::17]:
+            assert q == pytest.approx(sol.q_at(y), abs=1e-12)
+            assert u == pytest.approx(sol.turnover_at(y), abs=1e-9)
 
     def test_degenerate_dispatch(self, capsys):
         code, out, _ = run(capsys, "solve", "--mu", "0.2", "--sigma", "0.16",
@@ -60,6 +90,14 @@ class TestSolveCommand:
                            "--lambda", "0.0001")
         assert code == 1
         assert "empty" in err
+
+    @pytest.mark.parametrize("epsilon", ["1", "1.5"])
+    def test_spread_of_one_or_more_exit_code(self, capsys, epsilon):
+        code, out, err = run(capsys, "solve", *BASE_FLAGS,
+                             "--epsilon", epsilon, "--lambda", "0.01")
+        assert code == 1
+        assert out == ""
+        assert "epsilon must be below 1" in err
 
     def test_no_match_exit_code(self, capsys):
         code, _, err = run(capsys, "solve", *BASE_FLAGS, "--epsilon", "0.95",
@@ -90,8 +128,8 @@ class TestAsymptoticCommand:
                            "--lambda", "0.01")
         assert code == 0
         doc = json.loads(out)
-        for key in ("z_minus", "l", "a", "c", "k", "x_minus", "D", "E", "F"):
-            assert key in doc
+        assert set(doc) == ASYMPTOTIC_KEYS
+        assert doc["params"]["lambda"] == 0.01
         assert doc["z_minus"] < 0.0
         assert doc["l"] > 0.0
 
@@ -137,9 +175,15 @@ class TestSimulateCommand:
                          "--burn-in", "0.2", "--dt", "0.01",
                          "--y0", "0.5", "--paths-csv", str(out_file))
         assert code == 0
-        lines = out_file.read_text().strip().splitlines()
+        text = out_file.read_text()
+        assert "np." not in text
+        lines = text.strip().splitlines()
         assert lines[0] == "path_id,logX_T,time_in_NT,turnover_avg"
         assert len(lines) == 51
+        path_id, *values = lines[1].split(",")
+        assert path_id == "0"
+        for tok in values:
+            float(tok)
 
     @pytest.mark.parametrize("burn_in", ["0.004", "0.996"])
     def test_burn_in_off_the_step_grid_exit_code(self, capsys, burn_in):

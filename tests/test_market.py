@@ -40,6 +40,13 @@ class TestValidate:
         for name in ("sigma", "gamma", "epsilon", "lambda"):
             assert name in message
 
+    def test_spread_of_one_or_more_rejected(self):
+        # At epsilon = 1 the boundary data divide by (1 - epsilon)^2.
+        for epsilon in (1.0, 1.5):
+            with pytest.raises(ParameterError, match="epsilon must be below 1"):
+                validate(make(epsilon=epsilon))
+        assert validate(make(epsilon=0.95)).epsilon == 0.95
+
     def test_non_finite_rejected(self):
         with pytest.raises(ParameterError, match="finite"):
             validate(make(mu=math.nan))

@@ -14,7 +14,6 @@ from spreadimpact.montecarlo import (
     SimConfig,
     estimate_esr,
     simulate_paths,
-    write_path_summary_csv,
 )
 from spreadimpact.solver import TradingPolicy, policy
 
@@ -446,19 +445,3 @@ class TestBlockAheadShocks:
         with pytest.raises(MemoryError, match="no room"):
             list(montecarlo._shock_rows(FailingGenerator(), 4, 20, False, 1.0))
         assert threading.active_count() == before
-
-
-class TestPathSummary:
-    def test_csv_shape(self, tmp_path):
-        cfg = small_cfg(n_paths=32, horizon_T=0.5, burn_in_T=0.1)
-        ens = simulate_paths(FRICTIONLESS, None, cfg)
-        out = tmp_path / "paths.csv"
-        with open(out, "w") as fh:
-            write_path_summary_csv(ens, fh)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "path_id,logX_T,time_in_NT,turnover_avg"
-        assert len(lines) == 33
-        tokens = lines[1].split(",")
-        assert int(tokens[0]) == 0
-        for tok in tokens[1:]:
-            float(tok)  # plain parseable numbers, no wrapper reprs

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import spreadimpact
-from spreadimpact import solver, whittaker
+from spreadimpact import asymptotic, montecarlo, solver, whittaker
 
 PUBLIC = {
     "AllocationRegime",
@@ -88,3 +88,14 @@ def test_whittaker_exports_only_what_the_package_uses():
     for name in ("gamma_fn", "kummer_1f1", "whittaker_m", "GammaPoleError",
                  "KummerRangeError"):
         assert not hasattr(whittaker, name), name
+
+
+def test_output_formats_live_only_in_the_cli():
+    owners = (spreadimpact.FreeBoundarySolution,
+              spreadimpact.AsymptoticSolution,
+              spreadimpact.SimulationReport, asymptotic, montecarlo)
+    for owner in owners:
+        for name in ("to_json_dict", "to_csv", "sample_points", "q_prime_at",
+                     "midfield_r", "write_path_summary_csv"):
+            assert not hasattr(owner, name), (owner, name)
+    assert "write_path_summary_csv" not in montecarlo.__all__

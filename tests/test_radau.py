@@ -20,10 +20,10 @@ def assert_last_step_brackets_crossing(res, guard, t_cross):
     """A guard-stopped run ends at its first accepted step point inside the
     guard region: the step before it is outside, and the exact crossing
     lies in between."""
-    t_prev = res.ts[-2]
+    t_prev = res.sol.knots[-2]
     assert guard.breach(t_prev, float(res.sol(t_prev))) is None
     assert guard.breach(res.t_end, res.y_end) == res.status
-    assert res.t_end == res.ts[-1]
+    assert res.t_end == res.sol.knots[-1]
     assert t_prev < t_cross <= res.t_end
 
 

@@ -1,6 +1,4 @@
 import dataclasses
-import io
-import json
 import math
 
 import numpy as np
@@ -23,6 +21,7 @@ from spreadimpact.solver import (
     _check_solution,
     _classify_stall,
     _leg_start,
+    _locate_boundaries,
     _q_scale,
     _stitch,
     policy,
@@ -344,7 +343,7 @@ class TestSolve:
                 near, 1.0 - near,
             ])
             terms, _ = equation_terms(sol.params, sol.beta, ys, sol.q_at(ys),
-                                      sol.q_prime_at(ys))
+                                      sol.q.derivative()(ys))
             residual = sum(terms)
             scale = np.max(np.abs(np.stack(terms)), axis=0)
             assert np.max(np.abs(residual) / (10.0 * 1e-10 * scale)) <= 1.0
@@ -448,6 +447,20 @@ class TestSolve:
             _check_solution(broken, baseline(sol.params))
         assert _check_solution(sol, baseline(sol.params)) == \
             sol.diagnostics["residual_ratio_half_budget"]
+
+    def test_reversed_band_fails_the_order_check(self, solve_cache):
+        # A q rising from -0.01 to 0.01 meets the sell curve (near -eps)
+        # before the buy curve (near +eps): the crossings come back
+        # reversed, and the invariant battery refuses them by name.
+        sol = solve_cache(1e-3, 1e-4)
+        q = PiecewisePolynomial(np.array([DELTA, 1.0 - DELTA]),
+                                np.array([[-0.01, 0.02]]))
+        y_minus, y_plus = _locate_boundaries(sol.params, q)
+        assert y_minus > y_plus
+        reversed_band = dataclasses.replace(sol, q=q, y_minus=y_minus,
+                                            y_plus=y_plus, diagnostics={})
+        with pytest.raises(NumericalFailure, match="boundaries out of order"):
+            _check_solution(reversed_band, baseline(sol.params))
 
     def test_q_is_one_interpolant_on_increasing_knots(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
@@ -681,31 +694,3 @@ class TestShooting:
         sol = solve_cache(1e-3, 1e-4)
         _, _, q_end = shoot(sol.params, sol.beta, False, 0.9)
         assert q_end < 0.0
-
-
-class TestSerialization:
-    def test_json_document(self, solve_cache):
-        sol = solve_cache(1e-3, 1e-4)
-        doc = sol.to_json_dict(grid_points=101)
-        assert set(doc) == {"beta", "y_minus", "y_plus", "grid", "params",
-                            "diagnostics"}
-        assert doc["params"]["lambda"] == 1e-4
-        grid = np.asarray(doc["grid"])
-        assert grid.shape[1] == 3
-        json.dumps(doc)  # must be serializable as-is
-
-    def test_csv_export(self, solve_cache):
-        sol = solve_cache(1e-3, 1e-4)
-        buf = io.StringIO()
-        sol.to_csv(buf, grid_points=51)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "y,q,u"
-        first = [float(tok) for tok in lines[1].split(",")]
-        assert len(first) == 3
-
-    def test_grid_rows_reproduce_interpolant(self, solve_cache):
-        sol = solve_cache(1e-3, 1e-4)
-        doc = sol.to_json_dict(grid_points=201)
-        for y, q, u in doc["grid"][:: 17]:
-            assert q == pytest.approx(sol.q_at(y), abs=1e-12)
-            assert u == pytest.approx(sol.turnover_at(y), abs=1e-9)
