@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from spreadimpact.asymptotic import (
     r_buy,
     welfare_coefficient,
 )
+from spreadimpact.cli import main
 from spreadimpact.market import MarketParams
 
 BASE = dict(mu=0.08, sigma=0.16, gamma=5.0)
@@ -215,6 +217,19 @@ class TestFindZMinus:
         assert sol.y_minus_approx < y_star < sol.y_plus_approx
         assert sol.y_plus_approx - y_star == pytest.approx(
             y_star - sol.y_minus_approx, rel=1e-12)
+
+    def test_serialization_names(self, expansions, capsys):
+        # The asymptotic command's document carries the expansion's
+        # constants by name, each equal to the solution's own field.
+        inp, sol = expansions[1.0]
+        p = inp.params
+        argv = ["asymptotic", "--mu", repr(p.mu), "--sigma", repr(p.sigma),
+                "--gamma", repr(p.gamma), "--epsilon", repr(p.epsilon),
+                "--lambda", repr(p.lam), "--k", repr(inp.K)]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for key in ("z_minus", "l", "a", "c", "k", "x_minus", "D", "E", "F"):
+            assert doc[key] == getattr(sol, key)
 
 
 class TestPolicyExpansion:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spreadimpact import montecarlo
+from spreadimpact.cli import main
 from spreadimpact.market import MarketParams
 from spreadimpact.montecarlo import (
     DegenerateEnsembleError,
@@ -445,3 +446,26 @@ class TestBlockAheadShocks:
         with pytest.raises(MemoryError, match="no room"):
             list(montecarlo._shock_rows(FailingGenerator(), 4, 20, False, 1.0))
         assert threading.active_count() == before
+
+
+class TestPathSummary:
+    def test_csv_shape(self, tmp_path, capsys):
+        cfg = small_cfg(n_paths=32, horizon_T=0.5, burn_in_T=0.1)
+        out = tmp_path / "paths.csv"
+        argv = ["simulate", "--mu", "0.08", "--sigma", "0.16", "--gamma", "5",
+                "--epsilon", "0", "--lambda", "0", "--policy", "hold",
+                "--paths", repr(cfg.n_paths), "--horizon", repr(cfg.horizon_T),
+                "--burn-in", repr(cfg.burn_in_T), "--dt", repr(cfg.dt),
+                "--seed", repr(cfg.seed), "--y0", repr(cfg.y0),
+                "--paths-csv", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "path_id,logX_T,time_in_NT,turnover_avg"
+        assert len(lines) == 33
+        tokens = lines[1].split(",")
+        assert int(tokens[0]) == 0
+        for tok in tokens[1:]:
+            float(tok)  # plain parseable numbers, no wrapper reprs
+        ens = simulate_paths(FRICTIONLESS, None, cfg)
+        assert float(tokens[1]) == ens.log_wealth_final[0]

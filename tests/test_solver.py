@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from spreadimpact._radau import GuardBox, PiecewisePolynomial
 from spreadimpact._radau import bracket_root as _bracket_root
 from spreadimpact.hjb import band_buy, band_sell, equation_terms, make_rhs_jac
 from spreadimpact import solver
+from spreadimpact.cli import main
 from spreadimpact.market import MarketParams, ParameterError, baseline
 from spreadimpact.solver import (
     DELTA,
@@ -694,3 +696,20 @@ class TestShooting:
         sol = solve_cache(1e-3, 1e-4)
         _, _, q_end = shoot(sol.params, sol.beta, False, 0.9)
         assert q_end < 0.0
+
+
+class TestSerialization:
+    def test_json_document(self, solve_cache, capsys):
+        sol = solve_cache(1e-3, 1e-4)
+        argv = ["solve", "--mu", "0.08", "--sigma", "0.16", "--gamma", "5",
+                "--epsilon", "0.001", "--lambda", "0.0001",
+                "--format", "json", "--grid-points", "101"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"beta", "y_minus", "y_plus", "grid", "params",
+                            "diagnostics"}
+        assert doc["params"]["lambda"] == 1e-4
+        assert doc["beta"] == sol.beta
+        grid = np.asarray(doc["grid"])
+        assert grid.shape[1] == 3
+        json.dumps(doc)  # must be serializable as-is
