@@ -36,6 +36,21 @@ least 2 s - eps^2/(1-eps) past the curve; on sampled inputs no leg that
 reached y* went 0.9 s past it. A step-size collapse is classified by the
 curve itself. The equation lives in :mod:`spreadimpact.hjb`;
 :func:`._radau.bracket_root` finds both beta and the band crossings.
+
+The two legs at one rate are independent, so they run at the same time
+(``_shoot_pair``, for every surplus evaluation and the final pass): the
+caller shoots the forward leg while one worker process (:mod:`._worker`)
+shoots the backward one. The worker is forked by the first solve, reused
+for the rest of the caller's life, and runs only :func:`shoot_leg`;
+refinement, the residual check and boundary location stay in the caller.
+Arguments and results are pickled, so the same code runs on the same
+floats and the answers are bit-identical to shooting both legs in the
+caller, which is what happens where ``os.fork`` is missing, a fork fails
+or the worker has died. The legs are read in that serial order: after a
+forward leg that diverged, the backward leg's result, or its exception, is
+discarded. On Python 3.12+ a fork while other threads run emits a
+DeprecationWarning. The worker runs the module as it stood at its fork:
+monkeypatches made after the first solve do not reach it.
 """
 
 from __future__ import annotations
@@ -46,7 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import hjb
+from . import _worker, hjb
 from ._radau import (
     GUARD_LOWER,
     GUARD_UPPER,
@@ -331,22 +346,60 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool,
 
 
 # ---------------------------------------------------------------------------
+# Leg pairs
+
+
+def _shoot_pair(params: MarketParams, beta: float, y_stop: float,
+                rtol: float, atol: float, work: dict):
+    """Yield the forward, then the backward leg's ``(leg, status)`` at rate
+    beta, onto ``y_stop``.
+
+    The backward leg is shot in the worker process (:mod:`._worker`) while
+    the forward leg is shot here. A backward leg the worker did not return
+    (no ``os.fork``, a failed fork, a dead worker, a raising leg) is shot
+    here, once it is asked for. Every leg shot is added to ``work``.
+    """
+    args = (params, beta, False, y_stop, rtol, atol)
+    forward, backward = _worker.beside(
+        lambda: shoot_leg(params, beta, True, y_stop, rtol, atol),
+        shoot_leg, args)
+    for shot in (forward, backward):
+        if shot:
+            _count(work, shot[0])
+    yield forward
+    if not backward:
+        backward = shoot_leg(*args)
+        _count(work, backward[0])
+    yield backward
+
+
+def _count(work: dict, leg: IntegrationResult) -> None:
+    """Add a leg and its ``nfev``, ``njev``, ``naccepted`` and
+    ``nrejected`` to ``work``."""
+    work["legs"] += 1
+    for key in ("nfev", "njev", "naccepted", "nrejected"):
+        work[key] += getattr(leg, key)
+
+
+# ---------------------------------------------------------------------------
 # Matching
 
 
 def _match_surplus(params: MarketParams, beta: float, y_mid: float,
-                   atol: float) -> float:
+                   atol: float, work: dict) -> float:
     """Surplus q0(y_mid) - q1(y_mid) of the two legs at rate beta.
 
     A leg that diverges before y_mid gives a surplus of +-1, with the sign
     its divergence implies: forward above means positive, below negative,
     and the backward leg mirrors both. The sign is exact; the unit size
     (beyond the surplus of matched legs near the root) only steers the
-    interpolation of the root search.
+    interpolation of the root search. The forward leg is read first, so
+    after a forward divergence the backward leg is never looked at.
     """
     ends = []
-    for forward, upper_sign in ((True, 1.0), (False, -1.0)):
-        leg, status = shoot_leg(params, beta, forward, y_mid, RTOL, atol)
+    for forward, upper_sign, (leg, status) in zip(
+            (True, False), (1.0, -1.0),
+            _shoot_pair(params, beta, y_mid, RTOL, atol, work)):
         if status == STALLED:
             side = "forward" if forward else "backward"
             raise NumericalFailure(
@@ -364,10 +417,19 @@ def _match_surplus(params: MarketParams, beta: float, y_mid: float,
 def solve(params: MarketParams) -> FreeBoundarySolution:
     """Solve the free-boundary problem for interior-regime parameters.
 
+    Each surplus evaluation and the final pass shoot their forward leg in
+    the calling process and their backward leg, at the same time, in a
+    worker process forked by the first solve (see the module docstring);
+    without ``os.fork`` both run in the caller, with bit-identical results.
+
     ``diagnostics["bisection_iterations"]`` counts the surplus evaluations
     of the rate search after the two bracket probes (each is one forward
     and one backward leg); ``beta_bracket_width`` is the width of the final
     sign-change bracket, zero when a surplus was exactly zero.
+    ``diagnostics["leg_work"]`` holds, for the ``search``, ``final`` and
+    ``refine`` legs, the ``legs`` shot and their ``nfev``, ``njev``,
+    ``naccepted`` and ``nrejected`` steps, summed over both processes; a
+    backward leg shot beside a forward leg that diverged counts too.
 
     Raises
     ------
@@ -412,9 +474,12 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     lo_in, hi_in = lo + nudge, hi - nudge
 
     atol = _auto_atol(params, hi, RTOL)
+    work = {phase: dict.fromkeys(("legs", "nfev", "njev", "naccepted",
+                                  "nrejected"), 0)
+            for phase in ("search", "final", "refine")}
 
     def surplus(beta_try: float) -> float:
-        return _match_surplus(params, beta_try, y_mid, atol)
+        return _match_surplus(params, beta_try, y_mid, atol, work["search"])
 
     surplus_lo = surplus(lo_in)
     surplus_hi = surplus(hi_in)
@@ -439,9 +504,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     # output misses REFINE_TARGET are refined before stitching.
     final_atol = max(1e-18, 0.01 * FINAL_RTOL * _q_scale(params, hi))
 
-    (leg_f, status_f), (leg_b, status_b) = (
-        shoot_leg(params, beta, forward, y_mid, FINAL_RTOL, final_atol)
-        for forward in (True, False))
+    (leg_f, status_f), (leg_b, status_b) = _shoot_pair(
+        params, beta, y_mid, FINAL_RTOL, final_atol, work["final"])
     if status_f != REACHED or status_b != REACHED:
         raise NumericalFailure(
             f"final stitched pass did not reach the matching point "
@@ -456,7 +520,7 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
             f"value-matching bound {MATCH_TOL:g}"
         )
     (sol_f, refined_f, jump_f), (sol_b, refined_b, jump_b) = (
-        _refine(params, beta, forward, leg, final_atol)
+        _refine(params, beta, forward, leg, final_atol, work["refine"])
         for forward, leg in ((True, leg_f), (False, leg_b)))
     q = _stitch(sol_f, sol_b)
     y_minus, y_plus = _locate_boundaries(params, q)
@@ -473,6 +537,7 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         "refined_steps": refined_f + refined_b,
         "max_splice_jump": max(jump_f, jump_b),
         "beta_bracket_width": abs(beta_other - beta),
+        "leg_work": work,
     }
     solution = FreeBoundarySolution(
         params=params,
@@ -489,8 +554,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
 
 
 def _refine(params: MarketParams, beta: float, forward: bool,
-            leg: IntegrationResult,
-            atol: float) -> tuple[PiecewisePolynomial, int, float]:
+            leg: IntegrationResult, atol: float,
+            work: dict) -> tuple[PiecewisePolynomial, int, float]:
     """A final leg's dense output, each step whose residual ratio exceeds
     REFINE_TARGET replaced by the cubics of a finer re-integration.
 
@@ -518,7 +583,7 @@ def _refine(params: MarketParams, beta: float, forward: bool,
         tried, best, m = [float(ratios[i])], None, 2
         while not tried[-1] <= REFINE_TARGET:
             split = _reshoot(rhs, jac, t0, float(knots[i + 1]),
-                             float(coeffs[i, 0]), m, atol, guard)
+                             float(coeffs[i, 0]), m, atol, guard, work)
             tried.append(float(np.max(_residual_ratio(params, beta,
                                                       split[0]))))
             if not tried[-1] < min(tried[:-1]):
@@ -553,16 +618,18 @@ def _refine(params: MarketParams, beta: float, forward: bool,
 
 
 def _reshoot(rhs, jac, t0: float, t1: float, q0: float, m: int, atol: float,
-             guard: GuardBox) -> tuple[PiecewisePolynomial, float]:
+             guard: GuardBox,
+             work: dict) -> tuple[PiecewisePolynomial, float]:
     """The step from (t0, q0) to t1 integrated again on m equal
     sub-intervals, each to its own end: the sub-steps' dense output and the
-    value reached at t1."""
+    value reached at t1. Each sub-step is added to ``work``."""
     knots, coeffs = [np.array([t0])], []
     a, q_a = t0, q0
     for k in range(1, m + 1):
         b = t1 if k == m else t0 + (t1 - t0) * k / m
         sub = integrate_guarded(rhs, jac, a, b, q_a, FINAL_RTOL, atol,
                                 guard=guard)
+        _count(work, sub)
         if sub.status != REACHED:
             raise NumericalFailure(
                 f"refining the final step at y={t0!r}: a sub-step ended "

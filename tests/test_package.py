@@ -4,6 +4,9 @@ import inspect
 import os
 import subprocess
 import sys
+import textwrap
+
+import pytest
 
 import spreadimpact
 from spreadimpact import asymptotic, montecarlo, solver, whittaker
@@ -78,6 +81,44 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_starts_no_process_and_solve_starts_one():
+    # The backward-leg worker is forked by the first solve, not at import,
+    # and without multiprocessing; later solves reuse it.
+    if not (hasattr(os, "fork") and os.path.isdir("/proc/self")):
+        pytest.skip("needs os.fork and /proc")
+    src = os.path.dirname(os.path.dirname(spreadimpact.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = textwrap.dedent("""
+        import os, sys
+        import spreadimpact, spreadimpact.cli
+
+        def children():
+            pids = []
+            for name in os.listdir("/proc"):
+                try:
+                    with open(f"/proc/{name}/stat") as fh:
+                        ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+                except (OSError, ValueError, IndexError):
+                    continue
+                if ppid == os.getpid():
+                    pids.append(int(name))
+            return pids
+
+        print("multiprocessing" in sys.modules, children())
+        params = spreadimpact.MarketParams(epsilon=1e-3, lam=1e-4, mu=0.08,
+                                           sigma=0.16, gamma=5.0)
+        spreadimpact.solve(params)
+        first = children()
+        spreadimpact.solve(params)
+        print(len(first), first == children())
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["False []", "1 True"]
 
 
 def test_whittaker_exports_only_what_the_package_uses():

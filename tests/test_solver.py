@@ -145,25 +145,16 @@ class TestSolve:
             FRICTIONLESS - FLOOR)
 
     @pytest.mark.parametrize("eps,lam", sorted(REFERENCE_BETAS))
-    def test_search_legs_do_not_waste_newton_work(self, eps, lam,
-                                                  monkeypatch):
+    def test_search_legs_do_not_waste_newton_work(self, eps, lam):
         # Newton stops at a fixed fraction of the local error tolerance, so
         # at the search's rtol it no longer fails on error it cannot see:
         # about 9 rhs calls per accepted step and one rejected step in ten,
         # where a sqrt(rtol) stopping test took 12-14 calls and rejected
         # about half as many steps as it accepted.
-        work = {"nfev": 0, "naccepted": 0, "nrejected": 0}
-        integrate = solver.integrate_guarded
-
-        def counting(*args, **kwargs):
-            leg = integrate(*args, **kwargs)
-            if args[5] == solver.RTOL:  # the final pass runs at FINAL_RTOL
-                for key in work:
-                    work[key] += getattr(leg, key)
-            return leg
-
-        monkeypatch.setattr(solver, "integrate_guarded", counting)
-        solve(params_with(eps, lam))
+        diagnostics = solve(params_with(eps, lam)).diagnostics
+        work = diagnostics["leg_work"]["search"]
+        # One forward leg per surplus evaluation; the rest are backward.
+        assert work["legs"] > diagnostics["bisection_iterations"] + 2
         assert work["nfev"] <= 11 * work["naccepted"]
         assert 0.03 <= work["nrejected"] / work["naccepted"] <= 0.25
 
@@ -184,28 +175,31 @@ class TestSolve:
         # backward) as the leg's guard sits past it. The farthest measured
         # excursion is 0.88 s, at (5e-2, 1e-2), against a guard 3 s out.
         params = params_with(eps, lam)
-        worst = []
-        integrate = solver.integrate_guarded
+        worst = {True: [], False: []}
+        shoot_pair = solver._shoot_pair
 
-        def checking(*args, **kwargs):
-            leg = integrate(*args, **kwargs)
-            if args[5] == RTOL and leg.status == "reached":
-                ys = leg.sol.knots
-                qs = leg.sol(ys)
-                forward = ys[-1] > ys[0]
-                guard = solver._leg_guard(params, forward)
-                if forward:
-                    curve = band_sell(ys, eps)
-                    past, guard_past = curve - qs, curve - guard.lower_q
-                else:
-                    curve = band_buy(ys, eps)
-                    past, guard_past = qs - curve, guard.upper_q - curve
-                worst.append(float(np.max(past / guard_past)))
-            return leg
+        # Both legs of a pair come back to the caller here, the backward
+        # one from the worker; a leg the solver does not read is not seen.
+        def checking(*args):
+            for forward, (leg, status) in zip((True, False),
+                                              shoot_pair(*args)):
+                if args[3] == RTOL and status == "reached":
+                    ys = leg.sol.knots
+                    qs = leg.sol(ys)
+                    guard = solver._leg_guard(params, forward)
+                    if forward:
+                        curve = band_sell(ys, eps)
+                        past, guard_past = curve - qs, curve - guard.lower_q
+                    else:
+                        curve = band_buy(ys, eps)
+                        past, guard_past = qs - curve, guard.upper_q - curve
+                    worst[forward].append(float(np.max(past / guard_past)))
+                yield leg, status
 
-        monkeypatch.setattr(solver, "integrate_guarded", checking)
+        monkeypatch.setattr(solver, "_shoot_pair", checking)
         solve(params)
-        assert worst and max(worst) < 0.5
+        assert worst[True] and worst[False]
+        assert max(worst[True] + worst[False]) < 0.5
 
     def test_rate_falls_with_either_cost(self, solve_cache):
         # beta is non-increasing in eps and in lam, on the acceptance grid
