@@ -247,7 +247,7 @@ def _initial_step(f, t0, q0, f0, direction, t_bound, rtol, atol):
 
 
 def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
-                      guard: GuardBox | None = None) -> IntegrationResult:
+                      guard: GuardBox) -> IntegrationResult:
     """Integrate dq/dt = f(t, q) from t0 to t_bound with terminal guards.
 
     Parameters
@@ -259,9 +259,10 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
         a smaller step.
     rtol, atol : float
         Local error is kept below ``atol + rtol * |q|`` per step.
-    guard : GuardBox, optional
+    guard : GuardBox
         Terminal region; crossing it ends the run with status "upper" or
-        "lower" at the first accepted step point inside the region.
+        "lower" at the first accepted step point inside the region. A
+        ``GuardBox()`` with its default infinite bounds never ends a run.
     """
     direction = 1.0 if t_bound >= t0 else -1.0
     f0 = f(t0, q0)
@@ -471,7 +472,7 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
         if not math.isfinite(f_new):
             # Accepted state sits outside the meaningful domain; only
             # acceptable if a guard explains it.
-            if guard is not None and guard.breach(t_new, q_new):
+            if guard.breach(t_new, q_new):
                 f_new = 0.0
             else:
                 status = STALLED
@@ -495,7 +496,7 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
         polys.append((p0, p1, p2))
         n_acc += 1
 
-        breach = guard.breach(t_new, q_new) if guard is not None else None
+        breach = guard.breach(t_new, q_new)
         if breach is not None:
             t_end, y_end = t_new, q_new
             status = breach

@@ -10,10 +10,10 @@ r_B(z, l(z)) = 1, with l(z) the welfare coefficient implied by the explicit
 odd cubic solving the mid-band equation.
 
 Everything downstream (approximate rate, boundaries, turnover, and the
-near-boundary slope constants) is assembled here. Where the Whittaker route
-loses too many digits, r_B is recovered by integrating the Riccati equation
-inward from a far-field start; the same integration doubles as the
-independent cross-check of the closed form.
+near-boundary slope constants) is assembled here. The closed form is the
+only evaluation of r_B: where the Whittaker functions would lose too many
+digits they raise ``CancellationError`` (a ``SpecialFunctionError``), and
+``find_z_minus`` reports that as ``NoRootError``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._radau import REACHED, bracket_root, integrate_guarded
+from ._radau import bracket_root
 from .market import MarketParams, baseline, validate
-from .whittaker import CancellationError, whittaker_w_ratio
+from .whittaker import whittaker_w_ratio
 
 __all__ = [
     "AsymptoticInputs",
@@ -152,62 +152,22 @@ def _whittaker_parameters(z: float, l: float, inputs: AsymptoticInputs
     return a, c, k, a * S * z * z, (1.0 + c / S) / (2.0 * a)
 
 
-def _whittaker_r_buy(z: float, l: float, inputs: AsymptoticInputs) -> float:
-    """Closed-form r_B(z, l) for z < 0 via the Whittaker-function ratio."""
-    a, _, k, x, g_const = _whittaker_parameters(z, l, inputs)
-    ratio = whittaker_w_ratio(k, _M_INDEX, x)
-    return (-g_const / z + 1.0 + inputs.growth_slope * z
-            - (2.0 / (a * z)) * ratio)
-
-
-def _riccati_r_buy(z: float, l: float, inputs: AsymptoticInputs) -> float:
-    """r_B(z, l) for z < 0 by integrating the buy-region Riccati equation
-    inward from a far-field start where the solution is linear."""
-    S = inputs.growth_slope
-    v2 = inputs.curvature_scale
-    gs2 = inputs.params.gamma * inputs.params.sigma**2
-    four_k = 4.0 * inputs.K
-    z_far = -10.0 * max(1.0, abs(z))
-    r_far = -S * z_far + 1.0
-
-    def rhs(t, r):
-        return (gs2 * t * t / 2.0 - l - (r - 1.0) ** 2 / four_k) / (0.5 * v2)
-
-    def jac(t, r):
-        return -(r - 1.0) / (2.0 * inputs.K) / (0.5 * v2)
-
-    result = integrate_guarded(rhs, jac, z_far, z, r_far, 1e-10, 1e-12)
-    if result.status != REACHED:
-        raise ArithmeticError(
-            f"Riccati integration for r_B failed at z={z!r} "
-            f"(status {result.status})"
-        )
-    return result.y_end
-
-
-def r_buy(z: float, l: float, inputs: AsymptoticInputs,
-          method: str = "auto") -> float:
-    """Buy-region solution r_B(z, l) of the rescaled equation.
+def r_buy(z: float, l: float, inputs: AsymptoticInputs) -> float:
+    """Buy-region solution r_B(z, l) of the rescaled equation, by the closed
+    form.
 
     Defined for all z != 0 through the reflection r_B(-z) = 2 - r_B(z).
-    ``method`` selects the evaluation route: "whittaker", "riccati", or
-    "auto" (closed form with fallback to integration when the special
-    functions report a loss of significance).
+    Raises CancellationError (a SpecialFunctionError) where the Whittaker
+    ratio cannot be computed to its advertised accuracy.
     """
     if z == 0.0:
         raise ValueError("r_buy is singular at z = 0")
     if z > 0.0:
-        return 2.0 - r_buy(-z, l, inputs, method=method)
-    if method == "riccati":
-        return _riccati_r_buy(z, l, inputs)
-    if method == "whittaker":
-        return _whittaker_r_buy(z, l, inputs)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    try:
-        return _whittaker_r_buy(z, l, inputs)
-    except CancellationError:
-        return _riccati_r_buy(z, l, inputs)
+        return 2.0 - r_buy(-z, l, inputs)
+    a, _, k, x, g_const = _whittaker_parameters(z, l, inputs)
+    ratio = whittaker_w_ratio(k, _M_INDEX, x)
+    return (-g_const / z + 1.0 + inputs.growth_slope * z
+            - (2.0 / (a * z)) * ratio)
 
 
 def find_z_minus(inputs: AsymptoticInputs) -> AsymptoticSolution:
@@ -222,17 +182,16 @@ def find_z_minus(inputs: AsymptoticInputs) -> AsymptoticSolution:
     bracket to _Z_TOL. Right of z_minus the roots alternate with poles of the
     Whittaker ratio, no closer to each other than a few percent of |z|, so
     the first sign change is the most negative root. The root is accepted
-    only if r_B(z_minus, l(z_minus)) meets 1 to _ROOT_ACCEPT on the ``auto``
-    route; every failure raises NoRootError.
+    only if r_B(z_minus, l(z_minus)) meets 1 to _ROOT_ACCEPT; every failure,
+    a refusal of the closed form included, raises NoRootError.
     """
     params = inputs.params
     y = inputs.y_star
     z = -_START_MARGIN * (1.5 / params.gamma * (y * (1.0 - y)) ** 2) ** (
         1.0 / 3.0)
 
-    def f(z: float, method: str = "whittaker") -> float:
-        return r_buy(z, welfare_coefficient(z, params), inputs,
-                     method=method) - 1.0
+    def f(z: float) -> float:
+        return r_buy(z, welfare_coefficient(z, params), inputs) - 1.0
 
     def failure(reason: str) -> NoRootError:
         return NoRootError(f"{reason} at z={z:g} (f={fz:g}) for "
@@ -252,7 +211,7 @@ def find_z_minus(inputs: AsymptoticInputs) -> AsymptoticSolution:
             fz = f(z)
             evaluations += 1
         z, _, refinements = bracket_root(f, z_out, z, f_out, fz, _Z_TOL)
-        fz = f(z, "auto")
+        fz = f(z)
     except ArithmeticError as exc:
         fz = math.nan
         raise failure(f"the closed form failed ({exc})") from exc

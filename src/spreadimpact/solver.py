@@ -195,14 +195,6 @@ class TradingPolicy:
             u = u * self.scale_outside_band
         return u
 
-    @property
-    def y_minus(self) -> float:
-        return self.solution.y_minus
-
-    @property
-    def y_plus(self) -> float:
-        return self.solution.y_plus
-
     def tabulated(self):
         """Piecewise-linear evaluator for simulation inner loops.
 

@@ -4,8 +4,10 @@ The decaying confluent solution W(k, m, x) is evaluated by two routes: its
 defining combination of the regular solutions (each a Kummer series), and the
 divergent large-argument series truncated at its smallest term. The
 combination cancels catastrophically as the argument grows, so it carries a
-loss-of-significance monitor; callers that trip it fall back to direct
-integration of the underlying Riccati equation (see the asymptotic module).
+loss-of-significance monitor, and each series is watched for cancellation
+among its own terms: a Kummer series that cancels too far raises
+``CancellationError``, and a large-argument sum that does is not certified.
+A ``CancellationError`` reaches the caller.
 ``whittaker_w`` and the ratio ``whittaker_w_ratio`` share one route rule:
 above ``X_SWITCH`` the large-argument series wherever it certifies, below it
 the combination, unless the certified series has the smaller error estimate.
@@ -30,6 +32,12 @@ __all__ = [
 X_SWITCH = 30.0
 # Decimal digits the combination route may cancel before it is rejected.
 CANCELLATION_DIGITS_LIMIT = 10.0
+# A series whose largest summed term exceeds this multiple of its sum has
+# cancelled too far for its rounded terms to fix the sum: the Kummer series
+# raises CancellationError and the large-argument series is not certified.
+# Looser than CANCELLATION_DIGITS_LIMIT, because the expansion's accurate
+# roots need up to 11.3 digits of it and its wrong ones cancel 13.7 or more.
+_SERIES_CANCELLATION_LIMIT = 1e12
 # Certification threshold for the truncated large-argument series; stricter
 # than the advertised 1e-6 so the handoff test has headroom.
 _ASYMPTOTIC_CERTIFY = 1e-7
@@ -90,18 +98,29 @@ def _kummer_series(a: float, b: float, x: float) -> float:
 
     The term recurrence term_{n+1} = term_n * (a+n) x / ((b+n)(n+1)) is used
     verbatim; no rearrangement of the summand. The running sum only decides
-    where to stop.
+    where to stop. Raises CancellationError when the largest term exceeds
+    _SERIES_CANCELLATION_LIMIT times the sum.
     """
     term = 1.0
     terms = [term]
     total = term
+    peak = 1.0
     for n in range(_SERIES_MAX_TERMS):
         term = term * (a + n) * x / ((b + n) * (n + 1))
         terms.append(term)
         total += term
-        if abs(term) <= 1e-17 * abs(total) and n >= 4:
+        size = abs(term)
+        if size > peak:
+            peak = size
+        if size <= 1e-17 * abs(total) and n >= 4:
             break
-    return math.fsum(terms)
+    value = math.fsum(terms)
+    if peak > _SERIES_CANCELLATION_LIMIT * abs(value):
+        raise CancellationError(
+            f"Kummer series cancels: largest term {peak:g} for a sum of "
+            f"{value:g} at a={a:g}, b={b:g}, x={x:g}"
+        )
+    return value
 
 
 def _m_series(k: float, m: float, x: float) -> float:
@@ -149,22 +168,26 @@ def _w_asymptotic_sum(k: float, m: float, x: float) -> tuple[float, float]:
     Returns (sum, relative error estimate). Terms may grow before they
     shrink when k is large; truncation is at the smallest term after the
     first (the earliest one on a tie), with the error estimated by that
-    term, and the kept terms are summed exactly rounded (fsum).
+    term, and the kept terms are summed exactly rounded (fsum). The estimate
+    is infinite (the sum is not certified) when the largest kept term
+    exceeds _SERIES_CANCELLATION_LIMIT times the sum.
     """
     term = 1.0
     terms = [term]
     best, smallest = 0, math.inf
+    peak = kept_peak = 1.0
     for s in range(1, _ASYMPTOTIC_MAX_TERMS):
         term = term * (m * m - (k - s + 0.5) ** 2) / (s * x)
         terms.append(term)
-        if abs(term) < smallest:
-            best, smallest = s, abs(term)
-        if abs(term) < 1e-18:
-            break
-        if abs(term) > 1e8:
+        size = abs(term)
+        if size > peak:
+            peak = size
+        if size < smallest:
+            best, smallest, kept_peak = s, size, peak
+        if size < 1e-18 or size > 1e8:
             break
     total = math.fsum(terms[: best + 1])
-    if total == 0.0:
+    if kept_peak > _SERIES_CANCELLATION_LIMIT * abs(total):
         return total, math.inf
     return total, smallest / abs(total)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from spreadimpact._radau import REACHED, GuardBox, integrate_guarded
 from spreadimpact.market import MarketParams
 from spreadimpact.solver import FreeBoundarySolution, solve
 
@@ -23,3 +24,32 @@ def solve_cache(base_market):
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def riccati_r_buy():
+    """Oracle for the closed form of the expansion's r_B(z, l), z < 0: the
+    buy-region Riccati equation integrated inward from a far-field start
+    where the solution is linear, at rtol 1e-10 and atol 1e-12."""
+
+    def r_buy(z, l, inputs):
+        S = inputs.growth_slope
+        v2 = inputs.curvature_scale
+        gs2 = inputs.params.gamma * inputs.params.sigma**2
+        four_k = 4.0 * inputs.K
+        z_far = -10.0 * max(1.0, abs(z))
+        r_far = -S * z_far + 1.0
+
+        def rhs(t, r):
+            return (gs2 * t * t / 2.0 - l - (r - 1.0) ** 2 / four_k) / (
+                0.5 * v2)
+
+        def jac(t, r):
+            return -(r - 1.0) / (2.0 * inputs.K) / (0.5 * v2)
+
+        result = integrate_guarded(rhs, jac, z_far, z, r_far, 1e-10, 1e-12,
+                                   GuardBox())
+        assert result.status == REACHED, (z, result.status)
+        return result.y_end
+
+    return r_buy

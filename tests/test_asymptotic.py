@@ -16,11 +16,15 @@ from spreadimpact.asymptotic import (
 )
 from spreadimpact.cli import main
 from spreadimpact.market import MarketParams
+from spreadimpact.whittaker import CancellationError
 
 BASE = dict(mu=0.08, sigma=0.16, gamma=5.0)
 # A market with y* = 0.15, below 1/2.
 LOW_WEIGHT = dict(mu=0.03, sigma=0.2, gamma=5.0)
 FRICTIONLESS = 0.025
+# Off-base markets of the small-K oracle test.
+Y_STAR_090 = dict(mu=0.072, sigma=0.2, gamma=2.0)
+GAMMA_20 = dict(mu=0.04, sigma=0.2, gamma=20.0)
 # The oracle's scan: 20,000 points on [-50 (y*(1-y*))^(2/3), -1e-4].
 ORACLE_WINDOW = 50.0
 ORACLE_POINTS = 20000
@@ -46,13 +50,12 @@ def bisection_oracle(inp):
     them: every sign change of the closed form on the scan is bisected (at
     most 48 halvings, to a width below 1e-12) unless both ends exceed 0.5
     in size (a pole), and its midpoint is kept if it meets the equation to
-    find_z_minus's acceptance bound on the fallback route."""
+    find_z_minus's acceptance bound."""
     params = inp.params
 
     def f_scan(z):
         try:
-            return r_buy(z, welfare_coefficient(z, params), inp,
-                         method="whittaker") - 1.0
+            return r_buy(z, welfare_coefficient(z, params), inp) - 1.0
         except ArithmeticError:
             return math.nan
 
@@ -144,12 +147,20 @@ class TestRBuy:
             assert errs[0] > errs[1] > errs[2]
             assert errs[2] < 0.05
 
-    def test_routes_agree(self, expansions):
+    def test_routes_agree(self, expansions, riccati_r_buy):
         for K, (inp, sol) in expansions.items():
             for z in np.linspace(-5.0, -0.5, 10):
-                w = r_buy(float(z), sol.l, inp, method="whittaker")
-                rc = r_buy(float(z), sol.l, inp, method="riccati")
+                w = r_buy(float(z), sol.l, inp)
+                rc = riccati_r_buy(float(z), sol.l, inp)
                 assert w == pytest.approx(rc, rel=1e-6), (K, z)
+
+    def test_refuses_a_cancelling_series(self):
+        # Base market, K = 1e-4, near where the march would start: the
+        # Whittaker ratio cannot be computed there, and r_B raises.
+        inp = make_inputs(1e-4)
+        z = -0.2672
+        with pytest.raises(CancellationError):
+            r_buy(z, welfare_coefficient(z, inp.params), inp)
 
     def test_reflection_identity(self, expansions):
         inp, sol = expansions[1.0]
@@ -195,6 +206,24 @@ class TestFindZMinus:
             residual = r_buy(sol.z_minus,
                              welfare_coefficient(sol.z_minus, inp.params), inp)
             assert abs(residual - 1.0) <= _ROOT_ACCEPT, K
+
+    def test_accepted_roots_meet_the_riccati_oracle(self, riccati_r_buy):
+        # At small K the series behind the closed form cancel: every root
+        # find_z_minus accepts must still solve r_B(z, l(z)) = 1 to
+        # _ROOT_ACCEPT on the integrated Riccati equation, and the inputs
+        # it cannot certify raise NoRootError. The base market solves at
+        # every K here.
+        for market in (BASE, LOW_WEIGHT, Y_STAR_090, GAMMA_20):
+            for K in (5e-3, 7e-3, 1e-2, 1.5e-2, 2e-2):
+                inp = make_inputs(K, market=market)
+                try:
+                    sol = find_z_minus(inp)
+                except NoRootError:
+                    assert market is not BASE, K
+                    continue
+                l = welfare_coefficient(sol.z_minus, inp.params)
+                residual = riccati_r_buy(sol.z_minus, l, inp) - 1.0
+                assert abs(residual) <= _ROOT_ACCEPT, (market, K, residual)
 
     def test_slope_constant_matches_riccati_identity(self, expansions):
         # At the matched boundary the quadratic term vanishes, so the slope

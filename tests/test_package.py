@@ -121,6 +121,13 @@ def test_import_starts_no_process_and_solve_starts_one():
     assert out.stdout.split("\n")[:2] == ["False []", "1 True"]
 
 
+def test_expansion_evaluates_r_buy_by_the_closed_form_only():
+    # The Riccati integration is a test oracle, not a route of the library.
+    assert not hasattr(asymptotic, "integrate_guarded")
+    assert list(inspect.signature(asymptotic.r_buy).parameters) == [
+        "z", "l", "inputs"]
+
+
 def test_whittaker_exports_only_what_the_package_uses():
     assert set(whittaker.__all__) == WHITTAKER_PUBLIC
     assert len(whittaker.__all__) == len(WHITTAKER_PUBLIC)

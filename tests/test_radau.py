@@ -32,20 +32,21 @@ class TestAgainstClosedForms:
         rate = 1e6
         f = lambda t, q: -rate * (q - math.cos(t)) - math.sin(t)
         jac = lambda t, q: -rate
-        res = integrate_guarded(f, jac, 0.0, 10.0, 1.0, 1e-10, 1e-12)
+        res = integrate_guarded(f, jac, 0.0, 10.0, 1.0, 1e-10, 1e-12,
+                                GuardBox())
         assert res.status == "reached"
         assert res.y_end == pytest.approx(math.cos(10.0), abs=1e-9)
 
     def test_backward_exponential(self):
         res = integrate_guarded(lambda t, q: q, lambda t, q: 1.0,
-                                2.0, 0.0, 1.0, 1e-12, 1e-14)
+                                2.0, 0.0, 1.0, 1e-12, 1e-14, GuardBox())
         assert res.status == "reached"
         assert res.y_end == pytest.approx(math.exp(-2.0), rel=1e-11)
 
     def test_dense_output_between_steps(self):
         f = lambda t, q: -q + math.sin(t)
         res = integrate_guarded(f, lambda t, q: -1.0, 0.0, 6.0, 0.5,
-                                1e-11, 1e-13)
+                                1e-11, 1e-13, GuardBox())
         exact = lambda t: (0.5 + 0.5) * np.exp(-t) + 0.5 * (np.sin(t)
                                                             - np.cos(t))
         ts = np.linspace(0.1, 5.9, 200)
@@ -109,7 +110,8 @@ class TestAgainstClosedForms:
         # on the flat part overshoot the turn at t = 1 and fail the error
         # test instead.
         res = integrate_guarded(lambda t, q: math.tanh(50.0 * (t - 1.0)),
-                                lambda t, q: 0.0, 0.0, 2.0, 0.0, 1e-8, 1e-10)
+                                lambda t, q: 0.0, 0.0, 2.0, 0.0, 1e-8, 1e-10,
+                                GuardBox())
         assert res.status == "reached"
         assert res.nrejected > 0
 
@@ -127,7 +129,7 @@ class TestAgainstScipy:
         y0, start = _leg_start(params, beta, forward, rhs, jac)
         span = (y0, params.merton_weight)
         mine = integrate_guarded(rhs, jac, span[0], span[1], start,
-                                 1e-10, 1e-15)
+                                 1e-10, 1e-15, GuardBox())
         ref = solve_ivp(lambda t, q: [rhs(t, q[0])], span, [start],
                         method="Radau", jac=lambda t, q: [[jac(t, q[0])]],
                         rtol=1e-10, atol=1e-15)

@@ -199,6 +199,19 @@ class TestWhittakerW:
         with pytest.raises(CancellationError):
             _refuse_cancellation(cancellation, 0.05, -0.25, 29.5)
 
+    def test_series_cancellation_is_refused(self):
+        # Where the expansion's march starts at K = 1e-3 on the base market,
+        # the kept large-argument terms peak near 4e6 for a sum of 2e-10 and
+        # the Kummer series cancels 16 digits: the ratio came out 127.47
+        # against mpmath's 174.21. Neither series may pass such a sum on.
+        from spreadimpact.whittaker import _w_asymptotic_sum
+        k, m, x = 92.32372984836786, -0.25, 406.16447272510277
+        assert _w_asymptotic_sum(k, m, x)[1] == math.inf
+        with pytest.raises(CancellationError):
+            _kummer_series(0.5 + m - k, 1.0 + 2.0 * m, x)
+        with pytest.raises(CancellationError):
+            whittaker_w_ratio(k, m, x)
+
     def test_ratio_survives_extreme_arguments(self):
         # The individual W values underflow near x ~ 1400; the ratio must not.
         r = whittaker_w_ratio(2.0, -0.25, 1421.0)
