@@ -173,6 +173,23 @@ def baseline(params: MarketParams) -> FrictionlessBaseline:
     )
 
 
+def friction_loss(params: MarketParams) -> float:
+    """G, the sum of the two one-friction welfare losses at the frictionless
+    weight y*: the pure-spread loss (gamma sigma^2 / 2) hw^2 with half-width
+    hw = (3/(4 gamma) y*^2 (1-y*)^2 2 eps)^(1/3) (Janecek & Shreve 2004),
+    plus the pure-impact loss C sqrt(lam) with C = v^2 sqrt(2 gamma
+    sigma^2) / 2, v = sigma y* (1-y*) (Garleanu & Pedersen 2013). The
+    exact loss lies close below it: in [0.64, 1.00] times G on the 203
+    sampled inputs of the README's domain table that solve."""
+    y = params.merton_weight
+    gs2 = params.gamma * params.sigma**2
+    v = params.sigma * y * (1.0 - y)
+    half_width = (3.0 / (4.0 * params.gamma) * (y * (1.0 - y)) ** 2
+                  * 2.0 * params.epsilon) ** (1.0 / 3.0)
+    return (0.5 * gs2 * half_width**2
+            + 0.5 * v * v * math.sqrt(2.0 * gs2 * params.lam))
+
+
 def degenerate_regime(params: MarketParams) -> AllocationRegime:
     """Classify the parameters into interior or buy-and-hold regimes.
 

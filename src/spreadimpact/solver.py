@@ -7,9 +7,15 @@ value), both onto the frictionless weight y*. The surplus q0(y*) - q1(y*)
 changes sign exactly once in beta on the admissible bracket; trajectories
 that diverge before reaching y* are classified by which side of the band
 they left through, and count as a surplus of +-1 with the sign that side
-implies. Brent's method on the surplus pins beta in about ten evaluations,
-after which a final high-accuracy pass shoots the matched legs and locates
-the no-trade boundaries.
+implies. The search first probes the inner bracket [beta0 - 1.25 G,
+beta0 - 0.7 G], where beta0 is the frictionless rate and G
+(``market.friction_loss``) the sum of the pure-spread and pure-impact
+losses; sampled exact losses lie in [0.64, 1.00] G. Only when that misses
+the root does it probe the admissible bracket's ends. Brent's method then
+runs from the narrowest sign change among the probed rates and pins beta
+in about seven evaluations, the probes included, after which a final
+high-accuracy pass shoots the matched legs and locates the no-trade
+boundaries.
 
 The solution's q is the legs' own dense output: the Radau collocation cubic
 of every accepted step, forward from y = delta up to y*, then backward from
@@ -79,6 +85,7 @@ from .market import (
     ParameterError,
     baseline,
     degenerate_regime,
+    friction_loss,
     validate,
 )
 
@@ -99,8 +106,8 @@ __all__ = [
 # REFINE_TARGET is 0.5 on the scale of residual_ratio_half_budget (0.7 of
 # the budget), which leaves room for the rounding of the stitched backward
 # pieces. DELTA is the offset of both boundary starts. The rate search ends
-# when the beta bracket is no wider than BETA_TOL_REL times its initial
-# width.
+# when the beta bracket is no wider than BETA_TOL_REL times the admissible
+# bracket's width, whichever bracket it started from.
 RTOL = 1e-10
 FINAL_RTOL = 1e-13
 REFINE_TARGET = 0.5 * 0.7
@@ -414,10 +421,16 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     worker process forked by the first solve (see the module docstring);
     without ``os.fork`` both run in the caller, with bit-identical results.
 
-    ``diagnostics["bisection_iterations"]`` counts the surplus evaluations
-    of the rate search after the two bracket probes (each is one forward
-    and one backward leg); ``beta_bracket_width`` is the width of the final
-    sign-change bracket, zero when a surplus was exactly zero.
+    The rate search probes the inner bracket [beta0 - 1.25 G, beta0 - 0.7
+    G] first (``market.friction_loss`` gives G), and the admissible
+    bracket's ends only when the inner one does not hold the root or does
+    not lie strictly inside them; ``diagnostics["search_bracket"]`` is the
+    narrowest sign-change bracket among the probed rates, which Brent starts
+    from, and ``["bisection_iterations"]`` counts the surplus evaluations
+    after the probes (each is one forward and one backward leg).
+    ``beta_bracket_width`` is the width of the final sign-change bracket,
+    zero when a surplus was exactly zero; it is at most ``BETA_TOL_REL``
+    times the admissible bracket's width, wherever the search started.
     ``diagnostics["leg_work"]`` holds, for the ``search``, ``final`` and
     ``refine`` legs, the ``legs`` shot and their ``nfev``, ``njev``,
     ``naccepted`` and ``nrejected`` steps, summed over both processes; a
@@ -431,10 +444,12 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         needs a strictly positive impact cost).
     NoMatchError
         The surplus has the same sign at both ends of the admissible rate
-        bracket; the frictions are too large for the construction.
+        bracket; the frictions are too large for the construction. It is
+        raised only after both ends were probed.
     NumericalFailure
         An integration leg failed in a way that cannot be classified, the
-        surplus changes sign the wrong way round on the rate bracket, the
+        surplus changes sign the wrong way round on the inner or the
+        admissible rate bracket, the
         final legs meet at y* with a jump beyond the value-matching bound,
         no split of a flagged final step meets the residual budget, or the
         stitched q breaks an invariant or misses its residual budget.
@@ -473,24 +488,37 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     def surplus(beta_try: float) -> float:
         return _match_surplus(params, beta_try, y_mid, atol, work["search"])
 
-    surplus_lo = surplus(lo_in)
-    surplus_hi = surplus(hi_in)
-    sign_lo, sign_hi = np.sign(surplus_lo), np.sign(surplus_hi)
-    bracket_as_expected = sign_lo < 0.0 < sign_hi
-    if sign_lo == sign_hi:
-        raise NoMatchError(
-            f"no sign change of the shooting surplus on the rate bracket "
-            f"[{lo:.6g}, {hi:.6g}] (signs {sign_lo:+.0f}/{sign_hi:+.0f}); "
-            "the frictions are too large for the free-boundary construction"
-        )
-    if not bracket_as_expected:
-        raise NumericalFailure(
-            f"the shooting surplus changes sign the wrong way round on the "
-            f"rate bracket [{lo:.6g}, {hi:.6g}] (signs "
-            f"{sign_lo:+.0f}/{sign_hi:+.0f}); a leg was misclassified"
-        )
+    # Probe the inner bracket the two friction limits give first, and the
+    # admissible bracket's ends only when it misses the root; Brent starts
+    # from the narrowest sign change among the probed rates.
+    loss = friction_loss(params)
+    inner = (hi - 1.25 * loss, hi - 0.7 * loss)
+    brackets = [(lo_in, hi_in)]
+    if lo_in < inner[0] < inner[1] < hi_in:
+        brackets.insert(0, inner)
+    probed = {}
+    for a, b in brackets:
+        probed[a], probed[b] = surplus(a), surplus(b)
+        sign_a, sign_b = np.sign(probed[a]), np.sign(probed[b])
+        if sign_a < 0.0 < sign_b:
+            break
+        if a == lo_in and sign_a == sign_b:
+            raise NoMatchError(
+                f"no sign change of the shooting surplus on the rate bracket "
+                f"[{lo:.6g}, {hi:.6g}] (signs {sign_a:+.0f}/{sign_b:+.0f}); "
+                "the frictions are too large for the free-boundary "
+                "construction"
+            )
+        if a == lo_in or sign_a > 0.0 > sign_b:
+            raise NumericalFailure(
+                f"the shooting surplus changes sign the wrong way round on "
+                f"the rate bracket [{a:.6g}, {b:.6g}] (signs "
+                f"{sign_a:+.0f}/{sign_b:+.0f}); a leg was misclassified"
+            )
+    below = max(x for x, s in probed.items() if s < 0.0)
+    above = min(x for x in probed if x > below)
     beta, beta_other, iterations = bracket_root(
-        surplus, lo_in, hi_in, surplus_lo, surplus_hi, beta_tol)
+        surplus, below, above, probed[below], probed[above], beta_tol)
 
     # Final stitched pass at a tighter tolerance; the steps whose dense
     # output misses REFINE_TARGET are refined before stitching.
@@ -520,7 +548,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     diagnostics = {
         "bisection_iterations": iterations,
         "matching_residual": matching_residual,
-        "bracket_signs_expected": bool(bracket_as_expected),
+        "bracket_signs_expected": True,
+        "search_bracket": (below, above),
         "rtol": RTOL,
         "final_rtol": FINAL_RTOL,
         "final_atol": final_atol,

@@ -15,7 +15,7 @@ from spreadimpact.asymptotic import (
     welfare_coefficient,
 )
 from spreadimpact.cli import main
-from spreadimpact.market import MarketParams
+from spreadimpact.market import MarketParams, friction_loss
 from spreadimpact.whittaker import CancellationError
 
 BASE = dict(mu=0.08, sigma=0.16, gamma=5.0)
@@ -206,6 +206,32 @@ class TestFindZMinus:
             residual = r_buy(sol.z_minus,
                              welfare_coefficient(sol.z_minus, inp.params), inp)
             assert abs(residual - 1.0) <= _ROOT_ACCEPT, K
+
+    def test_pure_impact_limit_at_large_coupling(self):
+        # As K = lam / eps^(4/3) grows, the expansion tends to the
+        # pure-impact limit (Garleanu & Pedersen 2013): l to C sqrt(K), the
+        # pure-impact loss over eps^(2/3), and z_minus sqrt(K) to
+        # -1/sqrt(2 gamma sigma^2), where the marginal value
+        # sqrt(2 gamma sigma^2 lam) |y - y*| meets eps. Measured gaps at
+        # K = 1e3, 1e4, 1e5: l 0.160, 0.0296, 0.00531 and z 0.134, 0.0286,
+        # 0.00527, each shrinking 4.7-5.6x per decade. C sqrt(K) is the
+        # impact half of market.friction_loss.
+        l_gaps, z_gaps = [], []
+        for K in (1e3, 1e4, 1e5):
+            inp = make_inputs(K)
+            p = inp.params
+            sol = find_z_minus(inp)
+            impact_loss = friction_loss(
+                MarketParams(mu=p.mu, sigma=p.sigma, gamma=p.gamma,
+                             epsilon=0.0, lam=K))
+            l_gaps.append(sol.l / impact_loss - 1.0)
+            z_gaps.append(1.0 + sol.z_minus * math.sqrt(
+                2.0 * K * p.gamma * p.sigma**2))
+        assert l_gaps == pytest.approx([0.160, 0.0296, 0.00531], rel=0.1)
+        assert z_gaps == pytest.approx([0.134, 0.0286, 0.00527], rel=0.1)
+        for gaps in (l_gaps, z_gaps):
+            for coarse, fine in zip(gaps, gaps[1:]):
+                assert 4.0 <= coarse / fine <= 7.0
 
     def test_accepted_roots_meet_the_riccati_oracle(self, riccati_r_buy):
         # At small K the series behind the closed form cancel: every root

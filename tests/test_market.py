@@ -11,6 +11,7 @@ from spreadimpact.market import (
     baseline,
     buy_and_hold_esr,
     degenerate_regime,
+    friction_loss,
     validate,
 )
 
@@ -131,3 +132,20 @@ class TestJson:
         path = tmp_path / "params.json"
         path.write_text(json.dumps(make().to_dict()))
         assert MarketParams.from_file(path) == make()
+
+
+class TestFrictionLoss:
+    def test_sum_of_the_two_one_friction_losses(self):
+        # Pure spread (Janecek & Shreve 2004): (gamma sigma^2 / 2) hw^2 with
+        # hw = (3/(4 gamma) y*^2 (1-y*)^2 2 eps)^(1/3). Pure impact
+        # (Garleanu & Pedersen 2013): C sqrt(lam), C = v^2 sqrt(2 gamma
+        # sigma^2) / 2 with v = sigma y* (1-y*); 3.5576e-4 on this market.
+        y = 0.625
+        hw = (3.0 / 20.0 * y * y * (1.0 - y) ** 2 * 2e-3) ** (1.0 / 3.0)
+        spread = 0.5 * 5.0 * 0.16**2 * hw * hw
+        impact = friction_loss(make(epsilon=0.0, lam=1e-4))
+        assert friction_loss(make(epsilon=1e-3, lam=0.0)) == pytest.approx(
+            spread, rel=1e-14)
+        assert impact == pytest.approx(3.5576e-4 * 1e-2, rel=1e-4)
+        assert friction_loss(make(epsilon=1e-3, lam=1e-4)) == pytest.approx(
+            spread + impact, rel=1e-15)

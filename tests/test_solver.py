@@ -259,6 +259,46 @@ class TestSolve:
         with pytest.raises(NumericalFailure, match="wrong way round"):
             solve(params_with(1e-3, 1e-4))
 
+    @pytest.mark.parametrize("factor,start", [
+        (1.0, "inner"),    # the inner bracket holds the root
+        (3.0, "above"),    # the root lies above beta_b
+        (0.3, "below"),    # the root lies below beta_a
+        (1e3, "full"),     # beta_a falls below the admissible bracket
+    ])
+    def test_search_starts_from_the_narrowest_probed_bracket(
+            self, factor, start, monkeypatch, solve_cache):
+        # The search probes [hi - 1.25 G, hi - 0.7 G] first, G the sum of
+        # the two one-friction losses, and the admissible bracket's ends
+        # only when that misses the root. Whichever bracket Brent starts
+        # from, the rate is the same.
+        reference = solve_cache(1e-3, 1e-4)
+        params = reference.params
+        loss = factor * solver.friction_loss(params)
+        monkeypatch.setattr(solver, "friction_loss", lambda p: loss)
+        sol = solve(params)
+        base = baseline(params)
+        lo, hi = max(0.0, base.full_risky_esr), base.frictionless_esr
+        nudge = 1e-13 * (hi - lo)
+        lo_in, hi_in = lo + nudge, hi - nudge
+        beta_a, beta_b = hi - 1.25 * loss, hi - 0.7 * loss
+        assert sol.diagnostics["search_bracket"] == {
+            "inner": (beta_a, beta_b), "above": (beta_b, hi_in),
+            "below": (lo_in, beta_a), "full": (lo_in, hi_in)}[start]
+        assert abs(sol.beta - reference.beta) <= 1e-13
+        assert sol.diagnostics["bisection_iterations"] <= 12
+
+    def test_reversed_full_bracket_raises(self, monkeypatch):
+        # With the inner bracket outside the admissible one, the
+        # orientation check falls to the full bracket's ends.
+        surplus = solver._match_surplus
+        monkeypatch.setattr(solver, "_match_surplus",
+                            lambda *args: -surplus(*args))
+        monkeypatch.setattr(solver, "friction_loss", lambda p: 1.0)
+        with pytest.raises(NumericalFailure,
+                           match=r"wrong way round on the rate bracket "
+                                 r"\[0\.016, 0\.025\]"):
+            solve(params_with(1e-3, 1e-4))
+
     def test_jump_at_the_matching_point_raises(self, monkeypatch):
         shoot_real = solver.shoot_leg
 
