@@ -18,8 +18,9 @@ digits they raise ``CancellationError`` (a ``SpecialFunctionError``), and
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ._radau import bracket_root
 from .market import MarketParams, baseline, validate
@@ -82,18 +83,26 @@ class AsymptoticInputs:
             raise ValueError(f"K must be positive, got {K!r}")
         return cls(params=params, K=K)
 
-    @property
+    # The scales below are read several times per r_buy call; each is
+    # computed once per instance. cached_property writes the instance
+    # __dict__ directly, past the frozen __setattr__; __getstate__ keeps the
+    # cached values out of pickles and copies.
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @functools.cached_property
     def y_star(self) -> float:
         return self.params.merton_weight
 
-    @property
+    @functools.cached_property
     def curvature_scale(self) -> float:
         """sigma^2 y*^2 (1 - y*)^2, the diffusion scale at the target."""
         p = self.params
         y = self.y_star
         return p.sigma**2 * y * y * (1.0 - y) ** 2
 
-    @property
+    @functools.cached_property
     def growth_slope(self) -> float:
         """sqrt(2 K gamma sigma^2): far-field slope of the rescaled solution."""
         p = self.params

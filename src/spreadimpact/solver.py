@@ -8,10 +8,11 @@ changes sign exactly once in beta on the admissible bracket; trajectories
 that diverge before reaching y* are classified by which side of the band
 they left through, and count as a surplus of +-1 with the sign that side
 implies. The search first probes the inner bracket [beta0 - 1.25 G,
-beta0 - 0.7 G], where beta0 is the frictionless rate and G
-(``market.friction_loss``) the sum of the pure-spread and pure-impact
-losses; sampled exact losses lie in [0.64, 1.00] G. Only when that misses
-the root does it probe the admissible bracket's ends. Brent's method then
+beta0 - 0.7 G], clipped to the admissible floor, where beta0 is the
+frictionless rate and G (``market.friction_loss``) the sum of the
+pure-spread and pure-impact losses; sampled exact losses lie in [0.64,
+1.00] G. Only when that misses the root does it probe the admissible
+bracket's ends. Brent's method then
 runs from the narrowest sign change among the probed rates and pins beta
 in about seven evaluations, the probes included, after which a final
 high-accuracy pass shoots the matched legs and locates the no-trade
@@ -422,12 +423,14 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     without ``os.fork`` both run in the caller, with bit-identical results.
 
     The rate search probes the inner bracket [beta0 - 1.25 G, beta0 - 0.7
-    G] first (``market.friction_loss`` gives G), and the admissible
-    bracket's ends only when the inner one does not hold the root or does
-    not lie strictly inside them; ``diagnostics["search_bracket"]`` is the
-    narrowest sign-change bracket among the probed rates, which Brent starts
-    from, and ``["bisection_iterations"]`` counts the surplus evaluations
-    after the probes (each is one forward and one backward leg).
+    G] first (``market.friction_loss`` gives G), its lower end raised to
+    the admissible floor if it falls below, and the admissible bracket's
+    ends only when the inner one does not hold the root or beta0 - 0.7 G
+    does not lie strictly inside them; no rate is shot twice.
+    ``diagnostics["search_bracket"]`` is the narrowest sign-change bracket
+    among the probed rates, which Brent starts from, and
+    ``["bisection_iterations"]`` counts the surplus evaluations after the
+    probes (each is one forward and one backward leg).
     ``beta_bracket_width`` is the width of the final sign-change bracket,
     zero when a surplus was exactly zero; it is at most ``BETA_TOL_REL``
     times the admissible bracket's width, wherever the search started.
@@ -488,28 +491,33 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     def surplus(beta_try: float) -> float:
         return _match_surplus(params, beta_try, y_mid, atol, work["search"])
 
-    # Probe the inner bracket the two friction limits give first, and the
-    # admissible bracket's ends only when it misses the root; Brent starts
-    # from the narrowest sign change among the probed rates.
+    # Probe the inner bracket the two friction limits give first, clipped
+    # to the admissible floor, and the admissible bracket's ends only when
+    # it misses the root; a rate is shot once however many brackets share
+    # it, and Brent starts from the narrowest sign change among the probed
+    # rates. The admissible bracket is the last one probed.
     loss = friction_loss(params)
-    inner = (hi - 1.25 * loss, hi - 0.7 * loss)
+    inner = (max(lo_in, hi - 1.25 * loss), hi - 0.7 * loss)
     brackets = [(lo_in, hi_in)]
-    if lo_in < inner[0] < inner[1] < hi_in:
+    if inner[0] < inner[1] < hi_in:
         brackets.insert(0, inner)
     probed = {}
-    for a, b in brackets:
-        probed[a], probed[b] = surplus(a), surplus(b)
+    for n, (a, b) in enumerate(brackets, 1):
+        for beta_try in (a, b):
+            if beta_try not in probed:
+                probed[beta_try] = surplus(beta_try)
         sign_a, sign_b = np.sign(probed[a]), np.sign(probed[b])
         if sign_a < 0.0 < sign_b:
             break
-        if a == lo_in and sign_a == sign_b:
+        admissible = n == len(brackets)
+        if admissible and sign_a == sign_b:
             raise NoMatchError(
                 f"no sign change of the shooting surplus on the rate bracket "
                 f"[{lo:.6g}, {hi:.6g}] (signs {sign_a:+.0f}/{sign_b:+.0f}); "
                 "the frictions are too large for the free-boundary "
                 "construction"
             )
-        if a == lo_in or sign_a > 0.0 > sign_b:
+        if admissible or sign_a > 0.0 > sign_b:
             raise NumericalFailure(
                 f"the shooting surplus changes sign the wrong way round on "
                 f"the rate bracket [{a:.6g}, {b:.6g}] (signs "

@@ -19,6 +19,7 @@ parameter ranges produced by the small-cost expansion.
 
 from __future__ import annotations
 
+import functools
 import math
 
 __all__ = [
@@ -83,8 +84,13 @@ def _lanczos_positive(x: float) -> float:
     return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
 
 
+@functools.lru_cache(maxsize=256)
 def _reciprocal_gamma(x: float) -> float:
-    """1 / gamma(x), with the entire-function value 0 at the poles."""
+    """1 / gamma(x), with the entire-function value 0 at the poles.
+
+    Cached: the callers pass index-only arguments (1/2 +- m - k and
+    1 +- 2m), which repeat across the evaluations of one expansion.
+    """
     if x <= 0.0 and x == math.floor(x):
         return 0.0
     if x >= 0.5:
@@ -171,11 +177,21 @@ def _w_asymptotic_sum(k: float, m: float, x: float) -> tuple[float, float]:
     term, and the kept terms are summed exactly rounded (fsum). The estimate
     is infinite (the sum is not certified) when the largest kept term
     exceeds _SERIES_CANCELLATION_LIMIT times the sum.
+
+    The scan stops at a term above 1e8, below 1e-18, or once the terms can
+    only grow. The ratio of term s to term s-1 has size (s-A)(s-B)/(s x),
+    A, B = k + 1/2 +- |m|, and for s > A with s^2 > A B that ratio
+    increases with s (by more than 1/((s+1) x) per step, far above its
+    rounding). A term there no smaller than the one before it therefore
+    means that no later term is smaller: the smallest term, and with it
+    the sum and its estimate, are fixed, and the scan stops.
     """
     term = 1.0
     terms = [term]
     best, smallest = 0, math.inf
-    peak = kept_peak = 1.0
+    peak = kept_peak = previous = 1.0
+    upper = k + 0.5 + abs(m)
+    product = upper * (k + 0.5 - abs(m))
     for s in range(1, _ASYMPTOTIC_MAX_TERMS):
         term = term * (m * m - (k - s + 0.5) ** 2) / (s * x)
         terms.append(term)
@@ -184,8 +200,11 @@ def _w_asymptotic_sum(k: float, m: float, x: float) -> tuple[float, float]:
             peak = size
         if size < smallest:
             best, smallest, kept_peak = s, size, peak
+        elif size >= previous and s > upper and s * s > product:
+            break
         if size < 1e-18 or size > 1e8:
             break
+        previous = size
     total = math.fsum(terms[: best + 1])
     if kept_peak > _SERIES_CANCELLATION_LIMIT * abs(total):
         return total, math.inf

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -118,6 +119,30 @@ class TestInputs:
         p = MarketParams(epsilon=0.0, lam=1e-4, **BASE)
         with pytest.raises(ValueError):
             AsymptoticInputs.from_params(p)
+
+    def test_cached_scales_equal_their_formulas(self):
+        inp = make_inputs(2.5, market=GAMMA_20)
+        p = inp.params
+        y = p.mu / (p.gamma * p.sigma**2)
+        for _ in range(2):  # computed, then read from the cache
+            assert inp.y_star == p.merton_weight == y
+            assert inp.curvature_scale == p.sigma**2 * y * y * (1.0 - y) ** 2
+            assert inp.growth_slope == math.sqrt(
+                2.0 * inp.K * p.gamma * p.sigma**2)
+
+    def test_cached_scales_leave_the_value_unchanged(self):
+        # Reading the scales caches them on the instance; it still compares,
+        # hashes and pickles as one that never computed them.
+        read, fresh = make_inputs(1.0), make_inputs(1.0)
+        scales = (read.y_star, read.curvature_scale, read.growth_slope)
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+        assert pickle.dumps(read) == pickle.dumps(fresh)
+        copy = pickle.loads(pickle.dumps(read))
+        assert copy == read
+        assert (copy.y_star, copy.curvature_scale, copy.growth_slope) == scales
+        with pytest.raises(AttributeError):
+            read.K = 2.0
 
 
 class TestMidfield:

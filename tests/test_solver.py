@@ -11,7 +11,8 @@ from spreadimpact._radau import bracket_root as _bracket_root
 from spreadimpact.hjb import band_buy, band_sell, equation_terms, make_rhs_jac
 from spreadimpact import solver
 from spreadimpact.cli import main
-from spreadimpact.market import MarketParams, ParameterError, baseline
+from spreadimpact.market import (
+    MarketParams, ParameterError, baseline, friction_loss)
 from spreadimpact.solver import (
     DELTA,
     RTOL,
@@ -263,18 +264,34 @@ class TestSolve:
         (1.0, "inner"),    # the inner bracket holds the root
         (3.0, "above"),    # the root lies above beta_b
         (0.3, "below"),    # the root lies below beta_a
-        (1e3, "full"),     # beta_a falls below the admissible bracket
+        (1e3, "full"),     # beta_a and beta_b fall below the floor
+        (1.0, "clipped"),  # at box seed 7 point 5 only beta_a does
+        (200.0, "above"),  # only beta_a does; the root lies above beta_b
     ])
     def test_search_starts_from_the_narrowest_probed_bracket(
             self, factor, start, monkeypatch, solve_cache):
         # The search probes [hi - 1.25 G, hi - 0.7 G] first, G the sum of
-        # the two one-friction losses, and the admissible bracket's ends
-        # only when that misses the root. Whichever bracket Brent starts
-        # from, the rate is the same.
-        reference = solve_cache(1e-3, 1e-4)
-        params = reference.params
-        loss = factor * solver.friction_loss(params)
+        # the two one-friction losses, clipped to the admissible floor, and
+        # the admissible bracket's ends only when that misses the root.
+        # Whichever bracket Brent starts from, the rate is the same.
+        if start == "clipped":
+            # Box seed 7 point 5 of the README's domain table (y* = 0.957):
+            # the loss is 0.715 G, and hi - 1.25 G lies below the floor.
+            # The reference starts from the admissible bracket's ends.
+            params = MarketParams(mu=0.023724674936252372, sigma=0.2,
+                                  gamma=0.6196341792210885,
+                                  epsilon=0.014977836300936536,
+                                  lam=2.987524228005581e-09)
+            monkeypatch.setattr(solver, "friction_loss", lambda p: 1e3)
+            reference = solve(params)
+        else:
+            reference = solve_cache(1e-3, 1e-4)
+            params = reference.params
+        loss = factor * friction_loss(params)
         monkeypatch.setattr(solver, "friction_loss", lambda p: loss)
+        shot, surplus = [], solver._match_surplus
+        monkeypatch.setattr(solver, "_match_surplus", lambda p, beta, *args: (
+            shot.append(beta) or surplus(p, beta, *args)))
         sol = solve(params)
         base = baseline(params)
         lo, hi = max(0.0, base.full_risky_esr), base.frictionless_esr
@@ -283,9 +300,18 @@ class TestSolve:
         beta_a, beta_b = hi - 1.25 * loss, hi - 0.7 * loss
         assert sol.diagnostics["search_bracket"] == {
             "inner": (beta_a, beta_b), "above": (beta_b, hi_in),
-            "below": (lo_in, beta_a), "full": (lo_in, hi_in)}[start]
+            "below": (lo_in, beta_a), "full": (lo_in, hi_in),
+            "clipped": (lo_in, beta_b)}[start]
         assert abs(sol.beta - reference.beta) <= 1e-13
         assert sol.diagnostics["bisection_iterations"] <= 12
+        # No rate is shot twice, a probe shared by two brackets included.
+        assert len(set(shot)) == len(shot)
+        if start == "clipped":
+            # Two probes, and Brent's steps after them (16 from the
+            # admissible bracket's ends).
+            assert beta_a < lo_in
+            assert len(shot) == 2 + sol.diagnostics["bisection_iterations"]
+            assert sol.diagnostics["bisection_iterations"] <= 8
 
     def test_reversed_full_bracket_raises(self, monkeypatch):
         # With the inner bracket outside the admissible one, the

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spreadimpact.whittaker import (
     _ASYMPTOTIC_MAX_TERMS,
@@ -12,6 +12,7 @@ from spreadimpact.whittaker import (
     _kummer_series,
     _m_series,
     _reciprocal_gamma,
+    _w_asymptotic_sum,
     whittaker_w,
     whittaker_w_ratio,
 )
@@ -45,6 +46,35 @@ def asymptotic_sum_exact(k, m, x):
     return float(total), float(abs(terms[best]) / abs(total))
 
 
+def asymptotic_sum_full_scan(k, m, x):
+    """Reference for the early stop of ``_w_asymptotic_sum``: the same sum
+    with the scan run on to a term above 1e8 or below 1e-18, or to
+    _ASYMPTOTIC_MAX_TERMS terms, whatever the terms do before that. Returns
+    (sum, relative error estimate, index of the smallest term)."""
+    term = 1.0
+    terms = [term]
+    best, smallest = 0, math.inf
+    peak = kept_peak = 1.0
+    for s in range(1, _ASYMPTOTIC_MAX_TERMS):
+        term = term * (m * m - (k - s + 0.5) ** 2) / (s * x)
+        terms.append(term)
+        size = abs(term)
+        if size > peak:
+            peak = size
+        if size < smallest:
+            best, smallest, kept_peak = s, size, peak
+        if size < 1e-18 or size > 1e8:
+            break
+    total = math.fsum(terms[: best + 1])
+    if kept_peak > 1e12 * abs(total):
+        return total, math.inf, best
+    return total, smallest / abs(total), best
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
 class TestGamma:
     # The package uses only the reciprocal, 1 / gamma, which is entire.
     def test_classical_values(self):
@@ -68,6 +98,20 @@ class TestGamma:
     def test_pole_error(self, x):
         # No error at a pole: the reciprocal takes its exact value there.
         assert _reciprocal_gamma(x) == 0.0
+
+    @given(x=st.floats(-60.0, 60.0))
+    @settings(max_examples=200)
+    @example(x=0.0)
+    @example(x=-1.0)
+    @example(x=-40.0)
+    @example(x=0.5)
+    @example(x=1.0)
+    @example(x=6.0)
+    def test_cache_returns_the_computed_value(self, x):
+        # The second call is a cache hit; both are bitwise the function's.
+        for _ in range(2):
+            assert bits([_reciprocal_gamma(x)]) == bits(
+                [_reciprocal_gamma.__wrapped__(x)])
 
 
 class TestKummer:
@@ -190,6 +234,33 @@ class TestWhittakerW:
         exact_total, exact_err = asymptotic_sum_exact(k, -0.25, x)
         assert total == pytest.approx(exact_total, rel=1e-13)
         assert err == pytest.approx(exact_err, rel=1e-12, abs=1e-300)
+
+    @given(k=st.floats(-60.0, 120.0),
+           m=st.one_of(st.sampled_from([0.25, -0.25]),
+                       st.floats(-0.5, 0.5, exclude_min=True,
+                                 exclude_max=True)),
+           x=st.floats(1e-3, 1e4))
+    @settings(max_examples=500, deadline=None)
+    # Inside the monotone range from term 29 on, still above the smallest
+    # term (term 1) and still falling: a stop there would miss term 69.
+    @example(k=-28.566420296252208, m=0.23979446190971077,
+             x=137.29596274953497)
+    def test_early_stop_matches_full_scan(self, k, m, x):
+        # The scan stops once its terms can only grow; the sum and its
+        # error estimate are bitwise those of the full scan.
+        assert bits(_w_asymptotic_sum(k, m, x)) == bits(
+            asymptotic_sum_full_scan(k, m, x)[:2])
+
+    def test_early_stop_waits_for_the_monotone_range(self):
+        # Past A = k + 1/2 + |m| the terms grow at s = 1 and 2 and only then
+        # shrink, to their smallest at term 36: stopping at the first term
+        # no smaller than the one before it, without s^2 > A B, would keep
+        # term 1 alone.
+        k, m, x = -47.685, 0.25, 957.51
+        *reference, best = asymptotic_sum_full_scan(k, m, x)
+        assert best == 36
+        assert (m * m - (k - 0.5) ** 2) / x < -1.0  # |term 1| > term 0
+        assert bits(_w_asymptotic_sum(k, m, x)) == bits(reference)
 
     def test_cancellation_monitor_trips(self):
         # Small first index near the switch: the combination cancels more
