@@ -104,11 +104,18 @@ __all__ = [
 # (FINAL_RTOL) so that its dense output, the solution's q, stays well inside
 # the advertised budget, and its steps whose residual ratio (relative to the
 # 10 x RTOL budget) exceeds REFINE_TARGET are re-integrated on sub-intervals.
-# REFINE_TARGET is 0.5 on the scale of residual_ratio_half_budget (0.7 of
-# the budget), which leaves room for the rounding of the stitched backward
-# pieces. DELTA is the offset of both boundary starts. The rate search ends
-# when the beta bracket is no wider than BETA_TOL_REL times the admissible
-# bracket's width, whichever bracket it started from.
+# The final pass's absolute tolerance has a floor of 0.1 RTOL times the
+# impact part of q's boundary value q(0) = eps + 2 sqrt(lam beta): q crosses
+# zero at y* and is about eps beside the band, where FINAL_RTOL relative to
+# |q| alone would resolve it far past the residual budget. The floor
+# vanishes as sqrt(lam) because at tiny impact the stiff far regions make
+# the dense cubic the binding error, and uniform floors on the q scale broke
+# the domain there. REFINE_TARGET is 0.5 on the scale of
+# residual_ratio_half_budget (0.7 of the budget), which leaves room for the
+# rounding of the stitched backward pieces. DELTA is the offset of both
+# boundary starts. The rate search ends when the beta bracket is no wider
+# than BETA_TOL_REL times the admissible bracket's width, whichever bracket
+# it started from.
 RTOL = 1e-10
 FINAL_RTOL = 1e-13
 REFINE_TARGET = 0.5 * 0.7
@@ -152,6 +159,11 @@ class FreeBoundarySolution:
     accepted steps of the final legs, ``["refined_steps"]`` how many of them
     were refined, and ``["max_splice_jump"]`` the largest jump in q at the
     right end of a refined step (at most ``MATCH_TOL``).
+    ``diagnostics["final_rtol"]`` and ``["final_atol"]`` are the final legs'
+    tolerances: FINAL_RTOL, and an atol of 0.01 FINAL_RTOL times the q
+    scale eps + 2 sqrt(lam beta_hi), beta_hi the frictionless rate, with a
+    floor of 0.1 RTOL times its impact part 2 sqrt(lam beta_hi), which
+    vanishes as sqrt(lam) (why: see the tolerance constants).
     """
 
     params: MarketParams
@@ -530,7 +542,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
 
     # Final stitched pass at a tighter tolerance; the steps whose dense
     # output misses REFINE_TARGET are refined before stitching.
-    final_atol = max(1e-18, 0.01 * FINAL_RTOL * _q_scale(params, hi))
+    final_atol = max(1e-18, 0.01 * FINAL_RTOL * _q_scale(params, hi),
+                     200.0 * FINAL_RTOL * math.sqrt(params.lam * hi))
 
     (leg_f, status_f), (leg_b, status_b) = _shoot_pair(
         params, beta, y_mid, FINAL_RTOL, final_atol, work["final"])

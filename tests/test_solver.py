@@ -426,10 +426,13 @@ class TestSolve:
         # q satisfies the equation at off-knot points to within ten times
         # the integration tolerance, relative to the largest additive term:
         # at random points, and at log-spaced points within 1e-3 of both
-        # singular endpoints, where the coefficient of q' vanishes.
+        # singular endpoints, where the coefficient of q' vanishes. The last
+        # three points are where the final legs' impact floor on atol is
+        # largest against the q scale.
         rng = np.random.default_rng(20140221)
         near = np.geomspace(DELTA, 1e-3, 200)
-        for eps, lam in ((1e-3, 1e-4), (3.13e-3, 2.23e-7), (3e-3, 1e-8)):
+        for eps, lam in ((1e-3, 1e-4), (3.13e-3, 2.23e-7), (3e-3, 1e-8),
+                         (5e-2, 5e-2), (1e-4, 1e-2), (1e-3, 1.0)):
             sol = solve_cache(eps, lam)
             ys = np.concatenate([
                 rng.uniform(sol.y_grid[0], sol.y_grid[-1], 1000),
@@ -474,17 +477,40 @@ class TestSolve:
         assert sol.diagnostics["residual_ratio_half_budget"] == 0.5 / 0.7
 
     @pytest.mark.parametrize("eps,lam,bound", [
-        # 0.7 x the accepted steps of the final legs when every step was
-        # capped at 2.5e-4 (6306, 5904, 5899 and 5623 steps).
-        (1e-3, 1e-4, 4414),
-        (1e-2, 1e-2, 4132),
-        (1e-2, 1e-4, 4129),
-        (5e-2, 5e-2, 3936),
+        # 1.3 x the accepted steps of the final legs with the impact floor
+        # on their atol (955, 997, 1388 and 1157 steps; 3709, 3774, 3405
+        # and 3863 without it, 6306, 5904, 5899 and 5623 when every step
+        # was capped at 2.5e-4).
+        (1e-3, 1e-4, 1242),
+        (1e-2, 1e-2, 1296),
+        (1e-2, 1e-4, 1804),
+        (5e-2, 5e-2, 1504),
     ])
     def test_final_pass_takes_few_steps(self, eps, lam, bound, solve_cache):
         diagnostics = solve_cache(eps, lam).diagnostics
         assert diagnostics["forward_steps"] + diagnostics["backward_steps"] \
             <= bound
+
+    @pytest.mark.parametrize("eps,lam,impact_binds", [
+        (1e-3, 1e-4, True),
+        (1e-2, 1e-10, True),
+        (1e-3, 1e-10, True),
+        (1e-2, 1e-12, False),
+    ])
+    def test_final_atol_impact_floor_vanishes_with_lambda(
+            self, eps, lam, impact_binds, solve_cache):
+        # The final legs' atol has a floor of 0.1 RTOL on the impact part of
+        # q(0) = eps + 2 sqrt(lam beta): at lambda = 1e-12 it falls under the
+        # q-scale term, and at lambda = 1e-10 it stays below FINAL_RTOL x
+        # the q scale, the smallest uniform floor that broke the domain there.
+        p = params_with(eps, lam)
+        hi = baseline(p).frictionless_esr
+        q_term = 0.01 * solver.FINAL_RTOL * _q_scale(p, hi)
+        floor = 0.1 * RTOL * 2.0 * math.sqrt(lam * hi)
+        atol = solve_cache(eps, lam).diagnostics["final_atol"]
+        assert atol == (floor if impact_binds else q_term)
+        if lam <= 1e-10:
+            assert atol < solver.FINAL_RTOL * _q_scale(p, hi)
 
     def test_empty_rate_bracket_is_a_parameter_error(self):
         # y* = 0.9999999999999998 is interior, but the frictionless and
