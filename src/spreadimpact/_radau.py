@@ -202,9 +202,9 @@ class IntegrationResult:
 
     ``sol`` is the dense output: on each accepted step it is the collocation
     cubic, with the accepted step points as knots. ``t_end``/``y_end`` is
-    the last accepted step point, or on a stall the last point reached;
-    when the run ended on a guard it is the first step point inside the
-    guard region, so the last step brackets the crossing.
+    the last knot: the last accepted step point, or the start point if no
+    step was accepted. When the run ended on a guard it is the first step
+    point inside the guard region, so the last step brackets the crossing.
 
     ``nfev`` and ``njev`` count right-hand-side and Jacobian calls,
     ``naccepted`` the accepted steps, and ``nrejected`` the trial steps
@@ -263,6 +263,12 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
         Terminal region; crossing it ends the run with status "upper" or
         "lower" at the first accepted step point inside the region. A
         ``GuardBox()`` with its default infinite bounds never ends a run.
+
+    Each converged trial step gets one size factor from its error estimate,
+    by RADAU5's predictive rule. A trial whose error exceeds the tolerance
+    is rejected and h scaled by the factor, but at least 0.2; an accepted
+    step scales h by at most 10, and keeps h if the factor is below 1.2 and
+    the Jacobian is reused.
     """
     direction = 1.0 if t_bound >= t0 else -1.0
     f0 = f(t0, q0)
@@ -275,42 +281,32 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
 
     newton_tol = max(10.0 * _EPS / rtol, _NEWTON_KAPPA)
 
-    t = t0
-    q = q0
-    fq = f0
+    t, q, fq = t0, q0, f0
     J = jac(t0, q0)
     njev += 1
     current_jac = True
-    lu_real = None
-    lu_complex = None
-    h_abs_old = None
-    error_norm_old = None
+    lu_real = lu_complex = None
+    h_abs_old = error_norm_old = None
     sol_prev = None  # (t_old, h, y_old, p0, p1, p2) of the last accepted step
 
     ts = [t0]
     ys = [q0]
     polys = []
     status = None
-    t_end = t0
-    y_end = q0
 
     n_acc = 0
     n_rej = 0
     for _ in range(_MAX_STEPS):
         if direction * (t - t_bound) >= 0.0:
             status = REACHED
-            t_end, y_end = t, q
             break
 
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        step_accepted = False
+        h_abs = max(h_abs, min_step)
+        rejected = step_accepted = False
         while not step_accepted:
             if h_abs < min_step:
                 status = STALLED
-                t_end, y_end = t, q
                 break
             h = h_abs * direction
             t_new = t + h
@@ -336,10 +332,10 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
             converged = False
             n_iter = 0
             while not converged:
-                if lu_real is None or lu_complex is None:
+                if lu_real is None:
                     lu_real = _MU_REAL / h - J
                     lu_complex = _MU_COMPLEX / h - J
-                    if lu_real == 0.0 or lu_complex == 0.0:
+                    if lu_real == 0.0:
                         lu_real = lu_complex = None
                         h_abs *= 0.99
                         break
@@ -429,14 +425,18 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
                     error = (f_probe + ze) / lu_real
                     error_norm = abs(error) / scale_err
 
-            if error_norm > 1.0:
-                if error_norm_old is None or h_abs_old is None or error_norm == 0.0:
+            if error_norm > 0.0:
+                if error_norm_old is None:
                     multiplier = 1.0
                 else:
                     multiplier = (h_abs / h_abs_old
                                   * (error_norm_old / error_norm) ** 0.25)
-                factor = min(1.0, multiplier) * error_norm ** -0.25
-                h_abs *= max(_MIN_FACTOR, safety * factor)
+                factor = safety * (min(1.0, multiplier) * error_norm ** -0.25)
+            else:
+                factor = safety * _MAX_FACTOR
+
+            if error_norm > 1.0:
+                h_abs *= max(_MIN_FACTOR, factor)
                 lu_real = lu_complex = None
                 rejected = True
                 n_rej += 1
@@ -452,16 +452,7 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
         p2 = z1 * _P13 + z2 * _P23 + z3 * _P33
 
         recompute_jac = n_iter > 2 and (rate is not None and rate > 1e-3)
-        if error_norm_old is None or h_abs_old is None or error_norm == 0.0:
-            multiplier = 1.0
-        else:
-            multiplier = (h_abs / h_abs_old
-                          * (error_norm_old / error_norm) ** 0.25)
-        if error_norm > 0.0:
-            factor = min(1.0, multiplier) * error_norm ** -0.25
-        else:
-            factor = _MAX_FACTOR
-        factor = min(_MAX_FACTOR, safety * factor)
+        factor = min(_MAX_FACTOR, factor)
         if not recompute_jac and factor < 1.2:
             factor = 1.0
         else:
@@ -476,7 +467,6 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
                 f_new = 0.0
             else:
                 status = STALLED
-                t_end, y_end = t, q
                 break
         if recompute_jac:
             J = jac(t_new, q_new)
@@ -496,21 +486,13 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
         polys.append((p0, p1, p2))
         n_acc += 1
 
-        breach = guard.breach(t_new, q_new)
-        if breach is not None:
-            t_end, y_end = t_new, q_new
-            status = breach
+        t, q, fq = t_new, q_new, f_new
+        status = guard.breach(t, q)
+        if status is not None:
             break
-
-        t = t_new
-        q = q_new
-        fq = f_new
     else:
         status = STALLED
-        t_end, y_end = t, q
 
-    if status == REACHED:
-        t_end, y_end = t, q
     if not polys:
         # No accepted step: degenerate one-point result.
         ts = [t0, t0]
@@ -520,8 +502,8 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
         status=status,
         sol=PiecewisePolynomial(
             np.asarray(ts), np.column_stack([ys[:-1], np.asarray(polys)])),
-        t_end=t_end,
-        y_end=y_end,
+        t_end=t,
+        y_end=q,
         nfev=nfev,
         njev=njev,
         naccepted=n_acc,

@@ -59,10 +59,14 @@ def _add_market_flags(p: argparse.ArgumentParser) -> None:
                    help="price-impact coefficient (decimal)")
 
 
-def _add_output_flags(p: argparse.ArgumentParser, default_format: str) -> None:
+def _add_output_flags(p: argparse.ArgumentParser,
+                      default_format: str | None = None) -> None:
+    """``--out``, and ``--format`` for a command that writes both formats."""
     p.add_argument("--out", metavar="FILE", default=None,
                    help="output path (default: standard output)")
-    p.add_argument("--format", choices=("csv", "json"), default=default_format)
+    if default_format is not None:
+        p.add_argument("--format", choices=("csv", "json"),
+                       default=default_format)
 
 
 def _build_parser() -> _Parser:
@@ -82,7 +86,7 @@ def _build_parser() -> _Parser:
 
     p_asym = sub.add_parser("asymptotic", help="small-cost expansion constants")
     _add_market_flags(p_asym)
-    _add_output_flags(p_asym, "json")
+    _add_output_flags(p_asym)
     p_asym.add_argument("--k", type=float, default=None,
                         help="override the coupling K = lambda/epsilon^(4/3)")
 
@@ -94,7 +98,7 @@ def _build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate",
                            help="Monte Carlo estimate of the equivalent safe rate")
     _add_market_flags(p_sim)
-    _add_output_flags(p_sim, "json")
+    _add_output_flags(p_sim)
     p_sim.add_argument("--seed", type=int, default=20140221)
     p_sim.add_argument("--paths", type=int, default=100_000)
     p_sim.add_argument("--horizon", type=float, default=100.0)
@@ -112,7 +116,7 @@ def _build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep",
                              help="solve over a grid of epsilon and/or lambda")
     _add_market_flags(p_sweep)
-    _add_output_flags(p_sweep, "csv")
+    _add_output_flags(p_sweep)
     p_sweep.add_argument("--sweep-epsilon", metavar="LIST", default=None,
                          help="comma-separated epsilon values")
     p_sweep.add_argument("--sweep-lambda", metavar="LIST", default=None,
@@ -122,7 +126,7 @@ def _build_parser() -> _Parser:
     p_cmp = sub.add_parser("compare",
                            help="exact versus asymptotic turnover on a window")
     _add_market_flags(p_cmp)
-    _add_output_flags(p_cmp, "csv")
+    _add_output_flags(p_cmp)
     p_cmp.add_argument("--k", type=float, default=None)
     p_cmp.add_argument("--points", type=int, default=201)
     p_cmp.add_argument("--window", type=float, default=None,

@@ -569,7 +569,6 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     diagnostics = {
         "bisection_iterations": iterations,
         "matching_residual": matching_residual,
-        "bracket_signs_expected": True,
         "search_bracket": (below, above),
         "rtol": RTOL,
         "final_rtol": FINAL_RTOL,

@@ -122,6 +122,24 @@ class TestSolveCommand:
         assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("asymptotic", "--epsilon", "0.01", "--lambda", "0.01"),
+    ("simulate", "--epsilon", "0", "--lambda", "0", "--policy", "hold",
+     "--paths", "50", "--horizon", "1", "--burn-in", "0.2", "--dt", "0.01",
+     "--y0", "0.5"),
+    ("sweep", "--epsilon", "0.01", "--lambda", "0.01", "--sweep-lambda",
+     "0.01", "--grid-points", "11"),
+    ("compare", "--epsilon", "0.01", "--lambda", "0.01", "--points", "11"),
+])
+def test_format_refused_where_unused(capsys, argv):
+    # Only solve and policy write more than one format.
+    code, out, err = run(capsys, argv[0], *BASE_FLAGS, *argv[1:],
+                         "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert "--format" in err
+
+
 class TestAsymptoticCommand:
     def test_constants_emitted(self, capsys):
         code, out, _ = run(capsys, "asymptotic", *BASE_FLAGS, "--epsilon", "0.01",

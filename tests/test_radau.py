@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PPoly
 
+from spreadimpact import _radau
 from spreadimpact._radau import (GuardBox, PiecewisePolynomial,
                                  integrate_guarded)
 from spreadimpact.market import MarketParams
@@ -114,6 +115,90 @@ class TestAgainstClosedForms:
                                 GuardBox())
         assert res.status == "reached"
         assert res.nrejected > 0
+
+
+def relax(t, q):
+    return 1.0 - q
+
+
+def relax_jac(t, q):
+    return -1.0
+
+
+def first_accepted_point_call(f, jac, t0, t_bound, q0, rtol, atol):
+    """Run once unguarded and return ``(k, t1, q1)``: (t1, q1) is the first
+    accepted step point and k the number of slope calls made before the one
+    that evaluates it. That call is the last one at exactly (t1, q1): later
+    calls sit at later times, or at t1 with an error probe added to q1."""
+    calls = []
+
+    def counting(t, q):
+        calls.append((t, q))
+        return f(t, q)
+
+    res = integrate_guarded(counting, jac, t0, t_bound, q0, rtol, atol,
+                            GuardBox())
+    assert res.naccepted >= 2
+    point = (res.sol.knots[1], res.sol.coeffs[1, 0])
+    return len(calls) - 1 - calls[::-1].index(point), *point
+
+
+def infinite_on_call(f, k):
+    """f, except that its call number k (from 0) returns inf."""
+    calls = [0]
+
+    def g(t, q):
+        calls[0] += 1
+        return math.inf if calls[0] == k + 1 else f(t, q)
+
+    return g
+
+
+class TestExits:
+    """Each way a leg can end sets the end state to the last knot."""
+
+    def test_nonfinite_accepted_point_inside_guard_ends_on_guard(self):
+        k, t1, q1 = first_accepted_point_call(relax, relax_jac, 0.0, 5.0, 0.0,
+                                              1e-10, 1e-12)
+        guard = GuardBox(upper_q=q1)
+        res = integrate_guarded(infinite_on_call(relax, k), relax_jac, 0.0,
+                                5.0, 0.0, 1e-10, 1e-12, guard)
+        assert res.status == "upper"
+        assert res.naccepted == 1
+        assert (res.t_end, res.y_end) == (t1, q1)
+        assert res.t_end == res.sol.knots[-1]
+
+    def test_nonfinite_accepted_point_without_guard_stalls(self):
+        k, _, _ = first_accepted_point_call(relax, relax_jac, 0.0, 5.0, 0.0,
+                                            1e-10, 1e-12)
+        res = integrate_guarded(infinite_on_call(relax, k), relax_jac, 0.0,
+                                5.0, 0.0, 1e-10, 1e-12, GuardBox())
+        assert res.status == "stalled"
+        assert res.naccepted == 0
+        assert (res.t_end, res.y_end) == (0.0, 0.0)
+        assert res.t_end == res.sol.knots[-1]
+
+    def test_step_cap_stalls(self, monkeypatch):
+        monkeypatch.setattr(_radau, "_MAX_STEPS", 3)
+        res = integrate_guarded(relax, relax_jac, 0.0, 5.0, 0.0, 1e-10,
+                                1e-12, GuardBox())
+        assert res.status == "stalled"
+        assert res.naccepted == 3
+        assert len(res.sol.knots) == 4
+        assert res.t_end == res.sol.knots[-1]
+        assert res.y_end == pytest.approx(1.0 - math.exp(-res.t_end),
+                                          rel=1e-9)
+
+    def test_nowhere_finite_slope_gives_one_point_result(self):
+        res = integrate_guarded(lambda t, q: 1.0 if t == 0.0 else math.nan,
+                                lambda t, q: 0.0, 0.0, 1.0, 0.25, 1e-10,
+                                1e-12, GuardBox())
+        assert res.status == "stalled"
+        assert res.naccepted == 0
+        assert res.nrejected > 0
+        assert list(res.sol.knots) == [0.0, 0.0]
+        assert (res.t_end, res.y_end) == (0.0, 0.25)
+        assert res.t_end == res.sol.knots[-1]
 
 
 class TestAgainstScipy:
