@@ -20,6 +20,11 @@ both plain thresholds on q and a threshold on the product q*y are supported,
 the latter catching trajectories that climb toward the singular curve
 q = 1/y whose approach otherwise stalls any error-controlled stepper.
 
+An optional defect test also holds each step's dense cubic to the equation
+(Enright 2000, J. Comput. Appl. Math. 125; the residual control of MATLAB's
+bvp4c, Shampine & Kierzenka 2001, ACM TOMS 27), so that no accepted step
+ever has to be integrated again.
+
 The dense output is a :class:`PiecewisePolynomial`, a searchsorted-plus-
 Horner evaluator; the solver's q is the two final legs' dense output
 stitched into one. The package's one bracketing root finder,
@@ -70,6 +75,8 @@ _NEWTON_KAPPA = 0.03
 _MAX_STEPS = 200000
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+# Stall floor of a defect-rejected step (see integrate_guarded).
+_DEFECT_MIN_STEP = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 REACHED = "reached"
@@ -208,9 +215,9 @@ class IntegrationResult:
 
     ``nfev`` and ``njev`` count right-hand-side and Jacobian calls,
     ``naccepted`` the accepted steps, and ``nrejected`` the trial steps
-    thrown away, either because Newton failed to converge (the step is
-    halved) or because the error test failed (the step is shrunk by the
-    controller).
+    thrown away: because Newton failed to converge (the step is halved),
+    because the error test failed (the step is shrunk by the controller), or
+    because the defect test failed.
     """
 
     status: str
@@ -246,8 +253,8 @@ def _initial_step(f, t0, q0, f0, direction, t_bound, rtol, atol):
     return min(100.0 * h0, h1, abs(t_bound - t0))
 
 
-def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
-                      guard: GuardBox) -> IntegrationResult:
+def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
+                      defect=None) -> IntegrationResult:
     """Integrate dq/dt = f(t, q) from t0 to t_bound with terminal guards.
 
     Parameters
@@ -263,6 +270,16 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
         Terminal region; crossing it ends the run with status "upper" or
         "lower" at the first accepted step point inside the region. A
         ``GuardBox()`` with its default infinite bounds never ends a run.
+    defect : callable, optional
+        ``(t, q, dq/dt) -> float``, the equation's residual at a point
+        relative to its tolerance. It is evaluated on each trial step that
+        passes the error test, at the step's quarter points on its
+        collocation cubic. If the worst of the three exceeds 1 the trial is
+        rejected and h scaled by max(0.2, 0.9 worst^(-1/3)), the cubic's
+        defect being O(h^3). It serves equations singular at t = 0 and
+        t = 1, whose steps scale with the distance to the nearer of them: a
+        rejected trial shorter than 1e-9 of that distance ends the run
+        stalled, as shorter steps then no longer lower the defect.
 
     Each converged trial step gets one size factor from its error estimate,
     by RADAU5's predictive rule. A trial whose error exceeds the tolerance
@@ -441,15 +458,33 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol,
                 rejected = True
                 n_rej += 1
                 continue
+
+            # Dense cubic for this step.
+            p0 = z1 * _P11 + z2 * _P21 + z3 * _P31
+            p1 = z1 * _P12 + z2 * _P22 + z3 * _P32
+            p2 = z1 * _P13 + z2 * _P23 + z3 * _P33
+
+            if defect is not None:
+                worst = 0.0
+                for x in (0.25, 0.5, 0.75):
+                    ratio = defect(t + x * h,
+                                   q + x * (p0 + x * (p1 + x * p2)),
+                                   (p0 + x * (2.0 * p1 + 3.0 * x * p2)) / h)
+                    if ratio > worst:
+                        worst = ratio
+                if worst > 1.0:
+                    rejected = True
+                    n_rej += 1
+                    if h_abs < _DEFECT_MIN_STEP * min(abs(t), abs(1.0 - t)):
+                        status = STALLED
+                        break
+                    h_abs *= max(_MIN_FACTOR, 0.9 * worst ** (-1.0 / 3.0))
+                    lu_real = lu_complex = None
+                    continue
             step_accepted = True
 
         if status is not None:
             break
-
-        # Dense cubic for this step.
-        p0 = z1 * _P11 + z2 * _P21 + z3 * _P31
-        p1 = z1 * _P12 + z2 * _P22 + z3 * _P32
-        p2 = z1 * _P13 + z2 * _P23 + z3 * _P33
 
         recompute_jac = n_iter > 2 and (rate is not None and rate > 1e-3)
         factor = min(_MAX_FACTOR, factor)

@@ -26,7 +26,7 @@ from .market import (
     degenerate_regime,
     validate,
 )
-from .solver import NoMatchError, NumericalFailure, policy, solve
+from .solver import NoMatchError, NumericalFailure, _with_edges, policy, solve
 from .whittaker import SpecialFunctionError
 
 __all__ = ["main"]
@@ -178,7 +178,7 @@ def _grid_rows(solution, n: int) -> list:
     """(y, q, u) at ``n`` uniform points over [delta, 1-delta] plus both
     band edges."""
     ys = np.linspace(solution.y_grid[0], solution.y_grid[-1], n)
-    ys = np.unique(np.concatenate([ys, [solution.y_minus, solution.y_plus]]))
+    ys = _with_edges(ys, solution.y_minus, solution.y_plus)
     return list(zip(ys.tolist(), solution.q_at(ys).tolist(),
                     solution.turnover_at(ys).tolist()))
 

@@ -21,13 +21,12 @@ boundaries.
 The solution's q is the legs' own dense output: the Radau collocation cubic
 of every accepted step, forward from y = delta up to y*, then backward from
 y* to y = 1 - delta, stitched into one piecewise cubic on increasing knots.
-The final legs run without a step cap. Each step's cubic is checked against
-the equation at its quarter points, and the few steps (a fraction of a
-percent) whose residual is above the refinement target are re-integrated on
-2, 4, 8, ... equal sub-intervals while that lowers their residual; the best
-split tried, the unrefined step included, is kept. The stitched q is checked
-once more the same way; missing the advertised residual budget raises, it
-is never returned.
+The final legs run without a step cap, under defect control: the stepper
+accepts a step only once its cubic meets the equation at the step's quarter
+points to DEFECT_TARGET of the residual budget, so no step is integrated
+twice. A final leg whose steps cannot meet that ends stalled and raises,
+naming where. The stitched q is checked once more the same way; missing the
+advertised residual budget raises, it is never returned.
 
 Both boundary starts are first refined onto the local algebraic balance of
 the equation (the term multiplied by the vanishing coefficient dropped):
@@ -48,8 +47,8 @@ The two legs at one rate are independent, so they run at the same time
 (``_shoot_pair``, for every surplus evaluation and the final pass): the
 caller shoots the forward leg while one worker process (:mod:`._worker`)
 shoots the backward one. The worker is forked by the first solve, reused
-for the rest of the caller's life, and runs only :func:`shoot_leg`;
-refinement, the residual check and boundary location stay in the caller.
+for the rest of the caller's life, and runs only :func:`shoot_leg`; the
+residual check and boundary location stay in the caller.
 Arguments and results are pickled, so the same code runs on the same
 floats and the answers are bit-identical to shooting both legs in the
 caller, which is what happens where ``os.fork`` is missing, a fork fails
@@ -101,16 +100,16 @@ __all__ = [
 
 # Numerical controls; they meet the documented tolerances. RTOL is the
 # advertised integration tolerance; the final stitched pass runs tighter
-# (FINAL_RTOL) so that its dense output, the solution's q, stays well inside
-# the advertised budget, and its steps whose residual ratio (relative to the
-# 10 x RTOL budget) exceeds REFINE_TARGET are re-integrated on sub-intervals.
+# (FINAL_RTOL), and its stepper rejects every trial step whose cubic's
+# residual ratio (relative to the 10 x RTOL budget) exceeds DEFECT_TARGET,
+# so that its dense output, the solution's q, stays well inside the budget.
 # The final pass's absolute tolerance has a floor of 0.1 RTOL times the
 # impact part of q's boundary value q(0) = eps + 2 sqrt(lam beta): q crosses
 # zero at y* and is about eps beside the band, where FINAL_RTOL relative to
 # |q| alone would resolve it far past the residual budget. The floor
 # vanishes as sqrt(lam) because at tiny impact the stiff far regions make
 # the dense cubic the binding error, and uniform floors on the q scale broke
-# the domain there. REFINE_TARGET is 0.5 on the scale of
+# the domain there. DEFECT_TARGET is 0.5 on the scale of
 # residual_ratio_half_budget (0.7 of the budget), which leaves room for the
 # rounding of the stitched backward pieces. DELTA is the offset of both
 # boundary starts. The rate search ends when the beta bracket is no wider
@@ -118,12 +117,11 @@ __all__ = [
 # it started from.
 RTOL = 1e-10
 FINAL_RTOL = 1e-13
-REFINE_TARGET = 0.5 * 0.7
+DEFECT_TARGET = 0.5 * 0.7
 BETA_TOL_REL = 1e-12
 Y_TOL = 1e-12
-# Largest jump of the stitched q at y* and at the right end of a refined
-# step (and of q against the band curve at each boundary): the
-# value-matching bound.
+# Largest jump of the stitched q at y* (and of q against the band curve at
+# each boundary): the value-matching bound.
 MATCH_TOL = 1e-8
 DELTA = 1e-6
 # Every leg's divergence guard on its far side, in units of s (see above).
@@ -147,18 +145,15 @@ class FreeBoundarySolution:
 
     ``q`` is the final stitched pass itself: the collocation cubic of every
     accepted Radau step of the two uncapped final legs, on increasing knots
-    from delta through y* to 1 - delta, where each refined step contributes
-    the cubics of its sub-steps instead of its own. ``q_at`` evaluates it.
-    ``y_grid`` is its knots with both boundaries added, and ``q_grid`` its
-    values there.
+    from delta through y* to 1 - delta. ``q_at`` evaluates it. ``y_grid`` is
+    its knots with both boundaries added, and ``q_grid`` its values there.
 
     ``diagnostics["residual_ratio_half_budget"]`` is q's worst equation
     residual at the quarter points of every step, relative to the largest
-    additive term and to 0.7 of the 10 x RTOL budget.
+    additive term and to 0.7 of the 10 x RTOL budget; the final legs'
+    defect test keeps it at about DEFECT_TARGET / 0.7 = 0.5 or below.
     ``diagnostics["forward_steps"]`` and ``["backward_steps"]`` count the
-    accepted steps of the final legs, ``["refined_steps"]`` how many of them
-    were refined, and ``["max_splice_jump"]`` the largest jump in q at the
-    right end of a refined step (at most ``MATCH_TOL``).
+    accepted steps of the final legs.
     ``diagnostics["final_rtol"]`` and ``["final_atol"]`` are the final legs'
     tolerances: FINAL_RTOL, and an atol of 0.01 FINAL_RTOL times the q
     scale eps + 2 sqrt(lam beta_hi), beta_hi the frictionless rate, with a
@@ -176,8 +171,7 @@ class FreeBoundarySolution:
     @cached_property
     def y_grid(self) -> np.ndarray:
         """The knots of ``q`` plus ``y_minus`` and ``y_plus``."""
-        return np.unique(np.concatenate([self.q.knots,
-                                         [self.y_minus, self.y_plus]]))
+        return _with_edges(self.q.knots, self.y_minus, self.y_plus)
 
     @cached_property
     def q_grid(self) -> np.ndarray:
@@ -266,6 +260,14 @@ def policy(solution: FreeBoundarySolution) -> TradingPolicy:
     return TradingPolicy(solution)
 
 
+def _with_edges(ys: np.ndarray, y_minus: float, y_plus: float) -> np.ndarray:
+    """Increasing ``ys`` with both band edges inserted, each value once: a
+    sort and a duplicate mask, where ``np.unique`` would import ``numpy.ma``
+    (16 ms) on its first call."""
+    ys = np.sort(np.concatenate([ys, [y_minus, y_plus]]))
+    return ys[np.append(True, ys[1:] != ys[:-1])]
+
+
 # ---------------------------------------------------------------------------
 # Shooting legs
 
@@ -343,14 +345,20 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool,
     """Shoot one leg onto ``y_stop``, forward from y = delta or backward
     from y = 1 - delta, inside the leg's divergence guard (``_leg_guard``).
 
+    A final leg (``rtol == FINAL_RTOL``) runs under the stepper's defect
+    test: each step's cubic must meet the equation at its quarter points to
+    DEFECT_TARGET of the 10 x RTOL budget.
+
     Returns the leg and its status: ``reached``, ``upper`` or ``lower`` (the
     side of the band a diverging trajectory left through, a step-size
     collapse included when its position says which), or ``stalled``.
     """
     rhs, jac = hjb.make_rhs_jac(params, beta)
     y0, q0 = _leg_start(params, beta, forward, rhs, jac)
+    defect = (hjb.make_defect(params, beta, 10.0 * RTOL * DEFECT_TARGET)
+              if rtol == FINAL_RTOL else None)
     leg = integrate_guarded(rhs, jac, y0, y_stop, q0, rtol, atol,
-                            guard=_leg_guard(params, forward))
+                            guard=_leg_guard(params, forward), defect=defect)
     status = leg.status
     if status == STALLED:
         status = _classify_stall(leg, params, forward)
@@ -446,10 +454,10 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     ``beta_bracket_width`` is the width of the final sign-change bracket,
     zero when a surplus was exactly zero; it is at most ``BETA_TOL_REL``
     times the admissible bracket's width, wherever the search started.
-    ``diagnostics["leg_work"]`` holds, for the ``search``, ``final`` and
-    ``refine`` legs, the ``legs`` shot and their ``nfev``, ``njev``,
-    ``naccepted`` and ``nrejected`` steps, summed over both processes; a
-    backward leg shot beside a forward leg that diverged counts too.
+    ``diagnostics["leg_work"]`` holds, for the ``search`` and ``final``
+    legs, the ``legs`` shot and their ``nfev``, ``njev``, ``naccepted`` and
+    ``nrejected`` steps, summed over both processes; a backward leg shot
+    beside a forward leg that diverged counts too.
 
     Raises
     ------
@@ -464,10 +472,10 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     NumericalFailure
         An integration leg failed in a way that cannot be classified, the
         surplus changes sign the wrong way round on the inner or the
-        admissible rate bracket, the
-        final legs meet at y* with a jump beyond the value-matching bound,
-        no split of a flagged final step meets the residual budget, or the
-        stitched q breaks an invariant or misses its residual budget.
+        admissible rate bracket, a final leg does not reach y* (its steps
+        cannot meet the defect test), the final legs meet at y* with a jump
+        beyond the value-matching bound, or the stitched q breaks an
+        invariant or misses its residual budget.
     """
     validate(params)
     if degenerate_regime(params) is not AllocationRegime.INTERIOR:
@@ -498,7 +506,7 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     atol = _auto_atol(params, hi, RTOL)
     work = {phase: dict.fromkeys(("legs", "nfev", "njev", "naccepted",
                                   "nrejected"), 0)
-            for phase in ("search", "final", "refine")}
+            for phase in ("search", "final")}
 
     def surplus(beta_try: float) -> float:
         return _match_surplus(params, beta_try, y_mid, atol, work["search"])
@@ -540,17 +548,21 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     beta, beta_other, iterations = bracket_root(
         surplus, below, above, probed[below], probed[above], beta_tol)
 
-    # Final stitched pass at a tighter tolerance; the steps whose dense
-    # output misses REFINE_TARGET are refined before stitching.
+    # Final stitched pass at a tighter tolerance, under defect control.
     final_atol = max(1e-18, 0.01 * FINAL_RTOL * _q_scale(params, hi),
                      200.0 * FINAL_RTOL * math.sqrt(params.lam * hi))
 
     (leg_f, status_f), (leg_b, status_b) = _shoot_pair(
         params, beta, y_mid, FINAL_RTOL, final_atol, work["final"])
     if status_f != REACHED or status_b != REACHED:
+        ends = "; ".join(
+            f"{side}: {status}" if status == REACHED else
+            f"{side}: {status} at y={leg.t_end:.6g}, q={leg.y_end:.6g}"
+            for side, leg, status in (("forward", leg_f, status_f),
+                                      ("backward", leg_b, status_b)))
         raise NumericalFailure(
-            f"final stitched pass did not reach the matching point "
-            f"(forward: {status_f}, backward: {status_b})"
+            f"final stitched pass did not reach the matching point at "
+            f"beta={beta!r} ({ends})"
         )
 
     matching_residual = leg_f.y_end - leg_b.y_end
@@ -560,10 +572,7 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
             f"{matching_residual:.3g} in q at beta={beta!r}, beyond the "
             f"value-matching bound {MATCH_TOL:g}"
         )
-    (sol_f, refined_f, jump_f), (sol_b, refined_b, jump_b) = (
-        _refine(params, beta, forward, leg, final_atol, work["refine"])
-        for forward, leg in ((True, leg_f), (False, leg_b)))
-    q = _stitch(sol_f, sol_b)
+    q = _stitch(leg_f.sol, leg_b.sol)
     y_minus, y_plus = _locate_boundaries(params, q)
 
     diagnostics = {
@@ -575,8 +584,6 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         "final_atol": final_atol,
         "forward_steps": int(leg_f.naccepted),
         "backward_steps": int(leg_b.naccepted),
-        "refined_steps": refined_f + refined_b,
-        "max_splice_jump": max(jump_f, jump_b),
         "beta_bracket_width": abs(beta_other - beta),
         "leg_work": work,
     }
@@ -592,95 +599,6 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     diagnostics["residual_ratio_half_budget"] = _check_solution(solution,
                                                                 base)
     return solution
-
-
-def _refine(params: MarketParams, beta: float, forward: bool,
-            leg: IntegrationResult, atol: float,
-            work: dict) -> tuple[PiecewisePolynomial, int, float]:
-    """A final leg's dense output, each step whose residual ratio exceeds
-    REFINE_TARGET replaced by the cubics of a finer re-integration.
-
-    A flagged step is re-shot from its starting node on m = 2, 4, 8, ...
-    equal sub-intervals (final tolerances, the leg's guard) until the worst
-    sub-step meets the target or stops falling; the best split tried, the
-    unrefined step included, is kept. It raises if that best misses the
-    budget (ratio 1, as in ``_check_solution``) or ends more than MATCH_TOL
-    from the step's right node, where it meets the leg's next step. Returns
-    ``(dense output, refined steps, largest jump at a splice)``.
-    """
-    sol = leg.sol
-    ratios = _residual_ratio(params, beta, sol)
-    flagged = np.nonzero(~(ratios <= REFINE_TARGET))[0]
-    if len(flagged) == 0:
-        return sol, 0, 0.0
-    rhs, jac = hjb.make_rhs_jac(params, beta)
-    guard = _leg_guard(params, forward)
-    knots, coeffs = sol.knots, sol.coeffs
-    right_nodes = np.append(coeffs[1:, 0], leg.y_end)
-    parts_k, parts_c = [], []
-    start, refined_steps, max_jump = 0, 0, 0.0
-    for i in flagged:
-        t0 = float(knots[i])
-        tried, best, m = [float(ratios[i])], None, 2
-        while not tried[-1] <= REFINE_TARGET:
-            split = _reshoot(rhs, jac, t0, float(knots[i + 1]),
-                             float(coeffs[i, 0]), m, atol, guard, work)
-            tried.append(float(np.max(_residual_ratio(params, beta,
-                                                      split[0]))))
-            if not tried[-1] < min(tried[:-1]):
-                break
-            best, m = split, 2 * m
-        if not min(tried) <= 1.0:
-            raise NumericalFailure(
-                f"no split of the final step at y={t0!r} meets the residual "
-                f"budget: ratios {', '.join(f'{r:.3g}' for r in tried)} on "
-                f"1, 2, 4, ... sub-intervals"
-            )
-        if best is None:
-            continue
-        refined, q_end = best
-        jump = abs(q_end - float(right_nodes[i]))
-        if not jump <= MATCH_TOL:
-            raise NumericalFailure(
-                f"the refined final step at y={t0!r} ends with a jump of "
-                f"{jump:.3g} in q, beyond the value-matching bound "
-                f"{MATCH_TOL:g}"
-            )
-        max_jump = max(max_jump, jump)
-        parts_k += [knots[start:i], refined.knots[:-1]]
-        parts_c += [coeffs[start:i], refined.coeffs]
-        start = i + 1
-        refined_steps += 1
-    parts_k.append(knots[start:])
-    parts_c.append(coeffs[start:])
-    return (PiecewisePolynomial(np.concatenate(parts_k),
-                                np.concatenate(parts_c)),
-            refined_steps, max_jump)
-
-
-def _reshoot(rhs, jac, t0: float, t1: float, q0: float, m: int, atol: float,
-             guard: GuardBox,
-             work: dict) -> tuple[PiecewisePolynomial, float]:
-    """The step from (t0, q0) to t1 integrated again on m equal
-    sub-intervals, each to its own end: the sub-steps' dense output and the
-    value reached at t1. Each sub-step is added to ``work``."""
-    knots, coeffs = [np.array([t0])], []
-    a, q_a = t0, q0
-    for k in range(1, m + 1):
-        b = t1 if k == m else t0 + (t1 - t0) * k / m
-        sub = integrate_guarded(rhs, jac, a, b, q_a, FINAL_RTOL, atol,
-                                guard=guard)
-        _count(work, sub)
-        if sub.status != REACHED:
-            raise NumericalFailure(
-                f"refining the final step at y={t0!r}: a sub-step ended "
-                f"{sub.status} at y={sub.t_end!r}"
-            )
-        knots.append(sub.sol.knots[1:])
-        coeffs.append(sub.sol.coeffs)
-        a, q_a = b, sub.y_end
-    return (PiecewisePolynomial(np.concatenate(knots), np.concatenate(coeffs)),
-            q_a)
 
 
 def _stitch(forward: PiecewisePolynomial,

@@ -11,6 +11,7 @@ from spreadimpact.hjb import (
     boundary_value_0,
     boundary_value_1,
     equation_terms,
+    make_defect,
     make_rhs_jac,
     optimal_turnover,
 )
@@ -134,13 +135,31 @@ class TestSlope:
            beta=st.floats(0.016, 0.025))
     @settings(max_examples=300, deadline=None)
     def test_scalar_and_vectorized_forms_agree(self, y, q, eps, lam, beta):
-        # The only two copies of the equation must stay the same equation.
+        # The slope and the vectorized terms must stay the same equation.
         assume(q * y < 0.99)
         p = make(epsilon=eps, lam=lam)
         s = rhs_of(p, beta)(y, q)
         terms, coef = equation_terms(p, beta, y, q)
         v = float(-sum(terms) / coef - (1.0 - p.gamma) * q * q)
         assert abs(s - v) <= 1e-14 * max(1.0, abs(s))
+
+    @given(y=st.floats(1e-4, 1.0 - 1e-4), q=st.floats(-1.0, 1.0),
+           q_prime=st.floats(-1e3, 1e3), eps=st.floats(1e-4, 3e-2),
+           lam=st.floats(1e-8, 3e-2), beta=st.floats(0.016, 0.025))
+    @settings(max_examples=300, deadline=None)
+    def test_defect_is_the_vectorized_residual(self, y, q, q_prime, eps, lam,
+                                               beta):
+        # The final legs' scalar residual test sums the same terms as the
+        # solution's residual check, in the same order.
+        assume(q * y < 0.99)
+        p = make(epsilon=eps, lam=lam)
+        terms, _ = equation_terms(p, beta, y, q, q_prime)
+        scale = max(abs(float(t)) for t in terms)
+        assert make_defect(p, beta, 1.0)(y, q, q_prime) == \
+            abs(float(sum(terms))) / scale
+
+    def test_defect_beyond_singular_curve(self):
+        assert make_defect(make(), 0.02, 1e-9)(0.5, 2.1, 0.0) == math.inf
 
 
 class TestBoundaryData:

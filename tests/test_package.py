@@ -68,19 +68,42 @@ def test_solve_takes_only_the_parameters():
     assert list(inspect.signature(spreadimpact.solve).parameters) == ["params"]
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only dependency: importing the package and its CLI
-    # must not pull it in.
+def run_python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    this package."""
     src = os.path.dirname(os.path.dirname(spreadimpact.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, spreadimpact, spreadimpact.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: importing the package and its CLI
+    # must not pull it in.
+    out = run_python("import sys, spreadimpact, spreadimpact.cli; "
+                     "print(sorted(m for m in sys.modules "
+                     "if m == 'scipy' or m.startswith('scipy.')))")
+    assert out.strip() == "[]"
+
+
+def test_solve_and_its_grids_load_no_numpy_ma():
+    # np.unique imports numpy.ma (16 ms, 1.7 MB) on its first call; the
+    # solution's y_grid, the policy table and the CLI grid do without it.
+    out = run_python(textwrap.dedent("""
+        import contextlib, io, sys
+        import spreadimpact, spreadimpact.cli
+        params = spreadimpact.MarketParams(epsilon=1e-3, lam=1e-4, mu=0.08,
+                                           sigma=0.16, gamma=5.0)
+        spreadimpact.policy(spreadimpact.solve(params)).tabulated()
+        with contextlib.redirect_stdout(io.StringIO()):
+            spreadimpact.cli.main(["solve", "--mu", "0.08", "--sigma", "0.16",
+                                   "--gamma", "5", "--epsilon", "0.001",
+                                   "--lambda", "0.0001", "--grid-points", "11"])
+        print("numpy.ma" in sys.modules)
+    """))
+    assert out.strip() == "False"
 
 
 def test_import_starts_no_process_and_solve_starts_one():
@@ -88,11 +111,7 @@ def test_import_starts_no_process_and_solve_starts_one():
     # and without multiprocessing; later solves reuse it.
     if not (hasattr(os, "fork") and os.path.isdir("/proc/self")):
         pytest.skip("needs os.fork and /proc")
-    src = os.path.dirname(os.path.dirname(spreadimpact.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    code = textwrap.dedent("""
+    out = run_python(textwrap.dedent("""
         import os, sys
         import spreadimpact, spreadimpact.cli
 
@@ -115,10 +134,8 @@ def test_import_starts_no_process_and_solve_starts_one():
         first = children()
         spreadimpact.solve(params)
         print(len(first), first == children())
-    """)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["False []", "1 True"]
+    """))
+    assert out.split("\n")[:2] == ["False []", "1 True"]
 
 
 def test_expansion_evaluates_r_buy_by_the_closed_form_only():

@@ -201,6 +201,59 @@ class TestExits:
         assert res.t_end == res.sol.knots[-1]
 
 
+def quarter_point_defects(res, defect):
+    """The defect at the quarter points of every accepted step."""
+    knots = res.sol.knots
+    slope = res.sol.derivative()
+    return np.array([defect(t, res.sol(t), slope(t))
+                     for a, b in zip(knots[:-1], knots[1:])
+                     for t in (a + 0.25 * (b - a), a + 0.5 * (b - a),
+                               a + 0.75 * (b - a))])
+
+
+class TestDefectControl:
+    def test_trials_rejected_until_every_step_meets_the_defect(self):
+        # q' = 1 - q at a loose rtol: the error test accepts steps whose
+        # cubics miss the equation by up to 2.3e-6, far above a defect
+        # tolerance of 1e-9. The defect test rejects those trials, counts
+        # them, and takes shorter steps until every accepted one meets it.
+        def defect(t, q, dq):
+            return abs(dq - relax(t, q)) / 1e-9
+
+        plain = integrate_guarded(relax, relax_jac, 0.0, 0.9, 0.0, 1e-6,
+                                  1e-8, GuardBox())
+        controlled = integrate_guarded(relax, relax_jac, 0.0, 0.9, 0.0, 1e-6,
+                                       1e-8, GuardBox(), defect=defect)
+        assert plain.status == controlled.status == "reached"
+        assert np.max(quarter_point_defects(plain, defect)) > 10.0
+        assert np.max(quarter_point_defects(controlled, defect)) <= 1.0
+        assert controlled.nrejected > plain.nrejected
+        assert controlled.naccepted > plain.naccepted
+        assert np.max(np.diff(controlled.sol.knots)) < np.max(
+            np.diff(plain.sol.knots))
+        assert controlled.y_end == pytest.approx(1.0 - math.exp(-0.9),
+                                                 rel=1e-9)
+
+    def test_unmeetable_defect_stalls_at_the_stuck_point(self):
+        # Past t = 0.5 no step can meet the defect: the trial steps from the
+        # first point past it shrink until they are shorter than 1e-9 of
+        # that point's distance to t = 1, and the run stalls there.
+        def defect(t, q, dq):
+            return 2.0 if t > 0.5 else 0.0
+
+        res = integrate_guarded(relax, relax_jac, 0.0, 0.9, 0.0, 1e-10,
+                                1e-12, GuardBox(), defect=defect)
+        assert res.status == "stalled"
+        t_prev = res.sol.knots[-2]
+        assert res.t_end == res.sol.knots[-1]
+        assert t_prev + 0.75 * (res.t_end - t_prev) <= 0.5 < res.t_end
+        assert res.y_end == pytest.approx(1.0 - math.exp(-res.t_end),
+                                          rel=1e-9)
+        # Each rejection shrinks h by 0.9 * 2^(-1/3) = 0.71: about 40 of them
+        # take it from the last step's 2e-4 to 1e-9 (1 - t_end).
+        assert 40 <= res.nrejected <= 100
+
+
 class TestAgainstScipy:
     @pytest.mark.parametrize("eps,lam,beta,forward", [
         (1e-3, 1e-4, 0.0249, True),

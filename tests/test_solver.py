@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -443,37 +444,30 @@ class TestSolve:
             scale = np.max(np.abs(np.stack(terms)), axis=0)
             assert np.max(np.abs(residual) / (10.0 * 1e-10 * scale)) <= 1.0
 
-    def test_final_pass_refines_flagged_steps(self, solve_cache):
-        # At this point the uncapped final legs leave a few steps above the
-        # refinement target; their re-integrated sub-steps pass, and the
-        # splices stay far inside the value-matching bound. The solution
-        # also meets the off-quarter-point residual test above.
-        sol = solve_cache(3e-3, 1e-8)
-        assert sol.diagnostics["refined_steps"] > 0
-        assert sol.diagnostics["max_splice_jump"] <= solver.MATCH_TOL
-        assert sol.diagnostics["residual_ratio_half_budget"] <= 1.0
+    @pytest.mark.parametrize("seed,i", [(8, 26), (10, 7)])
+    def test_defect_control_keeps_every_step_in_budget(self, seed, i,
+                                                       box_point):
+        # Two box points whose post-hoc refinement found no split of a final
+        # step inside the residual budget (at y = 0.0056 and 0.0019). Under
+        # the stepper's defect test every step stays within DEFECT_TARGET,
+        # 0.35 of the budget (0.5 on this diagnostic's scale), up to the
+        # rounding of the stitched backward pieces.
+        sol = solve(box_point(seed, i))
+        assert sol.diagnostics["residual_ratio_half_budget"] <= 0.51
 
-    def test_refinement_without_progress_raises(self, monkeypatch):
-        # A step above its residual budget whose ratio does not fall when
-        # its sub-intervals are halved raises at once, naming where, instead
-        # of halving on.
-        monkeypatch.setattr(
-            solver, "_residual_ratio",
-            lambda params, beta, q: np.full(len(q.knots) - 1, 1.5))
+    def test_unmeetable_defect_raises_fast_naming_y(self, box_point):
+        # Box seed 9 point 1 (lam = 9.3e-12): next to y = 0 q sits only
+        # 2 sqrt(lam beta) = 4e-8 above the buy curve, and at y = 1.3e-6 no
+        # trial step of the final forward leg meets its residual target. The
+        # leg stops once its trials fall below 1e-9 y, well inside a second.
+        start = time.perf_counter()
         with pytest.raises(NumericalFailure,
-                           match=r"no split of the final step at y=.* meets "
-                                 r"the residual budget: ratios 1.5, 1.5 "):
-            solve(params_with(1e-3, 1e-4))
-
-    def test_refinement_keeps_a_step_within_budget(self, monkeypatch):
-        # A flagged step that halving does not improve is kept as it is
-        # when it already meets the budget.
-        monkeypatch.setattr(
-            solver, "_residual_ratio",
-            lambda params, beta, q: np.full(len(q.knots) - 1, 0.5))
-        sol = solve(params_with(1e-3, 1e-4))
-        assert sol.diagnostics["refined_steps"] == 0
-        assert sol.diagnostics["residual_ratio_half_budget"] == 0.5 / 0.7
+                           match=r"did not reach the matching point at "
+                                 r"beta=.*\(forward: stalled at "
+                                 r"y=1\.3\d*e-06, q=0\.021\d*; "
+                                 r"backward: reached\)"):
+            solve(box_point(9, 1))
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("eps,lam,bound", [
         # 1.3 x the accepted steps of the final legs with the impact floor
