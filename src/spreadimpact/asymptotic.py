@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from ._radau import bracket_root
-from .market import MarketParams, baseline, validate
+from .market import MarketParams, _require_interior, baseline, validate
 from .whittaker import whittaker_w_ratio
 
 __all__ = [
@@ -71,7 +71,10 @@ class AsymptoticInputs:
     @classmethod
     def from_params(cls, params: MarketParams,
                     K: float | None = None) -> "AsymptoticInputs":
+        """The inputs for interior-regime parameters; buy-and-hold ones
+        raise ``ParameterError``, as in ``solve``."""
         validate(params)
+        _require_interior(params)
         if K is None:
             if params.epsilon <= 0.0 or params.lam <= 0.0:
                 raise ValueError(

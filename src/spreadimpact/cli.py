@@ -1,7 +1,7 @@
 """Command-line front end: solve, asymptotic, policy, simulate, sweep, compare.
 
 Every command is deterministic given its full flag set. Exit codes: 0 on
-success, 1 for usage or validation problems, 2 when the free-boundary
+success, 1 for usage, validation or file problems, 2 when the free-boundary
 construction reports that the frictions are too large (no matching rate),
 3 for numerical failures.
 """
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, ValueError) as exc:
+    except (ParameterError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except NoMatchError as exc:

@@ -4,14 +4,13 @@ q solves a first-order ODE whose right-hand side switches between three
 regimes: buying (q above the curve eps/(1+eps*y)), selling (q below
 -eps/(1-eps*y)), and no trading in between. The friction bracket
 w^2/(4 lam (1-yq)) vanishes on the regime curves, so the slope field is
-continuous. This module holds the one equation three times, nowhere else:
+continuous. This module holds the one equation twice, nowhere else:
 
 - :func:`make_rhs_jac`, scalar closures for the slope and its q-derivative
   (the integrator's hot path);
 - :func:`make_defect`, a scalar closure for its residual relative to its
-  largest term (the final legs' per-step residual test);
-- :func:`equation_terms`, its additive terms on arrays (the residual check
-  of the solution).
+  largest term: the final legs' per-step defect test and the solution's
+  residual check both call it.
 
 The residual could reuse the slope as coef (q' - rhs(y, q)), but its scale
 needs the terms one by one: written out it takes 0.94 us per point against
@@ -35,7 +34,6 @@ __all__ = [
     "band_sell",
     "boundary_value_0",
     "boundary_value_1",
-    "equation_terms",
     "make_defect",
     "make_rhs_jac",
     "optimal_turnover",
@@ -115,8 +113,8 @@ def make_defect(params: MarketParams, beta: float, tol: float):
     """Fast closure ``(y, q, q') -> ratio``: the equation's residual at a
     point relative to its largest additive term and to ``tol``.
 
-    The terms and their sum are those of :func:`equation_terms`, in the same
-    order. Beyond the singular curve (q y >= 1) the ratio is inf.
+    It serves both the final legs' per-step defect test and the solution's
+    residual check. Beyond the singular curve (q y >= 1) the ratio is inf.
     """
     mu = params.mu
     eps = params.epsilon
@@ -145,41 +143,6 @@ def make_defect(params: MarketParams, beta: float, tol: float):
             tol * max(abs_beta, abs(a), b, abs(c), abs(d), bracket))
 
     return defect
-
-
-def equation_terms(params: MarketParams, beta: float, y, q, q_prime=None):
-    """Additive terms of the equation at states (y, q), vectorized.
-
-    Returns ``(terms, coef)``, where ``coef`` is the vanishing coefficient
-    sigma^2 y^2 (1-y)^2 / 2 of the q' term ``coef * (q' + (1-gamma) q^2)``.
-    Given ``q_prime``, that term is included (before the friction bracket)
-    and the terms sum to the equation's residual. Without it the slope is
-    ``-sum(terms) / coef - (1-gamma) q^2``.
-    """
-    y = np.asarray(y, dtype=float)
-    q = np.asarray(q, dtype=float)
-    eps, lam = params.epsilon, params.lam
-    gs2 = params.gamma * params.sigma**2
-    one_m_yq = 1.0 - y * q
-    w_buy = q - eps * one_m_yq
-    w_sell = q + eps * one_m_yq
-    bracket = np.where(
-        w_buy >= 0.0,
-        w_buy * w_buy / (4.0 * lam * one_m_yq),
-        np.where(w_sell <= 0.0, w_sell * w_sell / (4.0 * lam * one_m_yq), 0.0),
-    )
-    coef = 0.5 * params.sigma**2 * y * y * (1.0 - y) ** 2
-    terms = [
-        -beta + 0.0 * y,
-        params.mu * y,
-        -0.5 * gs2 * y * y,
-        y * (1.0 - y) * (params.mu - gs2 * y) * q,
-    ]
-    if q_prime is not None:
-        terms.append(coef * (np.asarray(q_prime, dtype=float)
-                             + (1.0 - params.gamma) * q * q))
-    terms.append(bracket)
-    return terms, coef
 
 
 def boundary_value_0(params: MarketParams, beta: float) -> tuple[float, float]:

@@ -69,7 +69,11 @@ class MarketParams:
     @classmethod
     def from_dict(cls, doc: dict) -> "MarketParams":
         """Build parameters from a JSON-style dict with exactly the keys
-        mu, sigma, gamma, epsilon, lambda."""
+        mu, sigma, gamma, epsilon, lambda, each an int or a float (not a
+        bool)."""
+        if not isinstance(doc, dict):
+            raise ParameterError(
+                f"parameter document must be an object, got {doc!r}")
         missing = [k for k in _JSON_KEYS if k not in doc]
         extra = [k for k in doc if k not in _JSON_KEYS]
         if missing or extra:
@@ -77,6 +81,11 @@ class MarketParams:
                 f"parameter document must contain exactly {_JSON_KEYS}; "
                 f"missing={missing} unknown={extra}"
             )
+        for key in _JSON_KEYS:
+            value = doc[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ParameterError(
+                    f"parameter {key!r} must be a number, got {value!r}")
         params = cls(
             mu=float(doc["mu"]),
             sigma=float(doc["sigma"]),
@@ -203,6 +212,15 @@ def degenerate_regime(params: MarketParams) -> AllocationRegime:
     if y_star >= 1.0:
         return AllocationRegime.FULL_RISKY
     return AllocationRegime.INTERIOR
+
+
+def _require_interior(params: MarketParams) -> None:
+    """Raise ``ParameterError`` unless the parameters are interior."""
+    if degenerate_regime(params) is not AllocationRegime.INTERIOR:
+        raise ParameterError(
+            "parameters are in a buy-and-hold regime; the free-boundary "
+            "problem only applies when 0 < mu/(gamma sigma^2) < 1"
+        )
 
 
 def buy_and_hold_esr(params: MarketParams) -> float:

@@ -80,11 +80,10 @@ from ._radau import (
     integrate_guarded,
 )
 from .market import (
-    AllocationRegime,
     MarketParams,
     ParameterError,
+    _require_interior,
     baseline,
-    degenerate_regime,
     friction_loss,
     validate,
 )
@@ -478,11 +477,7 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         invariant or misses its residual budget.
     """
     validate(params)
-    if degenerate_regime(params) is not AllocationRegime.INTERIOR:
-        raise ParameterError(
-            "parameters are in a buy-and-hold regime; the free-boundary "
-            "problem only applies when 0 < mu/(gamma sigma^2) < 1"
-        )
+    _require_interior(params)
     if params.lam <= 0.0:
         raise ParameterError(
             "the exact solver requires lambda > 0; the pure-spread limit is "
@@ -656,21 +651,22 @@ def _residual_ratio(params: MarketParams, beta: float,
 
     Some error modes of a step cubic vanish at the step's midpoint, so
     every step is checked at its quarter points as well, one quarter at a
-    time to keep the temporaries small. The residual is measured against
-    the largest additive term and the advertised budget of 10 x RTOL;
-    returns the worst of the three ratios of every step (NaN where one is
-    NaN). The knots may run in either direction.
+    time to keep the temporaries small. q and q' are evaluated on arrays;
+    each point's residual, against the largest additive term and the
+    advertised budget of 10 x RTOL, is the final legs' own defect test
+    (``hjb.make_defect``). Returns the worst of the three ratios of every
+    step (NaN where one is NaN, inf where a point lies beyond q y = 1).
+    The knots may run in either direction.
     """
+    defect = hjb.make_defect(params, beta, 10.0 * RTOL)
     deriv = q.derivative()
     lo = q.knots[:-1]
     width = np.diff(q.knots)
     worst = np.zeros(len(width))
     for theta in (0.25, 0.5, 0.75):
         y = lo + theta * width
-        terms, _ = hjb.equation_terms(params, beta, y, q(y), deriv(y))
-        scale = np.max(np.abs(np.stack(terms)), axis=0)
-        np.maximum(worst, np.abs(sum(terms)) / (10.0 * RTOL * scale),
-                   out=worst)
+        ratio = map(defect, y.tolist(), q(y).tolist(), deriv(y).tolist())
+        np.maximum(worst, np.fromiter(ratio, float, len(width)), out=worst)
     return worst
 
 

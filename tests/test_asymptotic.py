@@ -16,7 +16,7 @@ from spreadimpact.asymptotic import (
     welfare_coefficient,
 )
 from spreadimpact.cli import main
-from spreadimpact.market import MarketParams, friction_loss
+from spreadimpact.market import MarketParams, ParameterError, friction_loss
 from spreadimpact.whittaker import CancellationError
 
 BASE = dict(mu=0.08, sigma=0.16, gamma=5.0)
@@ -118,6 +118,14 @@ class TestInputs:
     def test_positive_coupling_required(self):
         p = MarketParams(epsilon=0.0, lam=1e-4, **BASE)
         with pytest.raises(ValueError):
+            AsymptoticInputs.from_params(p)
+
+    @pytest.mark.parametrize("mu", [0.2, -0.02])
+    def test_buy_and_hold_parameters_refused(self, mu):
+        # y* = 1.5625 and -0.15625: the expansion around y* has no band.
+        p = MarketParams(mu=mu, sigma=0.16, gamma=5.0, epsilon=1e-3,
+                         lam=1e-4)
+        with pytest.raises(ParameterError, match="buy-and-hold regime"):
             AsymptoticInputs.from_params(p)
 
     def test_cached_scales_equal_their_formulas(self):

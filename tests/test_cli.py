@@ -113,6 +113,36 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out)["params"]["epsilon"] == 0.01
 
+    @pytest.mark.parametrize("text", [
+        '{"mu": null, "sigma": 0.16, "gamma": 5, "epsilon": 0.01, '
+        '"lambda": 0.01}',
+        '{"mu": true, "sigma": 0.16, "gamma": 5, "epsilon": 0.01, '
+        '"lambda": 0.01}',
+        "3",
+    ])
+    def test_malformed_params_file_exit_code(self, capsys, tmp_path, text):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "solve", "--params", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_params_file_exit_code(self, capsys, tmp_path):
+        code, _, err = run(capsys, "solve", "--params",
+                           str(tmp_path / "absent.json"))
+        assert code == 1
+        assert err.startswith("error: ") and "absent.json" in err
+
+    def test_unwritable_out_exit_code(self, capsys, tmp_path):
+        # A buy-and-hold answer: written at once, without a solve.
+        code, _, err = run(capsys, "solve", "--mu", "0.2", "--sigma", "0.16",
+                           "--gamma", "5", "--epsilon", "0.01",
+                           "--lambda", "0.01", "--out",
+                           str(tmp_path / "no" / "dir" / "x.json"))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_params_file_conflicts_with_flags(self, capsys, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"mu": 0.08, "sigma": 0.16, "gamma": 5,
@@ -160,6 +190,15 @@ class TestAsymptoticCommand:
         code, _, err = run(capsys, *flags, "--k", "1e-4")
         assert code == 3
         assert err.startswith("numerical failure:")
+
+    @pytest.mark.parametrize("mu", ["0.2", "-0.02"])
+    def test_buy_and_hold_exit_code(self, capsys, mu):
+        code, out, err = run(capsys, "asymptotic", "--mu", mu, "--sigma",
+                             "0.16", "--gamma", "5", "--epsilon", "0.001",
+                             "--lambda", "0.0001")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: parameters are in a buy-and-hold regime")
 
 
 class TestPolicyCommand:

@@ -128,6 +128,18 @@ class TestJson:
         with pytest.raises(ParameterError, match="unknown"):
             MarketParams.from_dict(doc)
 
+    @pytest.mark.parametrize("value", [None, True, "0.08", [0.08]])
+    def test_non_numeric_value_rejected_by_key(self, value):
+        doc = make().to_dict()
+        doc["mu"] = value
+        with pytest.raises(ParameterError, match="'mu' must be a number"):
+            MarketParams.from_dict(doc)
+
+    @pytest.mark.parametrize("text", ["3", "null", "[0.08]"])
+    def test_document_must_be_an_object(self, text):
+        with pytest.raises(ParameterError, match="must be an object"):
+            MarketParams.from_json(text)
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(make().to_dict()))

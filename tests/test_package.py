@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 import spreadimpact
-from spreadimpact import asymptotic, montecarlo, solver, whittaker
+from spreadimpact import asymptotic, hjb, montecarlo, solver, whittaker
 
 PUBLIC = {
     "AllocationRegime",
@@ -46,6 +46,17 @@ WHITTAKER_PUBLIC = {
     "SpecialFunctionError",
     "whittaker_w",
     "whittaker_w_ratio",
+}
+
+HJB_PUBLIC = {
+    "BoundaryDataError",
+    "band_buy",
+    "band_sell",
+    "boundary_value_0",
+    "boundary_value_1",
+    "make_defect",
+    "make_rhs_jac",
+    "optimal_turnover",
 }
 
 
@@ -153,6 +164,16 @@ def test_whittaker_exports_only_what_the_package_uses():
     for name in ("gamma_fn", "kummer_1f1", "whittaker_m", "GammaPoleError",
                  "KummerRangeError"):
         assert not hasattr(whittaker, name), name
+
+
+def test_hjb_holds_the_slope_and_one_residual():
+    assert set(hjb.__all__) == HJB_PUBLIC
+    assert len(hjb.__all__) == len(HJB_PUBLIC)
+    # No public function or class of the module stays outside __all__.
+    defined = {name for name, obj in vars(hjb).items()
+               if not name.startswith("_")
+               and getattr(obj, "__module__", None) == hjb.__name__}
+    assert defined == HJB_PUBLIC
 
 
 def test_output_formats_live_only_in_the_cli():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spreadimpact._radau import GuardBox, PiecewisePolynomial
 from spreadimpact._radau import bracket_root as _bracket_root
-from spreadimpact.hjb import band_buy, band_sell, equation_terms, make_rhs_jac
+from spreadimpact.hjb import band_buy, band_sell, make_defect, make_rhs_jac
 from spreadimpact import solver
 from spreadimpact.cli import main
 from spreadimpact.market import (
@@ -27,6 +27,7 @@ from spreadimpact.solver import (
     _leg_start,
     _locate_boundaries,
     _q_scale,
+    _residual_ratio,
     _stitch,
     policy,
     shoot_leg,
@@ -438,11 +439,11 @@ class TestSolve:
                 rng.uniform(sol.y_grid[0], sol.y_grid[-1], 1000),
                 near, 1.0 - near,
             ])
-            terms, _ = equation_terms(sol.params, sol.beta, ys, sol.q_at(ys),
-                                      sol.q.derivative()(ys))
-            residual = sum(terms)
-            scale = np.max(np.abs(np.stack(terms)), axis=0)
-            assert np.max(np.abs(residual) / (10.0 * 1e-10 * scale)) <= 1.0
+            defect = make_defect(sol.params, sol.beta, 10.0 * 1e-10)
+            ratios = np.fromiter(map(defect, ys.tolist(),
+                                     sol.q_at(ys).tolist(),
+                                     sol.q.derivative()(ys).tolist()), float)
+            assert np.max(ratios) <= 1.0
 
     @pytest.mark.parametrize("seed,i", [(8, 26), (10, 7)])
     def test_defect_control_keeps_every_step_in_budget(self, seed, i,
@@ -559,6 +560,13 @@ class TestSolve:
             _check_solution(broken, baseline(sol.params))
         assert _check_solution(sol, baseline(sol.params)) == \
             sol.diagnostics["residual_ratio_half_budget"]
+
+    def test_residual_ratio_is_inf_beyond_the_singular_curve(self):
+        # A one-piece q = 2.1 on [0.4, 0.6]: its midpoint and upper quarter
+        # point lie beyond q y = 1, where the residual has no meaning.
+        q = PiecewisePolynomial(np.array([0.4, 0.6]), np.array([[2.1, 0.0]]))
+        ratios = _residual_ratio(params_with(1e-3, 1e-4), 0.02, q)
+        assert ratios.tolist() == [math.inf]
 
     def test_reversed_band_fails_the_order_check(self, solve_cache):
         # A q rising from -0.01 to 0.01 meets the sell curve (near -eps)
