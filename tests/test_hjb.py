@@ -14,7 +14,9 @@ from spreadimpact.hjb import (
     make_rhs_jac,
     optimal_turnover,
 )
+from spreadimpact._radau import PiecewisePolynomial
 from spreadimpact.market import MarketParams
+from spreadimpact.solver import RTOL, _residual_ratio
 
 
 def make(mu=0.08, sigma=0.16, gamma=5.0, epsilon=0.01, lam=0.01):
@@ -133,12 +135,38 @@ class TestSlope:
            eps=st.floats(1e-4, 3e-2), lam=st.floats(1e-8, 3e-2),
            beta=st.floats(0.016, 0.025))
     @settings(max_examples=300, deadline=None)
-    def test_slope_meets_the_residual(self, y, q, eps, lam, beta):
-        # The slope and the residual are written independently; the slope
-        # must leave no residual, relative to the equation's largest term.
+    def test_scalar_and_vectorized_forms_agree(self, y, q, eps, lam, beta):
+        # The integrator's scalar slope and the residual that the solution's
+        # vectorized check evaluates are written independently; they must
+        # stay the same equation: the slope leaves no residual, relative to
+        # the equation's largest term.
         assume(q * y < 0.99)
         p = make(epsilon=eps, lam=lam)
         assert make_defect(p, beta, 1.0)(y, q, rhs_of(p, beta)(y, q)) <= 1e-14
+
+    @given(knots=st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=2,
+                          max_size=6, unique=True),
+           coeffs=st.lists(st.floats(-0.3, 0.3), min_size=20, max_size=20),
+           falling=st.booleans(), eps=st.floats(1e-4, 3e-2),
+           lam=st.floats(1e-8, 3e-2), beta=st.floats(0.016, 0.025))
+    @settings(max_examples=100, deadline=None)
+    def test_defect_is_the_vectorized_residual(self, knots, coeffs, falling,
+                                               eps, lam, beta):
+        # The solution's residual check, on arrays of steps, is the final
+        # legs' scalar defect test at each step's quarter points, bit for
+        # bit, whichever way the knots run.
+        knots = np.array(sorted(knots, reverse=falling))
+        n = len(knots) - 1
+        q = PiecewisePolynomial(knots, np.array(coeffs[:4 * n]).reshape(n, 4))
+        p = make(epsilon=eps, lam=lam)
+        defect = make_defect(p, beta, 10.0 * RTOL)
+        deriv = q.derivative()
+        expected = []
+        for lo, hi in zip(knots[:-1].tolist(), knots[1:].tolist()):
+            points = [lo + theta * (hi - lo) for theta in (0.25, 0.5, 0.75)]
+            expected.append(max(defect(y, float(q(y)), float(deriv(y)))
+                                for y in points))
+        assert _residual_ratio(p, beta, q).tolist() == expected
 
     def test_defect_beyond_singular_curve(self):
         assert make_defect(make(), 0.02, 1e-9)(0.5, 2.1, 0.0) == math.inf
