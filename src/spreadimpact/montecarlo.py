@@ -305,9 +305,14 @@ def estimate_esr(ensemble: PathEnsemble, gamma: float,
     The rate is the certainty-equivalent growth between the burn-in and
     final horizons divided by the elapsed time; this differences out the
     bounded state-dependent contribution. The standard error resamples
-    whole paths (200 resamples).
+    whole paths (200 resamples). The horizons, bootstrap seed and pairing
+    come from ``ensemble.config``; a ``cfg`` other than that one raises
+    ValueError.
     """
-    cfg = cfg or ensemble.config
+    if cfg is not None and cfg != ensemble.config:
+        raise ValueError("cfg is not the config the ensemble was simulated "
+                         "with")
+    cfg = ensemble.config
     if gamma == 1.0 or gamma <= 0.0:
         raise ValueError("gamma must be positive and different from 1")
     lw1 = ensemble.log_wealth_burn_in

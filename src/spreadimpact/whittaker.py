@@ -19,7 +19,6 @@ parameter ranges produced by the small-cost expansion.
 
 from __future__ import annotations
 
-import functools
 import math
 
 __all__ = [
@@ -56,47 +55,11 @@ class CancellationError(SpecialFunctionError):
     """The defining combination lost more significant digits than allowed."""
 
 
-# Lanczos rational approximation, g = 7, 9 coefficients. Relative accuracy is
-# a few ulps on the positive axis; the reflection formula extends it to
-# negative non-integer arguments.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-def _lanczos_positive(x: float) -> float:
-    """Gamma(x) for x > 0.5 via the Lanczos sum."""
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-@functools.lru_cache(maxsize=256)
 def _reciprocal_gamma(x: float) -> float:
-    """1 / gamma(x), with the entire-function value 0 at the poles.
-
-    Cached: the callers pass index-only arguments (1/2 +- m - k and
-    1 +- 2m), which repeat across the evaluations of one expansion.
-    """
+    """1 / gamma(x), with the entire-function value 0 at the poles."""
     if x <= 0.0 and x == math.floor(x):
         return 0.0
-    if x >= 0.5:
-        return 1.0 / _lanczos_positive(x)
-    # Reflection: gamma(x) gamma(1 - x) = pi / sin(pi x).
-    return math.sin(math.pi * x) * _lanczos_positive(1.0 - x) / math.pi
+    return 1.0 / math.gamma(x)
 
 
 def _kummer_series(a: float, b: float, x: float) -> float:
@@ -224,8 +187,13 @@ def _w_route(ks: tuple[float, ...], m: float,
     near X_SWITCH at k ~ 1/4), gives way only to a certified series with a
     smaller error estimate. Error estimates and cancellations are maxed over
     ``ks``. A CancellationError is raised if the combination is needed and
-    loses more than CANCELLATION_DIGITS_LIMIT digits.
+    loses more than CANCELLATION_DIGITS_LIMIT digits, and a ValueError
+    unless x > 0 and 2m is not an integer.
     """
+    if x <= 0.0:
+        raise ValueError(f"Whittaker W requires x > 0, got {x!r}")
+    if 2.0 * m == math.floor(2.0 * m):
+        raise ValueError(f"Whittaker W requires 2m not an integer, got m={m!r}")
     sums, errs = zip(*[_w_asymptotic_sum(k, m, x) for k in ks])
     err = max(errs)
     certified = err <= _ASYMPTOTIC_CERTIFY
@@ -252,10 +220,6 @@ def whittaker_w(k: float, m: float, x: float) -> float:
     cancels too far. On the large-argument route W is x^k e^(-x/2) times the
     truncated series.
     """
-    if x <= 0.0:
-        raise ValueError(f"whittaker_w requires x > 0, got {x!r}")
-    if 2.0 * m == math.floor(2.0 * m):
-        raise ValueError(f"whittaker_w requires 2m not an integer, got m={m!r}")
     large_argument, (value,) = _w_route((k,), m, x)
     if large_argument:
         return math.exp(k * math.log(x) - 0.5 * x) * value
@@ -265,12 +229,11 @@ def whittaker_w(k: float, m: float, x: float) -> float:
 def whittaker_w_ratio(k: float, m: float, x: float) -> float:
     """W(k+1, m, x) / W(k, m, x) without forming the huge or tiny factors.
 
-    Both W values take one route, by the rule shared with ``whittaker_w``.
+    Both W values take one route, and the same arguments are refused, by
+    the rule shared with ``whittaker_w``.
     On the large-argument route the common x^k e^(-x/2) scale cancels
     analytically, keeping the ratio finite far beyond the range where the
     individual W values overflow or underflow.
     """
-    if x <= 0.0:
-        raise ValueError(f"whittaker_w_ratio requires x > 0, got {x!r}")
     large_argument, (num, den) = _w_route((k + 1.0, k), m, x)
     return x * num / den if large_argument else num / den

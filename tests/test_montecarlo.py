@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import sys
 import threading
@@ -205,6 +206,16 @@ class TestEstimator:
                            cfg)
         with pytest.raises(DegenerateEnsembleError):
             estimate_esr(ens, 5.0)
+
+    def test_rejects_a_config_not_the_ensembles(self):
+        n = 10
+        cfg = small_cfg(n_paths=n)
+        ens = PathEnsemble(np.zeros(n), np.zeros(n), np.zeros(n),
+                           np.zeros(n), 0, n, cfg)
+        longer = dataclasses.replace(cfg, horizon_T=2.0 * cfg.horizon_T)
+        with pytest.raises(ValueError, match="not the config"):
+            estimate_esr(ens, 5.0, longer)
+        assert estimate_esr(ens, 5.0, cfg) == estimate_esr(ens, 5.0)
 
 
 class TestBuyAndHold:
