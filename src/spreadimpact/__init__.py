@@ -19,13 +19,10 @@ from .asymptotic import (
 )
 from .market import (
     AllocationRegime,
-    FrictionlessBaseline,
     MarketParams,
     ParameterError,
-    baseline,
     buy_and_hold_esr,
     degenerate_regime,
-    validate,
 )
 from .montecarlo import (
     PathEnsemble,
@@ -50,7 +47,6 @@ __all__ = [
     "AsymptoticInputs",
     "AsymptoticSolution",
     "FreeBoundarySolution",
-    "FrictionlessBaseline",
     "MarketParams",
     "NoMatchError",
     "NoRootError",
@@ -61,7 +57,6 @@ __all__ = [
     "SimulationReport",
     "TradingPolicy",
     "asymptotic_policy",
-    "baseline",
     "buy_and_hold_esr",
     "degenerate_regime",
     "estimate_esr",
@@ -71,6 +66,5 @@ __all__ = [
     "r_buy",
     "simulate_paths",
     "solve",
-    "validate",
     "welfare_coefficient",
 ]

@@ -10,20 +10,21 @@ r_B(z, l(z)) = 1, with l(z) the welfare coefficient implied by the explicit
 odd cubic solving the mid-band equation.
 
 Everything downstream (approximate rate, boundaries, turnover, and the
-near-boundary slope constants) is assembled here. The closed form is the
-only evaluation of r_B: where the Whittaker functions would lose too many
-digits they raise ``CancellationError`` (a ``SpecialFunctionError``), and
-``find_z_minus`` reports that as ``NoRootError``.
+near-boundary slope constants) is assembled here from ``AsymptoticInputs``,
+which refuses buy-and-hold markets and a non-positive K however it is
+built. The closed form is the only evaluation of r_B: where the Whittaker
+functions would lose too many digits they raise ``CancellationError`` (a
+``SpecialFunctionError``), and ``find_z_minus`` reports that as
+``NoRootError``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from ._radau import bracket_root
-from .market import MarketParams, _require_interior, baseline, validate
+from .market import MarketParams, _require_interior
 from .whittaker import whittaker_w_ratio
 
 __all__ = [
@@ -63,53 +64,47 @@ class NoRootError(RuntimeError):
 
 @dataclass(frozen=True)
 class AsymptoticInputs:
-    """Market parameters plus the spread/impact coupling K = lam/eps^(4/3)."""
+    """Market parameters plus the spread/impact coupling K = lam/eps^(4/3).
+
+    Construction refuses buy-and-hold parameters (``ParameterError``, as in
+    ``solve``) and a K that is not positive (``ValueError``). It also sets
+    the scales that every r_buy call reads: ``y_star``, ``curvature_scale``
+    = sigma^2 y*^2 (1 - y*)^2, the diffusion scale at the target, and
+    ``growth_slope`` = sqrt(2 K gamma sigma^2), the far-field slope of the
+    rescaled solution.
+    """
 
     params: MarketParams
     K: float
+    y_star: float = field(init=False)
+    curvature_scale: float = field(init=False)
+    growth_slope: float = field(init=False)
+
+    def __post_init__(self):
+        _require_interior(self.params)
+        if not self.K > 0.0:
+            raise ValueError(f"K must be positive, got {self.K!r}")
+        p = self.params
+        y = p.merton_weight
+        object.__setattr__(self, "y_star", y)
+        object.__setattr__(self, "curvature_scale",
+                           p.sigma**2 * y * y * (1.0 - y) ** 2)
+        object.__setattr__(self, "growth_slope",
+                           math.sqrt(2.0 * self.K * p.gamma * p.sigma**2))
 
     @classmethod
     def from_params(cls, params: MarketParams,
                     K: float | None = None) -> "AsymptoticInputs":
-        """The inputs for interior-regime parameters; buy-and-hold ones
-        raise ``ParameterError``, as in ``solve``."""
-        validate(params)
-        _require_interior(params)
+        """The inputs with K = lam/eps^(4/3) unless ``K`` is given."""
         if K is None:
             if params.epsilon <= 0.0 or params.lam <= 0.0:
+                _require_interior(params)  # a buy-and-hold market first
                 raise ValueError(
                     "the coupling K = lambda/epsilon^(4/3) needs positive "
                     "epsilon and lambda (or pass K explicitly)"
                 )
             K = params.lam / params.epsilon ** (4.0 / 3.0)
-        if not K > 0.0:
-            raise ValueError(f"K must be positive, got {K!r}")
         return cls(params=params, K=K)
-
-    # The scales below are read several times per r_buy call; each is
-    # computed once per instance. cached_property writes the instance
-    # __dict__ directly, past the frozen __setattr__; __getstate__ keeps the
-    # cached values out of pickles and copies.
-
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @functools.cached_property
-    def y_star(self) -> float:
-        return self.params.merton_weight
-
-    @functools.cached_property
-    def curvature_scale(self) -> float:
-        """sigma^2 y*^2 (1 - y*)^2, the diffusion scale at the target."""
-        p = self.params
-        y = self.y_star
-        return p.sigma**2 * y * y * (1.0 - y) ** 2
-
-    @functools.cached_property
-    def growth_slope(self) -> float:
-        """sqrt(2 K gamma sigma^2): far-field slope of the rescaled solution."""
-        p = self.params
-        return math.sqrt(2.0 * self.K * p.gamma * p.sigma**2)
 
 
 @dataclass(frozen=True)
@@ -252,7 +247,7 @@ def find_z_minus(inputs: AsymptoticInputs) -> AsymptoticSolution:
     )
 
     eps = params.epsilon
-    frictionless = baseline(params).frictionless_esr
+    frictionless = params.frictionless_esr
     if eps > 0.0:
         beta_approx = frictionless - eps ** (2.0 / 3.0) * l
         y_minus_approx = y + z_minus * eps ** (1.0 / 3.0)

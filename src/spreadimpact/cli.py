@@ -24,7 +24,6 @@ from .market import (
     ParameterError,
     buy_and_hold_esr,
     degenerate_regime,
-    validate,
 )
 from .solver import NoMatchError, NumericalFailure, _with_edges, policy, solve
 from .whittaker import SpecialFunctionError
@@ -127,7 +126,6 @@ def _build_parser() -> _Parser:
                            help="exact versus asymptotic turnover on a window")
     _add_market_flags(p_cmp)
     _add_output_flags(p_cmp)
-    p_cmp.add_argument("--k", type=float, default=None)
     p_cmp.add_argument("--points", type=int, default=201)
     p_cmp.add_argument("--window", type=float, default=None,
                        help="half-width of the comparison window around the "
@@ -147,9 +145,8 @@ def _resolve_params(args) -> MarketParams:
     ) if v is None]
     if missing:
         raise _UsageError(f"missing required flags: {', '.join(missing)}")
-    return validate(MarketParams(mu=args.mu, sigma=args.sigma,
-                                 gamma=args.gamma, epsilon=args.epsilon,
-                                 lam=args.lam))
+    return MarketParams(mu=args.mu, sigma=args.sigma, gamma=args.gamma,
+                        epsilon=args.epsilon, lam=args.lam)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -281,14 +278,8 @@ def _cmd_sweep(args) -> int:
         raise _UsageError("sweep needs --sweep-epsilon and/or --sweep-lambda")
     eps_grid = eps_grid or [params.epsilon]
     lam_grid = lam_grid or [params.lam]
-    points = [
-        MarketParams(mu=params.mu, sigma=params.sigma, gamma=params.gamma,
-                     epsilon=e, lam=l)
-        for e in eps_grid for l in lam_grid
-    ]
-    for p in points:
-        validate(p)
-
+    points = [dataclasses.replace(params, epsilon=e, lam=l)
+              for e in eps_grid for l in lam_grid]
     rows = [(p.epsilon, p.lam, *row) for p in points
             for row in _grid_rows(solve(p), args.grid_points)]
     _emit(_csv("epsilon,lambda,y,q,u", rows), args.out)
@@ -298,7 +289,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     params = _resolve_params(args)
     solution = solve(params)
-    inputs = asym.AsymptoticInputs.from_params(params, K=args.k)
+    inputs = asym.AsymptoticInputs.from_params(params)
     expansion = asym.find_z_minus(inputs)
 
     half = args.window

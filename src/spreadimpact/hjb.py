@@ -158,8 +158,6 @@ def boundary_value_0(params: MarketParams, beta: float) -> tuple[float, float]:
             f"y=0 derivative needs beta > 0 (got {beta!r}); bisect strictly "
             "inside the bracket"
         )
-    if params.lam < 0.0:
-        raise BoundaryDataError("lambda must be nonnegative")
     q0 = params.epsilon + 2.0 * math.sqrt(params.lam * beta)
     dq0 = (
         -math.sqrt(params.lam / beta) * (params.mu + (params.mu + beta) * q0)

@@ -1,4 +1,4 @@
-"""Market primitives, frictionless baselines, and buy-and-hold regimes.
+"""Market primitives, frictionless rates, and buy-and-hold regimes.
 
 One safe asset (normalized to one) and one risky asset following geometric
 Brownian motion with excess drift ``mu`` and volatility ``sigma``. Trading is
@@ -6,7 +6,8 @@ penalized by a relative half-spread ``epsilon`` (cost linear in turnover) and
 a price-impact coefficient ``lam`` (cost quadratic in turnover; ``1/lam`` is
 market depth). The investor has constant relative risk aversion ``gamma`` and
 maximizes the long-run equivalent safe rate. All rates are per year, entered
-as decimal fractions.
+as decimal fractions. ``MarketParams`` checks every model constraint when it
+is built, so every instance in the program is valid.
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ from dataclasses import dataclass
 
 __all__ = [
     "AllocationRegime",
-    "FrictionlessBaseline",
     "MarketParams",
     "ParameterError",
-    "baseline",
     "buy_and_hold_esr",
     "degenerate_regime",
-    "validate",
 ]
 
 # JSON documents use "lambda", which is reserved in Python; the attribute is
@@ -61,10 +59,44 @@ class MarketParams:
     epsilon: float
     lam: float
 
+    def __post_init__(self):
+        problems = []
+        for name in ("mu", "sigma", "gamma", "epsilon", "lam"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                problems.append(f"{name} must be finite (got {value!r})")
+        if math.isfinite(self.sigma) and self.sigma <= 0.0:
+            problems.append("sigma must be positive")
+        if math.isfinite(self.gamma):
+            if self.gamma <= 0.0:
+                problems.append("gamma must be positive")
+            elif self.gamma == 1.0:
+                problems.append(
+                    "gamma must differ from 1 (utility is power, not log)"
+                )
+        if math.isfinite(self.epsilon) and self.epsilon < 0.0:
+            problems.append("epsilon must be nonnegative")
+        if math.isfinite(self.epsilon) and self.epsilon >= 1.0:
+            problems.append("epsilon must be below 1")
+        if math.isfinite(self.lam) and self.lam < 0.0:
+            problems.append("lambda must be nonnegative")
+        if problems:
+            raise ParameterError("; ".join(problems))
+
     @property
     def merton_weight(self) -> float:
         """Frictionless optimal risky weight mu / (gamma * sigma**2)."""
         return self.mu / (self.gamma * self.sigma**2)
+
+    @property
+    def frictionless_esr(self) -> float:
+        """Equivalent safe rate of the frictionless optimum."""
+        return self.mu**2 / (2.0 * self.gamma * self.sigma**2)
+
+    @property
+    def full_risky_esr(self) -> float:
+        """Equivalent safe rate of holding only the risky asset."""
+        return self.mu - self.gamma * self.sigma**2 / 2.0
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MarketParams":
@@ -86,14 +118,13 @@ class MarketParams:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ParameterError(
                     f"parameter {key!r} must be a number, got {value!r}")
-        params = cls(
+        return cls(
             mu=float(doc["mu"]),
             sigma=float(doc["sigma"]),
             gamma=float(doc["gamma"]),
             epsilon=float(doc["epsilon"]),
             lam=float(doc["lambda"]),
         )
-        return validate(params)
 
     @classmethod
     def from_json(cls, text: str) -> "MarketParams":
@@ -114,72 +145,12 @@ class MarketParams:
         }
 
 
-@dataclass(frozen=True)
-class FrictionlessBaseline:
-    """Closed-form benchmarks of the frictionless market.
-
-    ``merton_weight`` is the optimal risky fraction, ``frictionless_esr`` the
-    equivalent safe rate it earns, and ``full_safe_esr``/``full_risky_esr``
-    the rates of the two static corner portfolios.
-    """
-
-    merton_weight: float
-    frictionless_esr: float
-    full_safe_esr: float
-    full_risky_esr: float
-
-
 class AllocationRegime(enum.Enum):
     """Which long-run policy type applies for the given parameters."""
 
     INTERIOR = "interior"
     FULL_SAFE = "full_safe"
     FULL_RISKY = "full_risky"
-
-
-def validate(params: MarketParams) -> MarketParams:
-    """Return ``params`` unchanged if every model constraint holds.
-
-    Raises
-    ------
-    ParameterError
-        Listing each violated constraint by name.
-    """
-    problems = []
-    for name in ("mu", "sigma", "gamma", "epsilon", "lam"):
-        value = getattr(params, name)
-        if not math.isfinite(value):
-            problems.append(f"{name} must be finite (got {value!r})")
-    if math.isfinite(params.sigma) and params.sigma <= 0.0:
-        problems.append("sigma must be positive")
-    if math.isfinite(params.gamma):
-        if params.gamma <= 0.0:
-            problems.append("gamma must be positive")
-        elif params.gamma == 1.0:
-            problems.append(
-                "gamma must differ from 1 (utility is power, not log)"
-            )
-    if math.isfinite(params.epsilon) and params.epsilon < 0.0:
-        problems.append("epsilon must be nonnegative")
-    if math.isfinite(params.epsilon) and params.epsilon >= 1.0:
-        problems.append("epsilon must be below 1")
-    if math.isfinite(params.lam) and params.lam < 0.0:
-        problems.append("lambda must be nonnegative")
-    if problems:
-        raise ParameterError("; ".join(problems))
-    return params
-
-
-def baseline(params: MarketParams) -> FrictionlessBaseline:
-    """Frictionless Merton weight and the equivalent safe rates of the
-    frictionless optimum and the two buy-and-hold corners."""
-    y_star = params.merton_weight
-    return FrictionlessBaseline(
-        merton_weight=y_star,
-        frictionless_esr=params.mu**2 / (2.0 * params.gamma * params.sigma**2),
-        full_safe_esr=0.0,
-        full_risky_esr=params.mu - params.gamma * params.sigma**2 / 2.0,
-    )
 
 
 def friction_loss(params: MarketParams) -> float:
@@ -233,7 +204,7 @@ def buy_and_hold_esr(params: MarketParams) -> float:
     if regime is AllocationRegime.FULL_SAFE:
         return 0.0
     if regime is AllocationRegime.FULL_RISKY:
-        return baseline(params).full_risky_esr
+        return params.full_risky_esr
     raise ValueError(
         "interior regime has no buy-and-hold optimum; solve the free-boundary "
         "problem instead"

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketParams, validate
+from .market import MarketParams
 
 __all__ = [
     "DegenerateEnsembleError",
@@ -61,8 +61,9 @@ class DegenerateEnsembleError(RuntimeError):
 class SimConfig:
     """Simulation controls.
 
-    ``horizon_T`` and ``burn_in_T`` are in years; the estimator uses the
-    growth between them. ``y0`` is the initial risky weight. With
+    ``horizon_T`` and ``burn_in_T`` are in years, each rounded to a whole
+    number of steps of ``dt``; the estimator uses the growth between those
+    two steps. ``y0`` is the initial risky weight. With
     ``antithetic`` set, paths come in adjacent pairs: each odd-numbered path
     mirrors the shocks of the path before it.
     """
@@ -85,6 +86,10 @@ class SimConfig:
                 f"burn-in of {self.burn_in_T!r} rounds to step "
                 f"{self.burn_in_step} of {self.n_steps}; it must fall on a "
                 "step strictly between the start and the horizon")
+        if (isinstance(self.n_paths, bool)
+                or not isinstance(self.n_paths, (int, np.integer))):
+            raise ValueError(
+                f"n_paths must be an integer, got {self.n_paths!r}")
         if self.n_paths < 2:
             raise ValueError("need at least two paths")
         if self.y0 is not None and not 0.0 < self.y0 < 1.0:
@@ -184,7 +189,6 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
     policy ran in 0.65 of the serial-draw time (buy-and-hold 0.73), and in
     0.93 to 1.12 of it pinned to one CPU (buy-and-hold 0.82 to 1.06).
     """
-    validate(params)
     mu, sigma = params.mu, params.sigma
     eps, lam = params.epsilon, params.lam
     s2 = sigma * sigma
@@ -303,11 +307,11 @@ def estimate_esr(ensemble: PathEnsemble, gamma: float,
     """Two-horizon estimate of the equivalent safe rate with bootstrap bars.
 
     The rate is the certainty-equivalent growth between the burn-in and
-    final horizons divided by the elapsed time; this differences out the
-    bounded state-dependent contribution. The standard error resamples
-    whole paths (200 resamples). The horizons, bootstrap seed and pairing
-    come from ``ensemble.config``; a ``cfg`` other than that one raises
-    ValueError.
+    final steps divided by the time simulated between them; this
+    differences out the bounded state-dependent contribution. The standard
+    error resamples whole paths (200 resamples). The horizons, bootstrap
+    seed and pairing come from ``ensemble.config``; a ``cfg`` other than
+    that one raises ValueError.
     """
     if cfg is not None and cfg != ensemble.config:
         raise ValueError("cfg is not the config the ensemble was simulated "
@@ -320,7 +324,7 @@ def estimate_esr(ensemble: PathEnsemble, gamma: float,
     if not (np.all(np.isfinite(lw1)) and np.all(np.isfinite(lw2))):
         raise DegenerateEnsembleError("non-finite log wealth in the ensemble")
     omg = 1.0 - gamma
-    span = cfg.horizon_T - cfg.burn_in_T
+    span = (cfg.n_steps - cfg.burn_in_step) * cfg.dt
 
     estimate = (_certainty_growth(lw2, omg) - _certainty_growth(lw1, omg)) / span
 

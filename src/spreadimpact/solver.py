@@ -83,9 +83,7 @@ from .market import (
     MarketParams,
     ParameterError,
     _require_interior,
-    baseline,
     friction_loss,
-    validate,
 )
 
 __all__ = [
@@ -283,7 +281,7 @@ def _auto_atol(params: MarketParams, beta_hi: float, rtol: float) -> float:
 def _leg_guard(params: MarketParams, forward: bool) -> GuardBox:
     """A leg's divergence guard: GUARD_MARGIN s out on its far side, |q| 10
     on its near side, and q y 0.6 under the singular curve."""
-    far = GUARD_MARGIN * _q_scale(params, baseline(params).frictionless_esr)
+    far = GUARD_MARGIN * _q_scale(params, params.frictionless_esr)
     if forward:
         return GuardBox(upper_q=10.0, lower_q=-far, upper_qt=0.6)
     return GuardBox(upper_q=far, lower_q=-10.0, upper_qt=0.6)
@@ -461,9 +459,10 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     Raises
     ------
     ParameterError
-        Invalid parameters, a degenerate regime, an empty rate bracket (y*
-        interior only to rounding), or lam == 0 (the exact construction
-        needs a strictly positive impact cost).
+        A degenerate regime, an empty rate bracket (y* interior only to
+        rounding), or lam == 0 (the exact construction needs a strictly
+        positive impact cost). Invalid parameters never get here:
+        ``MarketParams`` refuses them when it is built.
     NoMatchError
         The surplus has the same sign at both ends of the admissible rate
         bracket; the frictions are too large for the construction. It is
@@ -476,7 +475,6 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         beyond the value-matching bound, or the stitched q breaks an
         invariant or misses its residual budget.
     """
-    validate(params)
     _require_interior(params)
     if params.lam <= 0.0:
         raise ParameterError(
@@ -484,10 +482,9 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
             "approached with a tiny positive lambda"
         )
 
-    base = baseline(params)
-    y_mid = base.merton_weight
-    lo = max(0.0, base.full_risky_esr)
-    hi = base.frictionless_esr
+    y_mid = params.merton_weight
+    lo = max(0.0, params.full_risky_esr)
+    hi = params.frictionless_esr
     width0 = hi - lo
     if not width0 > 0.0:
         raise ParameterError(
@@ -591,8 +588,7 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         diagnostics=diagnostics,
     )
     diagnostics["grid_size"] = int(len(solution.y_grid))
-    diagnostics["residual_ratio_half_budget"] = _check_solution(solution,
-                                                                base)
+    diagnostics["residual_ratio_half_budget"] = _check_solution(solution)
     return solution
 
 
@@ -670,7 +666,7 @@ def _residual_ratio(params: MarketParams, beta: float,
     return worst
 
 
-def _check_solution(solution: FreeBoundarySolution, base) -> float:
+def _check_solution(solution: FreeBoundarySolution) -> float:
     """Post-solve invariant battery; violations raise NumericalFailure.
 
     Returns the worst residual of q relative to 0.7 of its 10 x RTOL budget
@@ -678,8 +674,8 @@ def _check_solution(solution: FreeBoundarySolution, base) -> float:
     itself raises.
     """
     p = solution.params
-    lo = max(0.0, base.full_risky_esr)
-    hi = base.frictionless_esr
+    lo = max(0.0, p.full_risky_esr)
+    hi = p.frictionless_esr
     if not lo <= solution.beta <= hi:
         raise NumericalFailure(
             f"matched rate {solution.beta!r} escapes [{lo!r}, {hi!r}]"

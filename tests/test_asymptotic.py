@@ -127,20 +127,27 @@ class TestInputs:
                          lam=1e-4)
         with pytest.raises(ParameterError, match="buy-and-hold regime"):
             AsymptoticInputs.from_params(p)
+        with pytest.raises(ParameterError, match="buy-and-hold regime"):
+            AsymptoticInputs(p, 1.0)
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, math.nan])
+    def test_direct_construction_refuses_non_positive_coupling(self, K):
+        p = MarketParams(epsilon=1e-3, lam=1e-4, **BASE)
+        with pytest.raises(ValueError, match="K must be positive"):
+            AsymptoticInputs(p, K)
 
     def test_cached_scales_equal_their_formulas(self):
         inp = make_inputs(2.5, market=GAMMA_20)
         p = inp.params
         y = p.mu / (p.gamma * p.sigma**2)
-        for _ in range(2):  # computed, then read from the cache
-            assert inp.y_star == p.merton_weight == y
-            assert inp.curvature_scale == p.sigma**2 * y * y * (1.0 - y) ** 2
-            assert inp.growth_slope == math.sqrt(
-                2.0 * inp.K * p.gamma * p.sigma**2)
+        assert inp.y_star == p.merton_weight == y
+        assert inp.curvature_scale == p.sigma**2 * y * y * (1.0 - y) ** 2
+        assert inp.growth_slope == math.sqrt(
+            2.0 * inp.K * p.gamma * p.sigma**2)
 
     def test_cached_scales_leave_the_value_unchanged(self):
-        # Reading the scales caches them on the instance; it still compares,
-        # hashes and pickles as one that never computed them.
+        # The scales are set on construction: an instance whose scales were
+        # read compares, hashes and pickles as one whose were not.
         read, fresh = make_inputs(1.0), make_inputs(1.0)
         scales = (read.y_star, read.curvature_scale, read.growth_slope)
         assert read == fresh

@@ -294,3 +294,12 @@ class TestCompareCommand:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_coupling_override_refused(self, capsys):
+        # The exact side solves at --lambda, so the expansion must use the
+        # K that --lambda and --epsilon imply; only asymptotic takes --k.
+        code, out, err = run(capsys, "compare", *BASE_FLAGS, "--epsilon",
+                             "0.01", "--lambda", "0.01", "--k", "5")
+        assert code == 1
+        assert out == ""
+        assert "--k" in err

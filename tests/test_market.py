@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,11 +9,9 @@ from spreadimpact.market import (
     AllocationRegime,
     MarketParams,
     ParameterError,
-    baseline,
     buy_and_hold_esr,
     degenerate_regime,
     friction_loss,
-    validate,
 )
 
 
@@ -23,20 +22,19 @@ def make(mu=0.08, sigma=0.16, gamma=5.0, epsilon=0.01, lam=0.01):
 
 class TestValidate:
     def test_equity_like_inputs_pass(self):
-        p = make()
-        assert validate(p) is p
+        make()
 
     def test_log_utility_rejected(self):
         with pytest.raises(ParameterError, match="gamma"):
-            validate(make(gamma=1.0))
+            make(gamma=1.0)
 
     def test_zero_volatility_rejected(self):
         with pytest.raises(ParameterError, match="sigma"):
-            validate(make(sigma=0.0))
+            make(sigma=0.0)
 
     def test_all_violations_reported_together(self):
         with pytest.raises(ParameterError) as err:
-            validate(make(sigma=-1.0, gamma=-2.0, epsilon=-0.1, lam=-0.5))
+            make(sigma=-1.0, gamma=-2.0, epsilon=-0.1, lam=-0.5)
         message = str(err.value)
         for name in ("sigma", "gamma", "epsilon", "lambda"):
             assert name in message
@@ -45,30 +43,46 @@ class TestValidate:
         # At epsilon = 1 the boundary data divide by (1 - epsilon)^2.
         for epsilon in (1.0, 1.5):
             with pytest.raises(ParameterError, match="epsilon must be below 1"):
-                validate(make(epsilon=epsilon))
-        assert validate(make(epsilon=0.95)).epsilon == 0.95
+                make(epsilon=epsilon)
+        assert make(epsilon=0.95).epsilon == 0.95
 
     def test_non_finite_rejected(self):
         with pytest.raises(ParameterError, match="finite"):
-            validate(make(mu=math.nan))
+            make(mu=math.nan)
+
+    @pytest.mark.parametrize("route", ["direct", "from_dict", "replace"])
+    def test_every_construction_checks(self, route):
+        # However an instance is built, the constraints are checked then,
+        # all of them, in one message.
+        bad = {"sigma": -1.0, "gamma": 1.0, "lam": math.inf}
+        with pytest.raises(ParameterError) as err:
+            if route == "direct":
+                make(**bad)
+            elif route == "from_dict":
+                MarketParams.from_dict(dict(make().to_dict(), sigma=-1.0,
+                                            gamma=1.0, **{"lambda": math.inf}))
+            else:
+                dataclasses.replace(make(), **bad)
+        assert str(err.value) == (
+            "lam must be finite (got inf); sigma must be positive; "
+            "gamma must differ from 1 (utility is power, not log)")
 
 
 class TestBaseline:
     def test_closed_forms(self):
-        b = baseline(make())
+        b = make()
         assert b.merton_weight == pytest.approx(0.625, abs=1e-15)
         assert b.frictionless_esr == pytest.approx(0.025, abs=1e-15)
         assert b.full_risky_esr == pytest.approx(0.016, abs=1e-15)
-        assert b.full_safe_esr == 0.0
 
     def test_zero_drift(self):
-        b = baseline(make(mu=0.0))
+        b = make(mu=0.0)
         assert b.merton_weight == 0.0
         assert b.frictionless_esr == 0.0
 
     def test_unit_weight_threshold(self):
         # mu = gamma sigma^2 puts the frictionless weight exactly at one.
-        b = baseline(make(mu=0.128))
+        b = make(mu=0.128)
         assert b.merton_weight == pytest.approx(1.0, abs=1e-15)
 
 
@@ -101,7 +115,7 @@ class TestRegimes:
            gamma=st.floats(0.1, 20).filter(lambda g: abs(g - 1) > 1e-6))
     def test_rate_bracket_well_ordered(self, mu, sigma, gamma):
         # The buy-and-hold floor never exceeds the frictionless rate.
-        b = baseline(make(mu=mu, sigma=sigma, gamma=gamma))
+        b = make(mu=mu, sigma=sigma, gamma=gamma)
         floor = max(0.0, b.full_risky_esr)
         assert floor <= b.frictionless_esr + 1e-18
 

@@ -156,6 +156,10 @@ class TestConfig:
             SimConfig(y0=1.5)
         with pytest.raises(ValueError):
             SimConfig(n_paths=1)
+        for n_paths in (64.0, True):
+            with pytest.raises(ValueError, match="n_paths must be an integer"):
+                SimConfig(n_paths=n_paths)
+        assert SimConfig(n_paths=np.int64(64)).n_paths == 64
         with pytest.raises(ValueError):
             SimConfig(n_paths=10001, antithetic=True)
         # Burn-ins that round to step 0 or to the last step leave the
@@ -174,11 +178,15 @@ class TestConfig:
 class TestEstimator:
     def test_exact_on_deterministic_exponential(self):
         # X_t = e^{rt} for every path: the two-horizon estimator returns r.
+        # dt = 0.3 does not divide the horizon: the paths stop at step 3
+        # (t = 0.9) and the burn-in falls on step 2 (t = 0.6), and the rate
+        # is the growth over the 0.3 years simulated between them.
         n, r = 500, 0.03
-        cfg = small_cfg(n_paths=n)
+        cfg = small_cfg(n_paths=n, horizon_T=1.0, dt=0.3, burn_in_T=0.5)
+        assert (cfg.burn_in_step, cfg.n_steps) == (2, 3)
         ens = PathEnsemble(
-            log_wealth_burn_in=np.full(n, r * cfg.burn_in_T),
-            log_wealth_final=np.full(n, r * cfg.horizon_T),
+            log_wealth_burn_in=np.full(n, r * cfg.burn_in_step * cfg.dt),
+            log_wealth_final=np.full(n, r * cfg.n_steps * cfg.dt),
             time_in_no_trade=np.zeros(n),
             mean_abs_turnover=np.zeros(n),
             clamp_events=0,

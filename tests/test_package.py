@@ -9,14 +9,13 @@ import textwrap
 import pytest
 
 import spreadimpact
-from spreadimpact import asymptotic, hjb, montecarlo, solver, whittaker
+from spreadimpact import asymptotic, hjb, market, montecarlo, solver, whittaker
 
 PUBLIC = {
     "AllocationRegime",
     "AsymptoticInputs",
     "AsymptoticSolution",
     "FreeBoundarySolution",
-    "FrictionlessBaseline",
     "MarketParams",
     "NoMatchError",
     "NoRootError",
@@ -27,7 +26,6 @@ PUBLIC = {
     "SimulationReport",
     "TradingPolicy",
     "asymptotic_policy",
-    "baseline",
     "buy_and_hold_esr",
     "degenerate_regime",
     "estimate_esr",
@@ -37,7 +35,6 @@ PUBLIC = {
     "r_buy",
     "simulate_paths",
     "solve",
-    "validate",
     "welfare_coefficient",
 }
 
@@ -46,6 +43,14 @@ WHITTAKER_PUBLIC = {
     "SpecialFunctionError",
     "whittaker_w",
     "whittaker_w_ratio",
+}
+
+MARKET_PUBLIC = {
+    "AllocationRegime",
+    "MarketParams",
+    "ParameterError",
+    "buy_and_hold_esr",
+    "degenerate_regime",
 }
 
 HJB_PUBLIC = {
@@ -164,6 +169,16 @@ def test_whittaker_exports_only_what_the_package_uses():
     for name in ("gamma_fn", "kummer_1f1", "whittaker_m", "GammaPoleError",
                  "KummerRangeError"):
         assert not hasattr(whittaker, name), name
+
+
+def test_market_checks_parameters_on_construction_only():
+    # MarketParams refuses invalid inputs itself; no free-standing check or
+    # copy of its frictionless rates remains.
+    assert set(market.__all__) == MARKET_PUBLIC
+    assert len(market.__all__) == len(MARKET_PUBLIC)
+    for name in ("validate", "baseline", "FrictionlessBaseline"):
+        assert not hasattr(market, name), name
+        assert not hasattr(spreadimpact, name), name
 
 
 def test_hjb_holds_the_slope_and_one_residual():

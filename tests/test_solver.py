@@ -12,8 +12,7 @@ from spreadimpact._radau import bracket_root as _bracket_root
 from spreadimpact.hjb import band_buy, band_sell, make_defect, make_rhs_jac
 from spreadimpact import solver
 from spreadimpact.cli import main
-from spreadimpact.market import (
-    MarketParams, ParameterError, baseline, friction_loss)
+from spreadimpact.market import MarketParams, ParameterError, friction_loss
 from spreadimpact.solver import (
     DELTA,
     RTOL,
@@ -65,9 +64,8 @@ def bisection_oracle(params, steps=40):
     with the solver's search tolerances, leg starts, stall classification
     and bracket, but legs shot to the hard box instead of the solver's
     guard."""
-    base = baseline(params)
-    y_mid = base.merton_weight
-    lo, hi = max(0.0, base.full_risky_esr), base.frictionless_esr
+    y_mid = params.merton_weight
+    lo, hi = max(0.0, params.full_risky_esr), params.frictionless_esr
     atol = _auto_atol(params, hi, RTOL)
 
     def sign(beta):
@@ -114,7 +112,7 @@ def assert_pure_spread_limit(solutions, tolerances):
                 ** (1.0 / 3.0) * (2.0 * p.epsilon) ** (1.0 / 3.0))
         loss = 0.5 * p.gamma * p.sigma ** 2 * half ** 2
         width_gap = (sol.y_plus - sol.y_minus) / (2.0 * half) - 1.0
-        loss_gap = (baseline(p).frictionless_esr - sol.beta) / loss - 1.0
+        loss_gap = (p.frictionless_esr - sol.beta) / loss - 1.0
         assert abs(width_gap) <= width_tol
         assert -loss_tol <= loss_gap < 0.0
         loss_gaps.append(loss_gap)
@@ -294,8 +292,7 @@ class TestSolve:
         monkeypatch.setattr(solver, "_match_surplus", lambda p, beta, *args: (
             shot.append(beta) or surplus(p, beta, *args)))
         sol = solve(params)
-        base = baseline(params)
-        lo, hi = max(0.0, base.full_risky_esr), base.frictionless_esr
+        lo, hi = max(0.0, params.full_risky_esr), params.frictionless_esr
         nudge = 1e-13 * (hi - lo)
         lo_in, hi_in = lo + nudge, hi - nudge
         beta_a, beta_b = hi - 1.25 * loss, hi - 0.7 * loss
@@ -385,7 +382,7 @@ class TestSolve:
                 y = p.merton_weight
                 v = p.sigma * y * (1.0 - y)
                 C = 0.5 * v * v * math.sqrt(2.0 * p.gamma * p.sigma**2)
-                loss_gap = ((baseline(p).frictionless_esr - sol.beta)
+                loss_gap = ((p.frictionless_esr - sol.beta)
                             / (C * math.sqrt(lam)) - 1.0)
                 assert -0.18 <= loss_gap / math.sqrt(lam) <= -0.13, (
                     market, lam)
@@ -498,7 +495,7 @@ class TestSolve:
         # q-scale term, and at lambda = 1e-10 it stays below FINAL_RTOL x
         # the q scale, the smallest uniform floor that broke the domain there.
         p = params_with(eps, lam)
-        hi = baseline(p).frictionless_esr
+        hi = p.frictionless_esr
         q_term = 0.01 * solver.FINAL_RTOL * _q_scale(p, hi)
         floor = 0.1 * RTOL * 2.0 * math.sqrt(lam * hi)
         atol = solve_cache(eps, lam).diagnostics["final_atol"]
@@ -557,8 +554,8 @@ class TestSolve:
         broken = dataclasses.replace(
             sol, q=PiecewisePolynomial(sol.q.knots, coeffs), diagnostics={})
         with pytest.raises(NumericalFailure, match="residual budget"):
-            _check_solution(broken, baseline(sol.params))
-        assert _check_solution(sol, baseline(sol.params)) == \
+            _check_solution(broken)
+        assert _check_solution(sol) == \
             sol.diagnostics["residual_ratio_half_budget"]
 
     def test_residual_ratio_is_inf_beyond_the_singular_curve(self):
@@ -580,7 +577,7 @@ class TestSolve:
         reversed_band = dataclasses.replace(sol, q=q, y_minus=y_minus,
                                             y_plus=y_plus, diagnostics={})
         with pytest.raises(NumericalFailure, match="boundaries out of order"):
-            _check_solution(reversed_band, baseline(sol.params))
+            _check_solution(reversed_band)
 
     def test_q_is_one_interpolant_on_increasing_knots(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
@@ -801,7 +798,7 @@ class TestShooting:
         p = params_with(1e-3, 1e-4)
         status, y_end, q_end = shoot(p, 0.018, False, 0.3)
         assert status == "upper"
-        s = _q_scale(p, baseline(p).frictionless_esr)
+        s = _q_scale(p, p.frictionless_esr)
         assert q_end - band_buy(y_end, p.epsilon) >= 2.0 * s
 
     def test_backward_reaches_matching_point_near_root(self, solve_cache):
