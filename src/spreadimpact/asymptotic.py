@@ -11,16 +11,17 @@ odd cubic solving the mid-band equation.
 
 Everything downstream (approximate rate, boundaries, turnover, and the
 near-boundary slope constants) is assembled here from ``AsymptoticInputs``,
-which refuses buy-and-hold markets and a non-positive K however it is
-built. The closed form is the only evaluation of r_B: where the Whittaker
-functions would lose too many digits they raise ``CancellationError`` (a
-``SpecialFunctionError``), and ``find_z_minus`` reports that as
-``NoRootError``.
+which refuses buy-and-hold markets and a K that is not a positive real
+number however it is built. The closed form is the only evaluation of r_B:
+where the Whittaker functions would lose too many digits they raise
+``CancellationError`` (a ``SpecialFunctionError``), and ``find_z_minus``
+reports that as ``NoRootError``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from ._radau import bracket_root
@@ -67,11 +68,11 @@ class AsymptoticInputs:
     """Market parameters plus the spread/impact coupling K = lam/eps^(4/3).
 
     Construction refuses buy-and-hold parameters (``ParameterError``, as in
-    ``solve``) and a K that is not positive (``ValueError``). It also sets
-    the scales that every r_buy call reads: ``y_star``, ``curvature_scale``
-    = sigma^2 y*^2 (1 - y*)^2, the diffusion scale at the target, and
-    ``growth_slope`` = sqrt(2 K gamma sigma^2), the far-field slope of the
-    rescaled solution.
+    ``solve``) and a K that is not a positive real number (``ValueError``).
+    It also sets the scales that every r_buy call reads: ``y_star``,
+    ``curvature_scale`` = sigma^2 y*^2 (1 - y*)^2, the diffusion scale at the
+    target, and ``growth_slope`` = sqrt(2 K gamma sigma^2), the far-field
+    slope of the rescaled solution.
     """
 
     params: MarketParams
@@ -82,6 +83,8 @@ class AsymptoticInputs:
 
     def __post_init__(self):
         _require_interior(self.params)
+        if isinstance(self.K, bool) or not isinstance(self.K, numbers.Real):
+            raise ValueError(f"K must be a real number, got {self.K!r}")
         if not self.K > 0.0:
             raise ValueError(f"K must be positive, got {self.K!r}")
         p = self.params

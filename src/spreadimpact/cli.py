@@ -26,7 +26,6 @@ from .market import (
     degenerate_regime,
 )
 from .solver import NoMatchError, NumericalFailure, _with_edges, policy, solve
-from .whittaker import SpecialFunctionError
 
 __all__ = ["main"]
 
@@ -34,6 +33,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_MATCH = 2
 EXIT_NUMERICAL = 3
+
+
+# The keys of a parameter document and the ``MarketParams`` field each one
+# holds; "lambda" is reserved in Python, so its field is ``lam``.
+_PARAM_FIELDS = {"mu": "mu", "sigma": "sigma", "gamma": "gamma",
+                 "epsilon": "epsilon", "lambda": "lam"}
 
 
 class _UsageError(Exception):
@@ -134,19 +139,43 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_params(args) -> MarketParams:
+    # Each inline flag is --<key> of the parameter document, stored under
+    # its field's name.
+    values = {field: getattr(args, field) for field in _PARAM_FIELDS.values()}
     if args.params is not None:
-        flags = [args.mu, args.sigma, args.gamma, args.epsilon, args.lam]
-        if any(v is not None for v in flags):
+        if any(v is not None for v in values.values()):
             raise _UsageError("--params cannot be combined with inline flags")
-        return MarketParams.from_file(args.params)
-    missing = [name for name, v in (
-        ("--mu", args.mu), ("--sigma", args.sigma), ("--gamma", args.gamma),
-        ("--epsilon", args.epsilon), ("--lambda", args.lam),
-    ) if v is None]
+        return _read_params(args.params)
+    missing = [f"--{key}" for key, field in _PARAM_FIELDS.items()
+               if values[field] is None]
     if missing:
         raise _UsageError(f"missing required flags: {', '.join(missing)}")
-    return MarketParams(mu=args.mu, sigma=args.sigma, gamma=args.gamma,
-                        epsilon=args.epsilon, lam=args.lam)
+    return MarketParams(**values)
+
+
+def _read_params(path: str) -> MarketParams:
+    """The market of a JSON file holding one object with exactly the keys of
+    ``_PARAM_FIELDS``; ``MarketParams`` checks the values."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParameterError(
+            f"parameter document must be an object, got {doc!r}")
+    missing = [k for k in _PARAM_FIELDS if k not in doc]
+    extra = [k for k in doc if k not in _PARAM_FIELDS]
+    if missing or extra:
+        raise ParameterError(
+            f"parameter document must contain exactly {tuple(_PARAM_FIELDS)}; "
+            f"missing={missing} unknown={extra}"
+        )
+    return MarketParams(**{field: doc[key]
+                           for key, field in _PARAM_FIELDS.items()})
+
+
+def _params_doc(params: MarketParams) -> dict:
+    """The market as a parameter document, the inverse of ``_read_params``."""
+    return {key: getattr(params, field)
+            for key, field in _PARAM_FIELDS.items()}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -197,7 +226,7 @@ def _cmd_solve(args) -> int:
     if args.format == "json":
         _emit(_json_dumps({"beta": solution.beta, "y_minus": solution.y_minus,
                            "y_plus": solution.y_plus, "grid": rows,
-                           "params": params.to_dict(),
+                           "params": _params_doc(params),
                            "diagnostics": solution.diagnostics}), args.out)
     else:
         _emit(_csv("y,q,u", rows), args.out)
@@ -211,7 +240,7 @@ def _cmd_asymptotic(args) -> int:
     doc = {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)
            if f.name not in ("inputs", "diagnostics")}
     slope_buy, slope_sell = asym.near_boundary_slope(sol)
-    doc.update(K=inputs.K, params=params.to_dict(),
+    doc.update(K=inputs.K, params=_params_doc(params),
                near_boundary_slope={"buy": slope_buy, "sell": slope_sell})
     _emit(_json_dumps(doc), args.out)
     return EXIT_OK
@@ -330,14 +359,13 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except NoMatchError as exc:
         sys.stderr.write(f"no match: {exc}\n")
         return EXIT_NO_MATCH
-    except (NumericalFailure, SpecialFunctionError, ArithmeticError,
-            asym.NoRootError) as exc:
+    except (NumericalFailure, ArithmeticError, asym.NoRootError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 

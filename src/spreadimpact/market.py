@@ -13,8 +13,8 @@ is built, so every instance in the program is valid.
 from __future__ import annotations
 
 import enum
-import json
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -24,10 +24,6 @@ __all__ = [
     "buy_and_hold_esr",
     "degenerate_regime",
 ]
-
-# JSON documents use "lambda", which is reserved in Python; the attribute is
-# named "lam" internally.
-_JSON_KEYS = ("mu", "sigma", "gamma", "epsilon", "lambda")
 
 
 class ParameterError(ValueError):
@@ -51,6 +47,9 @@ class MarketParams:
     lam : float
         Price-impact coefficient; the quadratic-cost weight per unit of
         wealth turnover. ``1/lam`` measures market depth.
+
+    Each field must be a real number other than a bool, and is stored as a
+    float.
     """
 
     mu: float
@@ -60,25 +59,35 @@ class MarketParams:
     lam: float
 
     def __post_init__(self):
+        # A field that is refused as not real or not finite reads as NaN in
+        # ``finite``, so the checks below skip it.
         problems = []
+        finite = {}
         for name in ("mu", "sigma", "gamma", "epsilon", "lam"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                problems.append(f"{name} must be finite (got {value!r})")
-        if math.isfinite(self.sigma) and self.sigma <= 0.0:
-            problems.append("sigma must be positive")
-        if math.isfinite(self.gamma):
-            if self.gamma <= 0.0:
-                problems.append("gamma must be positive")
-            elif self.gamma == 1.0:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 problems.append(
-                    "gamma must differ from 1 (utility is power, not log)"
-                )
-        if math.isfinite(self.epsilon) and self.epsilon < 0.0:
+                    f"{name} must be a real number (got {value!r})")
+                value = math.nan
+            else:
+                value = float(value)
+                object.__setattr__(self, name, value)
+                if not math.isfinite(value):
+                    problems.append(f"{name} must be finite (got {value!r})")
+            finite[name] = value if math.isfinite(value) else math.nan
+        if finite["sigma"] <= 0.0:
+            problems.append("sigma must be positive")
+        if finite["gamma"] <= 0.0:
+            problems.append("gamma must be positive")
+        elif finite["gamma"] == 1.0:
+            problems.append(
+                "gamma must differ from 1 (utility is power, not log)"
+            )
+        if finite["epsilon"] < 0.0:
             problems.append("epsilon must be nonnegative")
-        if math.isfinite(self.epsilon) and self.epsilon >= 1.0:
+        if finite["epsilon"] >= 1.0:
             problems.append("epsilon must be below 1")
-        if math.isfinite(self.lam) and self.lam < 0.0:
+        if finite["lam"] < 0.0:
             problems.append("lambda must be nonnegative")
         if problems:
             raise ParameterError("; ".join(problems))
@@ -97,52 +106,6 @@ class MarketParams:
     def full_risky_esr(self) -> float:
         """Equivalent safe rate of holding only the risky asset."""
         return self.mu - self.gamma * self.sigma**2 / 2.0
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MarketParams":
-        """Build parameters from a JSON-style dict with exactly the keys
-        mu, sigma, gamma, epsilon, lambda, each an int or a float (not a
-        bool)."""
-        if not isinstance(doc, dict):
-            raise ParameterError(
-                f"parameter document must be an object, got {doc!r}")
-        missing = [k for k in _JSON_KEYS if k not in doc]
-        extra = [k for k in doc if k not in _JSON_KEYS]
-        if missing or extra:
-            raise ParameterError(
-                f"parameter document must contain exactly {_JSON_KEYS}; "
-                f"missing={missing} unknown={extra}"
-            )
-        for key in _JSON_KEYS:
-            value = doc[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParameterError(
-                    f"parameter {key!r} must be a number, got {value!r}")
-        return cls(
-            mu=float(doc["mu"]),
-            sigma=float(doc["sigma"]),
-            gamma=float(doc["gamma"]),
-            epsilon=float(doc["epsilon"]),
-            lam=float(doc["lambda"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MarketParams":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path) -> "MarketParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "gamma": self.gamma,
-            "epsilon": self.epsilon,
-            "lambda": self.lam,
-        }
 
 
 class AllocationRegime(enum.Enum):

@@ -86,10 +86,11 @@ class SimConfig:
                 f"burn-in of {self.burn_in_T!r} rounds to step "
                 f"{self.burn_in_step} of {self.n_steps}; it must fall on a "
                 "step strictly between the start and the horizon")
-        if (isinstance(self.n_paths, bool)
-                or not isinstance(self.n_paths, (int, np.integer))):
-            raise ValueError(
-                f"n_paths must be an integer, got {self.n_paths!r}")
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 2:
             raise ValueError("need at least two paths")
         if self.y0 is not None and not 0.0 < self.y0 < 1.0:

@@ -136,6 +136,12 @@ class TestInputs:
         with pytest.raises(ValueError, match="K must be positive"):
             AsymptoticInputs(p, K)
 
+    @pytest.mark.parametrize("K", [True, "1", None])
+    def test_direct_construction_refuses_non_real_coupling(self, K):
+        p = MarketParams(epsilon=1e-3, lam=1e-4, **BASE)
+        with pytest.raises(ValueError, match="K must be a real number"):
+            AsymptoticInputs(p, K)
+
     def test_cached_scales_equal_their_formulas(self):
         inp = make_inputs(2.5, market=GAMMA_20)
         p = inp.params

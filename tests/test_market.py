@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spreadimpact import cli
 from spreadimpact.market import (
     AllocationRegime,
     MarketParams,
@@ -18,6 +21,21 @@ from spreadimpact.market import (
 def make(mu=0.08, sigma=0.16, gamma=5.0, epsilon=0.01, lam=0.01):
     return MarketParams(mu=mu, sigma=sigma, gamma=gamma, epsilon=epsilon,
                         lam=lam)
+
+
+# make()'s market as a parameter document.
+DOC = {"mu": 0.08, "sigma": 0.16, "gamma": 5.0, "epsilon": 0.01,
+       "lambda": 0.01}
+
+
+def run_params_file(tmp_path, capsys, text):
+    """``asymptotic --params`` on a file holding ``text``: the exit code,
+    stdout and stderr."""
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    code = cli.main(["asymptotic", "--params", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 class TestValidate:
@@ -51,21 +69,43 @@ class TestValidate:
             make(mu=math.nan)
 
     @pytest.mark.parametrize("route", ["direct", "from_dict", "replace"])
-    def test_every_construction_checks(self, route):
+    def test_every_construction_checks(self, route, tmp_path):
         # However an instance is built, the constraints are checked then,
-        # all of them, in one message.
-        bad = {"sigma": -1.0, "gamma": 1.0, "lam": math.inf}
+        # all of them, in one message. "from_dict" is the CLI's reader of
+        # --params files.
+        bad = {"mu": "0.08", "sigma": -1.0, "gamma": 1.0, "lam": math.inf}
         with pytest.raises(ParameterError) as err:
             if route == "direct":
                 make(**bad)
             elif route == "from_dict":
-                MarketParams.from_dict(dict(make().to_dict(), sigma=-1.0,
-                                            gamma=1.0, **{"lambda": math.inf}))
+                doc = dict(DOC, mu="0.08", sigma=-1.0, gamma=1.0)
+                doc["lambda"] = math.inf
+                path = tmp_path / "params.json"
+                path.write_text(json.dumps(doc))
+                cli._read_params(str(path))
             else:
                 dataclasses.replace(make(), **bad)
         assert str(err.value) == (
-            "lam must be finite (got inf); sigma must be positive; "
+            "mu must be a real number (got '0.08'); lam must be finite "
+            "(got inf); sigma must be positive; "
             "gamma must differ from 1 (utility is power, not log)")
+
+    @pytest.mark.parametrize("value", [True, "0.08", None])
+    @pytest.mark.parametrize("name", ["mu", "sigma", "gamma", "epsilon",
+                                      "lam"])
+    def test_non_number_refused_by_field(self, name, value):
+        # A bool is an int to Python, but no market input; the numeric
+        # checks skip a refused field.
+        with pytest.raises(ParameterError) as err:
+            make(**{name: value})
+        assert str(err.value) == (
+            f"{name} must be a real number (got {value!r})")
+
+    @pytest.mark.parametrize("value", [5, np.int64(5), np.float64(5.0),
+                                       Fraction(5)])
+    def test_real_numbers_stored_as_floats(self, value):
+        p = make(gamma=value)
+        assert type(p.gamma) is float and p.gamma == 5.0
 
 
 class TestBaseline:
@@ -121,43 +161,54 @@ class TestRegimes:
 
 
 class TestJson:
-    def test_round_trip(self):
-        p = make()
-        doc = p.to_dict()
-        assert set(doc) == {"mu", "sigma", "gamma", "epsilon", "lambda"}
-        assert MarketParams.from_dict(doc) == p
+    # The CLI reads --params files and writes the "params" block of solve
+    # and asymptotic; the library holds no file format.
+    def test_round_trip(self, tmp_path, capsys):
+        code, out, _ = run_params_file(tmp_path, capsys, json.dumps(DOC))
+        assert code == 0
+        written = json.loads(out)["params"]
+        assert written == DOC
+        code, out, _ = run_params_file(tmp_path, capsys, json.dumps(written))
+        assert code == 0
+        assert json.loads(out)["params"] == DOC
 
-    def test_loads_decimal_fractions(self):
+    def test_loads_decimal_fractions(self, tmp_path, capsys):
         text = ('{"mu": 0.08, "sigma": 0.16, "gamma": 5, '
                 '"epsilon": 0.001, "lambda": 0.0001}')
-        p = MarketParams.from_json(text)
-        assert p.lam == 0.0001
-        assert p.epsilon == 0.001
+        code, out, _ = run_params_file(tmp_path, capsys, text)
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert params["lambda"] == 0.0001
+        assert params["epsilon"] == 0.001
+        assert '"gamma": 5.0' in out  # stored as a float
 
-    def test_missing_and_unknown_keys_rejected(self):
-        with pytest.raises(ParameterError, match="missing"):
-            MarketParams.from_json('{"mu": 0.08}')
-        doc = make().to_dict()
-        doc["spread"] = 0.01
-        with pytest.raises(ParameterError, match="unknown"):
-            MarketParams.from_dict(doc)
+    def test_missing_and_unknown_keys_rejected(self, tmp_path, capsys):
+        code, out, err = run_params_file(tmp_path, capsys, '{"mu": 0.08}')
+        assert (code, out) == (1, "")
+        assert "missing=['sigma', 'gamma', 'epsilon', 'lambda']" in err
+        code, out, err = run_params_file(tmp_path, capsys,
+                                         json.dumps(dict(DOC, spread=0.01)))
+        assert (code, out) == (1, "")
+        assert "missing=[] unknown=['spread']" in err
 
     @pytest.mark.parametrize("value", [None, True, "0.08", [0.08]])
-    def test_non_numeric_value_rejected_by_key(self, value):
-        doc = make().to_dict()
-        doc["mu"] = value
-        with pytest.raises(ParameterError, match="'mu' must be a number"):
-            MarketParams.from_dict(doc)
+    def test_non_numeric_value_rejected_by_key(self, tmp_path, capsys,
+                                               value):
+        code, out, err = run_params_file(tmp_path, capsys,
+                                         json.dumps(dict(DOC, mu=value)))
+        assert (code, out) == (1, "")
+        assert err == f"error: mu must be a real number (got {value!r})\n"
 
     @pytest.mark.parametrize("text", ["3", "null", "[0.08]"])
-    def test_document_must_be_an_object(self, text):
-        with pytest.raises(ParameterError, match="must be an object"):
-            MarketParams.from_json(text)
+    def test_document_must_be_an_object(self, tmp_path, capsys, text):
+        code, out, err = run_params_file(tmp_path, capsys, text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: parameter document must be an object")
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "params.json"
-        path.write_text(json.dumps(make().to_dict()))
-        assert MarketParams.from_file(path) == make()
+        path.write_text(json.dumps(DOC))
+        assert cli._read_params(str(path)) == make()
 
 
 class TestFrictionLoss:

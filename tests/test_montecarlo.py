@@ -160,6 +160,10 @@ class TestConfig:
             with pytest.raises(ValueError, match="n_paths must be an integer"):
                 SimConfig(n_paths=n_paths)
         assert SimConfig(n_paths=np.int64(64)).n_paths == 64
+        for seed in (1.5, True, "7", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                SimConfig(seed=seed)
+        assert SimConfig(seed=np.int64(7)).seed == 7
         with pytest.raises(ValueError):
             SimConfig(n_paths=10001, antithetic=True)
         # Burn-ins that round to step 0 or to the last step leave the

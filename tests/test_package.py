@@ -200,3 +200,7 @@ def test_output_formats_live_only_in_the_cli():
                      "midfield_r", "write_path_summary_csv"):
             assert not hasattr(owner, name), (owner, name)
     assert "write_path_summary_csv" not in montecarlo.__all__
+    # The parameter file's format too: cli.py reads and writes it.
+    for name in ("from_dict", "from_json", "from_file", "to_dict"):
+        assert not hasattr(spreadimpact.MarketParams, name), name
+    assert not hasattr(market, "json")
