@@ -21,11 +21,10 @@ reports that as ``NoRootError``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 from ._radau import bracket_root
-from .market import MarketParams, _require_interior
+from .market import MarketParams, _real_number, _require_interior
 from .whittaker import whittaker_w_ratio
 
 __all__ = [
@@ -68,7 +67,8 @@ class AsymptoticInputs:
     """Market parameters plus the spread/impact coupling K = lam/eps^(4/3).
 
     Construction refuses buy-and-hold parameters (``ParameterError``, as in
-    ``solve``) and a K that is not a positive real number (``ValueError``).
+    ``solve``) and a K that is not a positive, finite real number or is a
+    bool (``ValueError``); K is stored as a float.
     It also sets the scales that every r_buy call reads: ``y_star``,
     ``curvature_scale`` = sigma^2 y*^2 (1 - y*)^2, the diffusion scale at the
     target, and ``growth_slope`` = sqrt(2 K gamma sigma^2), the far-field
@@ -83,8 +83,7 @@ class AsymptoticInputs:
 
     def __post_init__(self):
         _require_interior(self.params)
-        if isinstance(self.K, bool) or not isinstance(self.K, numbers.Real):
-            raise ValueError(f"K must be a real number, got {self.K!r}")
+        object.__setattr__(self, "K", _real_number("K", self.K))
         if not self.K > 0.0:
             raise ValueError(f"K must be positive, got {self.K!r}")
         p = self.params

@@ -30,6 +30,24 @@ class ParameterError(ValueError):
     """Market parameters violate a model constraint."""
 
 
+def _real_number(name: str, value) -> float:
+    """``value`` as a float, or ``ValueError`` naming the field ``name``: a
+    bool or a value that is not a ``numbers.Real`` is refused, and so is one
+    that is infinite or beyond the float range. NaN is returned for the
+    caller to refuse: it fails every range check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number (got {value!r})")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name} must be finite (got a value beyond the float range)"
+        ) from None
+    if math.isinf(number):
+        raise ValueError(f"{name} must be finite (got {number!r})")
+    return number
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Annualized market and preference inputs.
@@ -48,8 +66,8 @@ class MarketParams:
         Price-impact coefficient; the quadratic-cost weight per unit of
         wealth turnover. ``1/lam`` measures market depth.
 
-    Each field must be a real number other than a bool, and is stored as a
-    float.
+    Each field must be a finite real number other than a bool, and is
+    stored as a float.
     """
 
     mu: float
@@ -64,17 +82,16 @@ class MarketParams:
         problems = []
         finite = {}
         for name in ("mu", "sigma", "gamma", "epsilon", "lam"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                problems.append(
-                    f"{name} must be a real number (got {value!r})")
+            try:
+                value = _real_number(name, getattr(self, name))
+            except ValueError as exc:
+                problems.append(str(exc))
                 value = math.nan
             else:
-                value = float(value)
                 object.__setattr__(self, name, value)
-                if not math.isfinite(value):
-                    problems.append(f"{name} must be finite (got {value!r})")
-            finite[name] = value if math.isfinite(value) else math.nan
+                if math.isnan(value):
+                    problems.append(f"{name} must be finite (got nan)")
+            finite[name] = value
         if finite["sigma"] <= 0.0:
             problems.append("sigma must be positive")
         if finite["gamma"] <= 0.0:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketParams
+from .market import MarketParams, _real_number
 
 __all__ = [
     "DegenerateEnsembleError",
@@ -65,7 +65,9 @@ class SimConfig:
     number of steps of ``dt``; the estimator uses the growth between those
     two steps. ``y0`` is the initial risky weight. With
     ``antithetic`` set, paths come in adjacent pairs: each odd-numbered path
-    mirrors the shocks of the path before it.
+    mirrors the shocks of the path before it. Each real field must be a
+    finite real number other than a bool (``y0`` may be None), and is stored
+    as a float.
     """
 
     horizon_T: float = 100.0
@@ -77,6 +79,10 @@ class SimConfig:
     antithetic: bool = False
 
     def __post_init__(self):
+        for name in ("horizon_T", "dt", "y0", "burn_in_T"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _real_number(name, value))
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if not self.horizon_T > self.burn_in_T > 0.0:
@@ -186,9 +192,10 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
     ``_shock_rows``), bit-identical to a serial draw; ``turnover`` is only
     ever called from the calling thread, and the worker is joined on every
     exit, a raising ``turnover`` included. The speed-up needs a second
-    core: at 16,384 paths and 1,000 steps on a 2-vCPU Xeon VM the optimal
-    policy ran in 0.65 of the serial-draw time (buy-and-hold 0.73), and in
-    0.93 to 1.12 of it pinned to one CPU (buy-and-hold 0.82 to 1.06).
+    core: at 16,384 paths and 1,000 steps on a shared 2-vCPU Xeon VM, in
+    three sets of 7 alternating runs with bitwise-equal ensembles, the
+    optimal policy's median ran in 0.63 to 0.71 of the serial-draw time,
+    and buy-and-hold's in 0.76 to 0.92.
     """
     mu, sigma = params.mu, params.sigma
     eps, lam = params.epsilon, params.lam

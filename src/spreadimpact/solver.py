@@ -151,11 +151,10 @@ class FreeBoundarySolution:
     defect test keeps it at about DEFECT_TARGET / 0.7 = 0.5 or below.
     ``diagnostics["forward_steps"]`` and ``["backward_steps"]`` count the
     accepted steps of the final legs.
-    ``diagnostics["final_rtol"]`` and ``["final_atol"]`` are the final legs'
-    tolerances: FINAL_RTOL, and an atol of 0.01 FINAL_RTOL times the q
-    scale eps + 2 sqrt(lam beta_hi), beta_hi the frictionless rate, with a
-    floor of 0.1 RTOL times its impact part 2 sqrt(lam beta_hi), which
-    vanishes as sqrt(lam) (why: see the tolerance constants).
+    ``diagnostics["final_rtol"]`` and ``["final_atol"]`` are what a final
+    leg looks up (``_tolerances``): FINAL_RTOL, and 0.01 FINAL_RTOL times
+    the q scale eps + 2 sqrt(lam beta0), beta0 the frictionless rate, with
+    a floor of 0.1 RTOL times 2 sqrt(lam beta0), which vanishes as sqrt(lam).
     """
 
     params: MarketParams
@@ -269,19 +268,27 @@ def _with_edges(ys: np.ndarray, y_minus: float, y_plus: float) -> np.ndarray:
 # Shooting legs
 
 
-def _q_scale(params: MarketParams, beta_hi: float) -> float:
-    return params.epsilon + 2.0 * math.sqrt(params.lam * beta_hi) + 1e-12
+def _q_scale(params: MarketParams) -> float:
+    """q's size eps + 2 sqrt(lam beta0), beta0 the frictionless rate."""
+    beta0 = params.frictionless_esr
+    return params.epsilon + 2.0 * math.sqrt(params.lam * beta0) + 1e-12
 
 
-def _auto_atol(params: MarketParams, beta_hi: float, rtol: float) -> float:
-    """Absolute tolerance tied to the natural size of q for these inputs."""
-    return max(1e-17, min(1e-13, 100.0 * rtol * _q_scale(params, beta_hi)))
+def _tolerances(params: MarketParams, final: bool) -> tuple[float, float]:
+    """(rtol, atol) of a search or a ``final`` leg, both atols tied to the
+    q scale; the final one's impact floor: see the tolerance constants."""
+    scale = _q_scale(params)
+    if final:
+        impact = math.sqrt(params.lam * params.frictionless_esr)
+        return FINAL_RTOL, max(1e-18, 0.01 * FINAL_RTOL * scale,
+                               200.0 * FINAL_RTOL * impact)
+    return RTOL, max(1e-17, min(1e-13, 100.0 * RTOL * scale))
 
 
 def _leg_guard(params: MarketParams, forward: bool) -> GuardBox:
     """A leg's divergence guard: GUARD_MARGIN s out on its far side, |q| 10
     on its near side, and q y 0.6 under the singular curve."""
-    far = GUARD_MARGIN * _q_scale(params, params.frictionless_esr)
+    far = GUARD_MARGIN * _q_scale(params)
     if forward:
         return GuardBox(upper_q=10.0, lower_q=-far, upper_qt=0.6)
     return GuardBox(upper_q=far, lower_q=-10.0, upper_qt=0.6)
@@ -336,24 +343,24 @@ def _classify_stall(leg: IntegrationResult, params: MarketParams,
     return STALLED
 
 
-def shoot_leg(params: MarketParams, beta: float, forward: bool,
-              y_stop: float, rtol: float,
-              atol: float) -> tuple[IntegrationResult, str]:
+def shoot_leg(params: MarketParams, beta: float, forward: bool, y_stop: float,
+              final: bool = False) -> tuple[IntegrationResult, str]:
     """Shoot one leg onto ``y_stop``, forward from y = delta or backward
     from y = 1 - delta, inside the leg's divergence guard (``_leg_guard``).
 
-    A final leg (``rtol == FINAL_RTOL``) runs under the stepper's defect
-    test: each step's cubic must meet the equation at its quarter points to
-    DEFECT_TARGET of the 10 x RTOL budget.
+    The pass sets the tolerances (``_tolerances``). A ``final`` leg also
+    runs under the stepper's defect test: each step's cubic must meet the
+    equation at its quarter points to DEFECT_TARGET of the 10 x RTOL budget.
 
     Returns the leg and its status: ``reached``, ``upper`` or ``lower`` (the
     side of the band a diverging trajectory left through, a step-size
     collapse included when its position says which), or ``stalled``.
     """
+    rtol, atol = _tolerances(params, final)
     rhs, jac = hjb.make_rhs_jac(params, beta)
     y0, q0 = _leg_start(params, beta, forward, rhs, jac)
     defect = (hjb.make_defect(params, beta, 10.0 * RTOL * DEFECT_TARGET)
-              if rtol == FINAL_RTOL else None)
+              if final else None)
     leg = integrate_guarded(rhs, jac, y0, y_stop, q0, rtol, atol,
                             guard=_leg_guard(params, forward), defect=defect)
     status = leg.status
@@ -366,20 +373,18 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool,
 # Leg pairs
 
 
-def _shoot_pair(params: MarketParams, beta: float, y_stop: float,
-                rtol: float, atol: float, work: dict):
-    """Yield the forward, then the backward leg's ``(leg, status)`` at rate
-    beta, onto ``y_stop``.
+def _shoot_pair(params: MarketParams, beta: float, final: bool, work: dict):
+    """Yield the forward, then the backward leg's ``(leg, status)`` of the
+    search or the ``final`` pass at rate beta, onto y*.
 
     The backward leg is shot in the worker process (:mod:`._worker`) while
     the forward leg is shot here. A backward leg the worker did not return
     (no ``os.fork``, a failed fork, a dead worker, a raising leg) is shot
     here, once it is asked for. Every leg shot is added to ``work``.
     """
-    args = (params, beta, False, y_stop, rtol, atol)
+    args = (params, beta, False, params.merton_weight, final)
     forward, backward = _worker.beside(
-        lambda: shoot_leg(params, beta, True, y_stop, rtol, atol),
-        shoot_leg, args)
+        lambda: shoot_leg(params, beta, True, args[3], final), shoot_leg, args)
     for shot in (forward, backward):
         if shot:
             _count(work, shot[0])
@@ -402,11 +407,10 @@ def _count(work: dict, leg: IntegrationResult) -> None:
 # Matching
 
 
-def _match_surplus(params: MarketParams, beta: float, y_mid: float,
-                   atol: float, work: dict) -> float:
-    """Surplus q0(y_mid) - q1(y_mid) of the two legs at rate beta.
+def _match_surplus(params: MarketParams, beta: float, work: dict) -> float:
+    """Surplus q0(y*) - q1(y*) of the two search legs at rate beta.
 
-    A leg that diverges before y_mid gives a surplus of +-1, with the sign
+    A leg that diverges before y* gives a surplus of +-1, with the sign
     its divergence implies: forward above means positive, below negative,
     and the backward leg mirrors both. The sign is exact; the unit size
     (beyond the surplus of matched legs near the root) only steers the
@@ -416,7 +420,7 @@ def _match_surplus(params: MarketParams, beta: float, y_mid: float,
     ends = []
     for forward, upper_sign, (leg, status) in zip(
             (True, False), (1.0, -1.0),
-            _shoot_pair(params, beta, y_mid, RTOL, atol, work)):
+            _shoot_pair(params, beta, False, work)):
         if status == STALLED:
             side = "forward" if forward else "backward"
             raise NumericalFailure(
@@ -482,26 +486,24 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
             "approached with a tiny positive lambda"
         )
 
-    y_mid = params.merton_weight
     lo = max(0.0, params.full_risky_esr)
     hi = params.frictionless_esr
     width0 = hi - lo
     if not width0 > 0.0:
         raise ParameterError(
             f"the admissible rate bracket [{lo!r}, {hi!r}] is empty: y* = "
-            f"{y_mid!r} is interior, but only to rounding"
+            f"{params.merton_weight!r} is interior, but only to rounding"
         )
     beta_tol = BETA_TOL_REL * width0
     nudge = 1e-13 * width0
     lo_in, hi_in = lo + nudge, hi - nudge
 
-    atol = _auto_atol(params, hi, RTOL)
     work = {phase: dict.fromkeys(("legs", "nfev", "njev", "naccepted",
                                   "nrejected"), 0)
             for phase in ("search", "final")}
 
     def surplus(beta_try: float) -> float:
-        return _match_surplus(params, beta_try, y_mid, atol, work["search"])
+        return _match_surplus(params, beta_try, work["search"])
 
     # Probe the inner bracket the two friction limits give first, clipped
     # to the admissible floor, and the admissible bracket's ends only when
@@ -541,11 +543,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         surplus, below, above, probed[below], probed[above], beta_tol)
 
     # Final stitched pass at a tighter tolerance, under defect control.
-    final_atol = max(1e-18, 0.01 * FINAL_RTOL * _q_scale(params, hi),
-                     200.0 * FINAL_RTOL * math.sqrt(params.lam * hi))
-
     (leg_f, status_f), (leg_b, status_b) = _shoot_pair(
-        params, beta, y_mid, FINAL_RTOL, final_atol, work["final"])
+        params, beta, True, work["final"])
     if status_f != REACHED or status_b != REACHED:
         ends = "; ".join(
             f"{side}: {status}" if status == REACHED else
@@ -560,7 +559,7 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     matching_residual = leg_f.y_end - leg_b.y_end
     if not abs(matching_residual) <= MATCH_TOL:
         raise NumericalFailure(
-            f"the final legs meet y*={y_mid!r} with a jump of "
+            f"the final legs meet y*={params.merton_weight!r} with a jump of "
             f"{matching_residual:.3g} in q at beta={beta!r}, beyond the "
             f"value-matching bound {MATCH_TOL:g}"
         )
@@ -573,7 +572,7 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         "search_bracket": (below, above),
         "rtol": RTOL,
         "final_rtol": FINAL_RTOL,
-        "final_atol": final_atol,
+        "final_atol": _tolerances(params, True)[1],
         "forward_steps": int(leg_f.naccepted),
         "backward_steps": int(leg_b.naccepted),
         "beta_bracket_width": abs(beta_other - beta),

@@ -142,6 +142,17 @@ class TestInputs:
         with pytest.raises(ValueError, match="K must be a real number"):
             AsymptoticInputs(p, K)
 
+    @pytest.mark.parametrize("K", [math.inf, pytest.param(10**400,
+                                                          id="10**400")])
+    def test_direct_construction_refuses_infinite_coupling(self, K):
+        p = MarketParams(epsilon=1e-3, lam=1e-4, **BASE)
+        with pytest.raises(ValueError, match="K must be finite"):
+            AsymptoticInputs(p, K)
+
+    def test_coupling_stored_as_a_float(self):
+        p = MarketParams(epsilon=1e-3, lam=1e-4, **BASE)
+        assert type(AsymptoticInputs(p, 2).K) is float
+
     def test_cached_scales_equal_their_formulas(self):
         inp = make_inputs(2.5, market=GAMMA_20)
         p = inp.params

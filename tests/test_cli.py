@@ -119,6 +119,10 @@ class TestSolveCommand:
         '{"mu": true, "sigma": 0.16, "gamma": 5, "epsilon": 0.01, '
         '"lambda": 0.01}',
         "3",
+        # An int too large for a float: an input error, not a numerical
+        # failure.
+        pytest.param('{"mu": 1' + "0" * 400 + ', "sigma": 0.16, "gamma": 5, '
+                     '"epsilon": 0.01, "lambda": 0.01}', id="mu-10**400"),
     ])
     def test_malformed_params_file_exit_code(self, capsys, tmp_path, text):
         path = tmp_path / "p.json"
@@ -190,6 +194,10 @@ class TestAsymptoticCommand:
         code, _, err = run(capsys, *flags, "--k", "1e-4")
         assert code == 3
         assert err.startswith("numerical failure:")
+        code, out, err = run(capsys, *flags, "--k", "inf")
+        assert code == 1
+        assert out == ""
+        assert err == "error: K must be finite (got inf)\n"
 
     @pytest.mark.parametrize("mu", ["0.2", "-0.02"])
     def test_buy_and_hold_exit_code(self, capsys, mu):
@@ -253,6 +261,20 @@ class TestSimulateCommand:
         assert code == 1
         assert out == ""
         assert "burn-in" in err
+
+    @pytest.mark.parametrize("flag,field", [("--horizon", "horizon_T"),
+                                            ("--burn-in", "burn_in_T"),
+                                            ("--dt", "dt")])
+    def test_infinite_time_exit_code(self, capsys, flag, field):
+        times = {"--horizon": "1", "--burn-in": "0.5", "--dt": "0.01",
+                 flag: "inf"}
+        code, out, err = run(capsys, "simulate", *BASE_FLAGS, "--epsilon",
+                             "0", "--lambda", "0", "--policy", "hold",
+                             "--paths", "50", "--y0", "0.5",
+                             *sum(times.items(), ()))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {field} must be finite (got inf)\n"
 
 
 class TestSweepCommand:

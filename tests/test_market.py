@@ -90,15 +90,19 @@ class TestValidate:
             "(got inf); sigma must be positive; "
             "gamma must differ from 1 (utility is power, not log)")
 
-    @pytest.mark.parametrize("value", [True, "0.08", None])
+    @pytest.mark.parametrize("value", [True, "0.08", None,
+                                       pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("name", ["mu", "sigma", "gamma", "epsilon",
                                       "lam"])
     def test_non_number_refused_by_field(self, name, value):
-        # A bool is an int to Python, but no market input; the numeric
-        # checks skip a refused field.
+        # A bool is an int to Python, but no market input, and an int too
+        # large for a float is no finite float; the numeric checks skip a
+        # refused field.
         with pytest.raises(ParameterError) as err:
             make(**{name: value})
         assert str(err.value) == (
+            f"{name} must be finite (got a value beyond the float range)"
+            if value == 10**400 else
             f"{name} must be a real number (got {value!r})")
 
     @pytest.mark.parametrize("value", [5, np.int64(5), np.float64(5.0),

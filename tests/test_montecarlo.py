@@ -164,6 +164,21 @@ class TestConfig:
             with pytest.raises(ValueError, match="seed must be an integer"):
                 SimConfig(seed=seed)
         assert SimConfig(seed=np.int64(7)).seed == 7
+        # The real fields follow MarketParams' number rule.
+        for name, value, rule in [
+                ("dt", True, "a real number (got True)"),
+                ("dt", "0.001", "a real number (got '0.001')"),
+                ("y0", True, "a real number (got True)"),
+                ("horizon_T", math.inf, "finite (got inf)"),
+                ("burn_in_T", -math.inf, "finite (got -inf)"),
+                ("horizon_T", 10**400,
+                 "finite (got a value beyond the float range)")]:
+            with pytest.raises(ValueError) as err:
+                SimConfig(**{name: value})
+            assert str(err.value) == f"{name} must be {rule}"
+        cfg = SimConfig(horizon_T=2, dt=np.float64(0.5), burn_in_T=1, y0=0.5)
+        assert all(type(x) is float for x in (cfg.horizon_T, cfg.dt,
+                                               cfg.burn_in_T, cfg.y0))
         with pytest.raises(ValueError):
             SimConfig(n_paths=10001, antithetic=True)
         # Burn-ins that round to step 0 or to the last step leave the

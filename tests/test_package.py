@@ -84,6 +84,12 @@ def test_solve_takes_only_the_parameters():
     assert list(inspect.signature(spreadimpact.solve).parameters) == ["params"]
 
 
+def test_shoot_leg_takes_the_pass_not_its_tolerances():
+    # A leg looks up its tolerances and its defect test from the pass.
+    assert list(inspect.signature(solver.shoot_leg).parameters) == [
+        "params", "beta", "forward", "y_stop", "final"]
+
+
 def run_python(code: str) -> str:
     """Standard output of ``code`` run in a fresh interpreter that imports
     this package."""

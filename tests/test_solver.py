@@ -20,7 +20,6 @@ from spreadimpact.solver import (
     NoMatchError,
     NumericalFailure,
     TradingPolicy,
-    _auto_atol,
     _check_solution,
     _classify_stall,
     _leg_start,
@@ -28,6 +27,7 @@ from spreadimpact.solver import (
     _q_scale,
     _residual_ratio,
     _stitch,
+    _tolerances,
     policy,
     shoot_leg,
     solve,
@@ -66,14 +66,14 @@ def bisection_oracle(params, steps=40):
     guard."""
     y_mid = params.merton_weight
     lo, hi = max(0.0, params.full_risky_esr), params.frictionless_esr
-    atol = _auto_atol(params, hi, RTOL)
+    rtol, atol = _tolerances(params, False)
 
     def sign(beta):
         rhs, jac = make_rhs_jac(params, beta)
         ends = []
         for forward, upper in ((True, 1.0), (False, -1.0)):
             y0, q0 = _leg_start(params, beta, forward, rhs, jac)
-            leg = solver.integrate_guarded(rhs, jac, y0, y_mid, q0, RTOL,
+            leg = solver.integrate_guarded(rhs, jac, y0, y_mid, q0, rtol,
                                            atol, guard=HARD_BOX)
             status = leg.status
             if status == "stalled":
@@ -122,10 +122,9 @@ def assert_pure_spread_limit(solutions, tolerances):
 
 
 def shoot(params, beta, forward, y_stop):
-    """One leg at the advertised tolerance inside the solver's guard:
+    """One search leg, at the solver's search tolerances inside its guard:
     (status, y_end, q_end)."""
-    leg, status = shoot_leg(params, beta, forward, y_stop, RTOL,
-                            _auto_atol(params, beta, RTOL))
+    leg, status = shoot_leg(params, beta, forward, y_stop)
     return status, leg.t_end, leg.y_end
 
 
@@ -184,7 +183,7 @@ class TestSolve:
         def checking(*args):
             for forward, (leg, status) in zip((True, False),
                                               shoot_pair(*args)):
-                if args[3] == RTOL and status == "reached":
+                if not args[2] and status == "reached":
                     ys = leg.sol.knots
                     qs = leg.sol(ys)
                     guard = solver._leg_guard(params, forward)
@@ -326,11 +325,9 @@ class TestSolve:
     def test_jump_at_the_matching_point_raises(self, monkeypatch):
         shoot_real = solver.shoot_leg
 
-        def shoot_with_a_jump(params, beta, forward, y_stop, rtol, *args,
-                              **kwargs):
-            leg, status = shoot_real(params, beta, forward, y_stop, rtol,
-                                     *args, **kwargs)
-            if forward and rtol == solver.FINAL_RTOL:
+        def shoot_with_a_jump(params, beta, forward, y_stop, final=False):
+            leg, status = shoot_real(params, beta, forward, y_stop, final)
+            if forward and final:
                 leg = dataclasses.replace(leg, y_end=leg.y_end + 1e-7)
             return leg, status
 
@@ -496,12 +493,12 @@ class TestSolve:
         # the q scale, the smallest uniform floor that broke the domain there.
         p = params_with(eps, lam)
         hi = p.frictionless_esr
-        q_term = 0.01 * solver.FINAL_RTOL * _q_scale(p, hi)
+        q_term = 0.01 * solver.FINAL_RTOL * _q_scale(p)
         floor = 0.1 * RTOL * 2.0 * math.sqrt(lam * hi)
         atol = solve_cache(eps, lam).diagnostics["final_atol"]
         assert atol == (floor if impact_binds else q_term)
         if lam <= 1e-10:
-            assert atol < solver.FINAL_RTOL * _q_scale(p, hi)
+            assert atol < solver.FINAL_RTOL * _q_scale(p)
 
     def test_empty_rate_bracket_is_a_parameter_error(self):
         # y* = 0.9999999999999998 is interior, but the frictionless and
@@ -798,7 +795,7 @@ class TestShooting:
         p = params_with(1e-3, 1e-4)
         status, y_end, q_end = shoot(p, 0.018, False, 0.3)
         assert status == "upper"
-        s = _q_scale(p, p.frictionless_esr)
+        s = _q_scale(p)
         assert q_end - band_buy(y_end, p.epsilon) >= 2.0 * s
 
     def test_backward_reaches_matching_point_near_root(self, solve_cache):
