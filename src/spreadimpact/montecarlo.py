@@ -87,6 +87,13 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not self.horizon_T > self.burn_in_T > 0.0:
             raise ValueError("need horizon_T > burn_in_T > 0")
+        # The float tallies of no-trade steps, and their fraction, count
+        # exactly up to 2**53 steps.
+        if not self.horizon_T / self.dt <= 2.0**53:
+            raise ValueError(
+                f"horizon_T of {self.horizon_T!r} at dt {self.dt!r} is "
+                f"{self.horizon_T / self.dt:.3g} steps; at most 2**53 are "
+                "counted exactly")
         if not 1 <= self.burn_in_step < self.n_steps:
             raise ValueError(
                 f"burn-in of {self.burn_in_T!r} rounds to step "
@@ -303,9 +310,9 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
     )
 
 
-def _certainty_growth(log_wealth: np.ndarray, one_minus_gamma: float) -> float:
-    """(1/(1-gamma)) log mean of wealth^(1-gamma), max-shifted."""
-    z = one_minus_gamma * log_wealth
+def _certainty_growth(z: np.ndarray, one_minus_gamma: float) -> float:
+    """(1/(1-gamma)) log mean of wealth^(1-gamma), max-shifted, from
+    z = (1-gamma) log wealth."""
     m = float(np.max(z))
     return (m + math.log(float(np.mean(np.exp(z - m))))) / one_minus_gamma
 
@@ -333,8 +340,10 @@ def estimate_esr(ensemble: PathEnsemble, gamma: float,
         raise DegenerateEnsembleError("non-finite log wealth in the ensemble")
     omg = 1.0 - gamma
     span = (cfg.n_steps - cfg.burn_in_step) * cfg.dt
+    # Scaled once: a resample of the scaled paths is the scaled resample.
+    z1, z2 = omg * lw1, omg * lw2
 
-    estimate = (_certainty_growth(lw2, omg) - _certainty_growth(lw1, omg)) / span
+    estimate = (_certainty_growth(z2, omg) - _certainty_growth(z1, omg)) / span
 
     n = ensemble.n_paths
     rng = np.random.default_rng([cfg.seed, _BOOTSTRAP_TAG])
@@ -349,8 +358,8 @@ def estimate_esr(ensemble: PathEnsemble, gamma: float,
             idx[1::2] = 2 * pairs + 1
         else:
             idx = rng.integers(0, n, n)
-        resampled[b] = (_certainty_growth(lw2[idx], omg)
-                        - _certainty_growth(lw1[idx], omg)) / span
+        resampled[b] = (_certainty_growth(z2[idx], omg)
+                        - _certainty_growth(z1[idx], omg)) / span
     stderr = float(np.std(resampled, ddof=1))
 
     return SimulationReport(

@@ -123,8 +123,9 @@ MATCH_TOL = 1e-8
 DELTA = 1e-6
 # Every leg's divergence guard on its far side, in units of s (see above).
 GUARD_MARGIN = 3.0
-# Knots of each side's table in TradingPolicy.tabulated.
-TABLE_KNOTS = 8193
+# Cells of TradingPolicy.tabulated's table per unit of weight: its spacing
+# is at least 1/TABLE_CELLS, so it holds at most TABLE_CELLS + 1 cells.
+TABLE_CELLS = 16384
 
 
 class NoMatchError(RuntimeError):
@@ -209,43 +210,55 @@ class TradingPolicy:
         """Piecewise-linear evaluator for simulation inner loops.
 
         Turnover is smooth on each trading side and has kinks only at the
-        boundaries, so it is tabulated on two uniform grids of
-        ``TABLE_KNOTS`` knots: the buy side on [delta, y_minus] and the sell
-        side on [y_plus, 1-delta]. Each boundary is a knot of its own table,
-        so the kinks are exact, and the result is exactly 0.0 on
-        [y_minus, y_plus]. Weights are clipped to [delta, 1-delta]. A call
-        computes each weight's cell directly from the uniform spacing and
-        gathers that cell's value and slope: O(1) per weight, where a
-        binary search over the knots costs several times more.
+        band edges, so it is tabulated on one uniform grid over [0, 1] with
+        both edges on knots: the spacing h is the smallest that is at least
+        1/TABLE_CELLS and cuts the band into a whole number m of cells. Each
+        cell holds u = A + B y, the line through its two knots, so a band
+        cell holds A = B = 0 and the band reads exactly 0.0. The cells
+        beside the band are anchored on its edge (A = -B y_edge), so each
+        edge reads exactly 0.0 from either cell and the trading sides keep
+        their sign; only a weight within an ulp or two of an edge can land
+        in the cell across it. The end knots are moved onto delta and
+        1-delta, so the end cells interpolate q where it is defined and
+        extend that line to 0 and 1. A band narrower than 1/TABLE_CELLS
+        (m = 0, zero width included) lies inside one cell of that width and
+        reads its line, which runs from 0 at y_minus to the turnover one
+        cell away.
+        A call finds each weight's cell by a multiply and a truncation and
+        gathers A and B: no search, clip or branch.
         """
         sol = self.solution
         lo, hi = float(sol.y_grid[0]), float(sol.y_grid[-1])
         y_minus, y_plus = sol.y_minus, sol.y_plus
-        n = TABLE_KNOTS
-        # Table coordinate t: knot k of the buy side sits at t = k, the band
-        # is the single cell [n-1, n) (zero value, zero slope), and knot k of
-        # the sell side sits at t = n + k. The last slope, 0, serves 1-delta.
-        values = np.concatenate([self(np.linspace(lo, y_minus, n)),
-                                 self(np.linspace(y_plus, hi, n))])
-        slopes = np.append(np.diff(values), 0.0)
-        inv_h_buy = (n - 1) / (y_minus - lo)
-        # y_minus itself must land on the band cell, not at the end of the
-        # last buy cell, so that the band is exactly zero from its first
-        # point.
-        while (y_minus - lo) * inv_h_buy < n - 1:
-            inv_h_buy = math.nextafter(inv_h_buy, math.inf)
-        inv_h_sell = (n - 1) / (hi - y_plus)
+        m = math.floor((y_plus - y_minus) * TABLE_CELLS)
+        h = (y_plus - y_minus) / m if m else 1.0 / TABLE_CELLS
+        # Cell 0 holds delta and the last cell 1-delta: weights below cell
+        # 0 truncate onto it, and take's clip mode puts weights past the
+        # last cell on that one. At most TABLE_CELLS + 1 cells.
+        below = math.ceil((y_minus - lo) / h)
+        x = y_minus + h * np.arange(-below, m + math.ceil((hi - y_plus) / h)
+                                    + 1)
+        if m:
+            x[below + m] = y_plus
+        np.clip(x, lo, hi, out=x)
+        # In four pieces: one call on all knots gathers 512 KiB of q's
+        # coefficients at once, which raised the peak RSS of building the
+        # optimal and a scaled table from 0.4 to 1.3 MB.
+        values = np.concatenate([self(part) for part in np.array_split(x, 4)])
+        slope = np.diff(values) / np.diff(x)
+        # Each line through its knot nearer the band: A = -B y_edge beside
+        # it.
+        offset = values[:-1] - slope * x[:-1]
+        offset[:below] = values[1:below + 1] - slope[:below] * x[1:below + 1]
+        y0, inv_h = y_minus - below * h, 1.0 / h
 
         def turnover_table(y):
-            y = np.clip(y, lo, hi)
-            t = np.where(y > y_plus, (y - y_plus) * inv_h_sell + n,
-                         np.minimum((y - lo) * inv_h_buy, n - 1))
-            cell = np.floor(t)
-            t -= cell  # exact, since t >= 0
-            cell = cell.astype(np.intp)
-            u = slopes.take(cell)
-            u *= t
-            u += values.take(cell)
+            t = y - y0
+            t *= inv_h
+            cell = t.astype(np.intp)
+            u = slope.take(cell, mode="clip")
+            u *= y
+            u += offset.take(cell, mode="clip")
             return u
 
         return turnover_table

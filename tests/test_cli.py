@@ -262,19 +262,27 @@ class TestSimulateCommand:
         assert out == ""
         assert "burn-in" in err
 
-    @pytest.mark.parametrize("flag,field", [("--horizon", "horizon_T"),
-                                            ("--burn-in", "burn_in_T"),
-                                            ("--dt", "dt")])
-    def test_infinite_time_exit_code(self, capsys, flag, field):
+    @pytest.mark.parametrize("flag,value,message", [
+        pytest.param("--horizon", "inf", "horizon_T must be finite (got inf)",
+                     id="--horizon-horizon_T"),
+        pytest.param("--burn-in", "inf", "burn_in_T must be finite (got inf)",
+                     id="--burn-in-burn_in_T"),
+        pytest.param("--dt", "inf", "dt must be finite (got inf)",
+                     id="--dt-dt"),
+        # Finite, but 1e302 steps: it would run until killed.
+        pytest.param("--horizon", "1e300",
+                     "horizon_T of 1e+300 at dt 0.01 is 1e+302 steps; at most "
+                     "2**53 are counted exactly", id="--horizon-n_steps")])
+    def test_infinite_time_exit_code(self, capsys, flag, value, message):
         times = {"--horizon": "1", "--burn-in": "0.5", "--dt": "0.01",
-                 flag: "inf"}
+                 flag: value}
         code, out, err = run(capsys, "simulate", *BASE_FLAGS, "--epsilon",
                              "0", "--lambda", "0", "--policy", "hold",
                              "--paths", "50", "--y0", "0.5",
                              *sum(times.items(), ()))
         assert code == 1
         assert out == ""
-        assert err == f"error: {field} must be finite (got inf)\n"
+        assert err == f"error: {message}\n"
 
 
 class TestSweepCommand:

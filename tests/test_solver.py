@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from spreadimpact.market import MarketParams, ParameterError, friction_loss
 from spreadimpact.solver import (
     DELTA,
     RTOL,
-    TABLE_KNOTS,
+    TABLE_CELLS,
     NoMatchError,
     NumericalFailure,
     TradingPolicy,
@@ -757,14 +759,86 @@ class TestPolicy:
                 assert np.max(np.abs(table - exact)) <= 1e-6 * np.max(
                     np.abs(exact)), (eps, lam, scale)
 
-        # A y_minus whose cell coordinate rounds to just below its knot
-        # index (about one width in eight) still starts the exact zero.
+    @pytest.mark.parametrize("edge", ["y_minus", "y_plus"])
+    def test_tabulated_band_edges_read_zero_from_either_cell(self, solve_cache,
+                                                             edge):
+        # The table's cell coordinate, as tabulated() derives it: the band
+        # is cells [below, below + m). Rounding puts some edges in the cell
+        # across them (y_minus in the last buy cell, y_plus in the first
+        # sell cell). Over 100 one-ulp shifts this edge lands both there
+        # and in the band; it reads exactly 0 either way, and the side
+        # beyond it keeps its sign.
         sol = solve_cache(1e-3, 1e-4)
-        lo, y_minus, n = sol.y_grid[0], sol.y_minus, TABLE_KNOTS
-        while (y_minus - lo) * ((n - 1) / (y_minus - lo)) >= n - 1:
-            y_minus = math.nextafter(y_minus, 1.0)
-        shifted = dataclasses.replace(sol, y_minus=y_minus)
-        assert policy(shifted).tabulated()(np.array([y_minus]))[0] == 0.0
+
+        def lands_outside(s):
+            width = s.y_plus - s.y_minus
+            m = math.floor(width * TABLE_CELLS)
+            h = width / m
+            below = math.ceil((s.y_minus - s.y_grid[0]) / h)
+            t = (getattr(s, edge) - (s.y_minus - below * h)) * (1.0 / h)
+            return t < below if edge == "y_minus" else t >= below + m
+
+        seen = set()
+        value = getattr(sol, edge)
+        side = -1e-9 if edge == "y_minus" else 1e-9
+        for _ in range(100):
+            value = math.nextafter(value, 1.0)
+            shifted = dataclasses.replace(sol, **{edge: value})
+            seen.add(lands_outside(shifted))
+            u = policy(shifted).tabulated()(np.array([value, value + side]))
+            assert u[0] == 0.0, (edge, value)
+            assert np.sign(u[1]) == -np.sign(side), (edge, value)
+        assert seen == {False, True}
+
+    def test_tabulated_band_edge_off_the_grid_arithmetic(self, solve_cache):
+        # For some band widths y_minus + m h misses y_plus by an ulp (none
+        # of the solved markets here); the table pins that knot on y_plus,
+        # so the band still reads exactly 0 up to its edge.
+        sol = solve_cache(1e-3, 1e-4)
+
+        def missed(y_plus):
+            width = y_plus - sol.y_minus
+            m = math.floor(width * TABLE_CELLS)
+            return sol.y_minus + (width / m) * float(m) != y_plus
+
+        rng = random.Random(2)
+        y_plus = next(y for y in (sol.y_minus + rng.uniform(0.25, 0.39)
+                                  for _ in range(1000)) if missed(y))
+        wide = dataclasses.replace(sol, y_plus=y_plus)
+        ys = np.append(np.linspace(sol.y_minus, y_plus, 200_001), y_plus)
+        assert np.all(policy(wide).tabulated()(ys) == 0.0)
+        assert policy(wide).tabulated()(np.array([y_plus + 1e-9]))[0] < 0.0
+
+    @pytest.mark.parametrize("eps,lam", [(1e-8, 1.0), (0.0, 1e-2)])
+    def test_tabulated_narrow_band(self, solve_cache, eps, lam):
+        # A band 4.5e-8 wide, and one of zero width: a table with both
+        # edges on knots would need 2.2e7 cells for the first. The band
+        # lies inside one cell of width 1/TABLE_CELLS instead, and the
+        # table keeps its two arrays of at most TABLE_CELLS + 1 floats.
+        sol = solve_cache(eps, lam)
+        assert 0.0 <= sol.y_plus - sol.y_minus < 1.0 / TABLE_CELLS
+        pol = policy(sol)
+        tracemalloc.start()
+        try:
+            table = pol.tabulated()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 2 * 8 * (TABLE_CELLS + 1) + 4096
+        assert peak <= 4e6
+        edges = np.array([sol.y_minus, sol.y_plus])
+        ys = np.concatenate([
+            np.linspace(sol.y_grid[0], sol.y_grid[-1], 400_001),
+            edges, edges - 1e-9, edges + 1e-9])
+        band = (ys >= sol.y_minus) & (ys <= sol.y_plus)
+        exact, u = pol(ys), table(ys)
+        assert np.array_equal(np.sign(u[~band]), np.sign(exact[~band]))
+        assert u[ys == sol.y_minus][0] == 0.0
+        # Inside the band the table reads the line of the cell it lies in,
+        # which runs from 0 at y_minus to the turnover one cell away.
+        one_cell = abs(pol(sol.y_minus + 1.0 / TABLE_CELLS))
+        assert np.max(np.abs(u[band])) <= one_cell
+        assert np.max(np.abs(u - exact)) <= 1e-6 * np.max(np.abs(exact))
 
     def test_scaling_wrapper(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
