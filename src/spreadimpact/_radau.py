@@ -26,10 +26,12 @@ bvp4c, Shampine & Kierzenka 2001, ACM TOMS 27), so that no accepted step
 ever has to be integrated again.
 
 The dense output is a :class:`PiecewisePolynomial`, a searchsorted-plus-
-Horner evaluator; the solver's q is the two final legs' dense output
-stitched into one. The package's one bracketing root finder,
-:func:`bracket_root` (Brent's method), lives here too: the rate search, the
-band edges and the small-cost expansion's boundary root all use it.
+Horner evaluator on increasing knots: a backward run's steps are reversed
+once at its end, each cubic rewritten in 1 - x. The solver's q is the two
+final legs' dense output joined into one. The package's one bracketing
+root finder, :func:`bracket_root` (Brent's method), lives here too: the
+rate search, the band edges and the small-cost expansion's boundary root
+all use it.
 """
 
 from __future__ import annotations
@@ -66,6 +68,10 @@ _TI31, _TI32, _TI33 = 0.50287263494578682, -2.57192694985560522, 0.5960392048282
 _P11, _P12, _P13 = 13.0 / 3.0 + 7.0 * _S6 / 3.0, -23.0 / 3.0 - 22.0 * _S6 / 3.0, 10.0 / 3.0 + 5.0 * _S6
 _P21, _P22, _P23 = 13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0, 10.0 / 3.0 - 5.0 * _S6
 _P31, _P32, _P33 = 1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0
+# A backward step's cubic p(x) on its reversed step, coeffs @ _FLIP.T:
+# p(1 - x) = sum_j x^j (-1)^j sum_k C(k, j) c_k.
+_FLIP = np.array([[(-1.0) ** j * math.comb(k, j) for k in range(4)]
+                  for j in range(4)])
 
 _NEWTON_MAXITER = 6
 # Newton stops once its predicted error is below this fraction of the local
@@ -102,13 +108,13 @@ class GuardBox:
 
 
 class PiecewisePolynomial:
-    """Piecewise polynomial on monotone knots, evaluated by searchsorted and
-    Horner.
+    """Piecewise polynomial on increasing knots, evaluated by searchsorted
+    and Horner.
 
     On the piece from ``knots[i]`` to ``knots[i+1]`` the value is
     ``sum_k coeffs[i, k] * x**k`` with
-    ``x = (t - knots[i]) / (knots[i+1] - knots[i])``. The knots may run in
-    either direction; beyond the first and last knot the end pieces extend.
+    ``x = (t - knots[i]) / (knots[i+1] - knots[i])``. Beyond the first and
+    last knot the end pieces extend.
     """
 
     def __init__(self, knots: np.ndarray, coeffs: np.ndarray):
@@ -119,16 +125,8 @@ class PiecewisePolynomial:
         """Evaluate at t (scalar or array)."""
         t_arr = np.asarray(t, dtype=float)
         knots = self.knots
-        if knots[0] <= knots[-1]:
-            idx = np.clip(np.searchsorted(knots, t_arr, side="right") - 1,
-                          0, len(knots) - 2)
-        else:
-            idx = np.clip(
-                len(knots) - 1 - np.searchsorted(knots[::-1], t_arr,
-                                                 side="left"),
-                0,
-                len(knots) - 2,
-            )
+        idx = np.clip(np.searchsorted(knots, t_arr, side="right") - 1,
+                      0, len(knots) - 2)
         t0 = knots[idx]
         x = (t_arr - t0) / (knots[idx + 1] - t0)
         c = self.coeffs[idx]
@@ -208,10 +206,12 @@ class IntegrationResult:
     """Accepted mesh, per-step dense cubics, and the termination status.
 
     ``sol`` is the dense output: on each accepted step it is the collocation
-    cubic, with the accepted step points as knots. ``t_end``/``y_end`` is
-    the last knot: the last accepted step point, or the start point if no
-    step was accepted. When the run ended on a guard it is the first step
-    point inside the guard region, so the last step brackets the crossing.
+    cubic, with the accepted step points as knots, increasing whichever way
+    the run went. ``t_end``/``y_end`` is where the run stopped:
+    ``sol.knots[-1]`` going forward and ``sol.knots[0]`` going backward.
+    That is the last accepted step point, or the start point if no step was
+    accepted. When the run ended on a guard it is the first step point
+    inside the guard region, so the last step brackets the crossing.
 
     ``nfev`` and ``njev`` count right-hand-side and Jacobian calls,
     ``naccepted`` the accepted steps, and ``nrejected`` the trial steps
@@ -533,10 +533,13 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
         ts = [t0, t0]
         ys = [q0, q0]
         polys = [(0.0, 0.0, 0.0)]
+    knots = np.asarray(ts)
+    coeffs = np.column_stack([ys[:-1], np.asarray(polys)])
+    if direction < 0.0:  # x = 0 at each step's upper knot
+        knots, coeffs = knots[::-1], coeffs[::-1] @ _FLIP.T
     return IntegrationResult(
         status=status,
-        sol=PiecewisePolynomial(
-            np.asarray(ts), np.column_stack([ys[:-1], np.asarray(polys)])),
+        sol=PiecewisePolynomial(knots, coeffs),
         t_end=t,
         y_end=q,
         nfev=nfev,

@@ -51,6 +51,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive(kind):
+    """An argparse ``type=``: ``kind(text)``, refused naming the flag unless
+    it is finite and above 0 (a count at least 1)."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and positive (got {text})")
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return parse
+
+
 def _add_market_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--params", metavar="FILE",
                    help="JSON file with mu, sigma, gamma, epsilon, lambda")
@@ -84,7 +98,7 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve the free-boundary problem")
     _add_market_flags(p_solve)
     _add_output_flags(p_solve, "json")
-    p_solve.add_argument("--grid-points", type=int, default=2001,
+    p_solve.add_argument("--grid-points", type=_positive(int), default=2001,
                          help="uniform rows in the emitted grid, to which "
                               "both band edges are added")
 
@@ -97,7 +111,7 @@ def _build_parser() -> _Parser:
     p_pol = sub.add_parser("policy", help="emit the optimal turnover on a grid")
     _add_market_flags(p_pol)
     _add_output_flags(p_pol, "csv")
-    p_pol.add_argument("--grid-points", type=int, default=2001)
+    p_pol.add_argument("--grid-points", type=_positive(int), default=2001)
 
     p_sim = sub.add_parser("simulate",
                            help="Monte Carlo estimate of the equivalent safe rate")
@@ -125,14 +139,14 @@ def _build_parser() -> _Parser:
                          help="comma-separated epsilon values")
     p_sweep.add_argument("--sweep-lambda", metavar="LIST", default=None,
                          help="comma-separated lambda values")
-    p_sweep.add_argument("--grid-points", type=int, default=201)
+    p_sweep.add_argument("--grid-points", type=_positive(int), default=201)
 
     p_cmp = sub.add_parser("compare",
                            help="exact versus asymptotic turnover on a window")
     _add_market_flags(p_cmp)
     _add_output_flags(p_cmp)
-    p_cmp.add_argument("--points", type=int, default=201)
-    p_cmp.add_argument("--window", type=float, default=None,
+    p_cmp.add_argument("--points", type=_positive(int), default=201)
+    p_cmp.add_argument("--window", type=_positive(float), default=None,
                        help="half-width of the comparison window around the "
                             "Merton weight (default: 3 epsilon^(1/3))")
     return parser

@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 # Paths are simulated in fixed-size chunks with per-chunk generator seeds, so
-# results are bit-identical for a given (seed, n_paths, dt) regardless of
-# memory pressure or the number of chunks processed.
+# results are bit-identical for a given SimConfig regardless of memory
+# pressure or the number of chunks processed.
 _CHUNK = 65536
 # Steps of shocks drawn per block; one worker thread draws a block ahead.
 _BLOCK_ROWS = 8
@@ -99,13 +99,13 @@ class SimConfig:
                 f"burn-in of {self.burn_in_T!r} rounds to step "
                 f"{self.burn_in_step} of {self.n_steps}; it must fall on a "
                 "step strictly between the start and the horizon")
-        for name in ("n_paths", "seed"):
+        for name, least in (("n_paths", 2), ("seed", 0)):
             value = getattr(self, name)
             if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_paths < 2:
-            raise ValueError("need at least two paths")
+                    or not isinstance(value, (int, np.integer))
+                    or value < least):
+                raise ValueError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
         if self.y0 is not None and not 0.0 < self.y0 < 1.0:
             raise ValueError("y0 must lie strictly inside (0, 1)")
         if self.antithetic and self.n_paths % 2:
@@ -332,7 +332,8 @@ def estimate_esr(ensemble: PathEnsemble, gamma: float,
         raise ValueError("cfg is not the config the ensemble was simulated "
                          "with")
     cfg = ensemble.config
-    if gamma == 1.0 or gamma <= 0.0:
+    gamma = _real_number("gamma", gamma)
+    if not gamma > 0.0 or gamma == 1.0:
         raise ValueError("gamma must be positive and different from 1")
     lw1 = ensemble.log_wealth_burn_in
     lw2 = ensemble.log_wealth_final

@@ -20,7 +20,8 @@ boundaries.
 
 The solution's q is the legs' own dense output: the Radau collocation cubic
 of every accepted step, forward from y = delta up to y*, then backward from
-y* to y = 1 - delta, stitched into one piecewise cubic on increasing knots.
+y = 1 - delta down to y*; both legs' knots increase, so q is the one
+appended to the other.
 The final legs run without a step cap, under defect control: the stepper
 accepts a step only once its cubic meets the equation at the step's quarter
 points to DEFECT_TARGET of the residual budget, so no step is integrated
@@ -108,7 +109,7 @@ __all__ = [
 # the dense cubic the binding error, and uniform floors on the q scale broke
 # the domain there. DEFECT_TARGET is 0.5 on the scale of
 # residual_ratio_half_budget (0.7 of the budget), which leaves room for the
-# rounding of the stitched backward pieces. DELTA is the offset of both
+# rounding of the flipped backward pieces. DELTA is the offset of both
 # boundary starts. The rate search ends when the beta bracket is no wider
 # than BETA_TOL_REL times the admissible bracket's width, whichever bracket
 # it started from.
@@ -201,10 +202,7 @@ class TradingPolicy:
     scale_outside_band: float = 1.0
 
     def __call__(self, y):
-        u = self.solution.turnover_at(y)
-        if self.scale_outside_band != 1.0:
-            u = u * self.scale_outside_band
-        return u
+        return self.solution.turnover_at(y) * self.scale_outside_band
 
     def tabulated(self):
         """Piecewise-linear evaluator for simulation inner loops.
@@ -357,7 +355,7 @@ def _classify_stall(leg: IntegrationResult, params: MarketParams,
 
 
 def shoot_leg(params: MarketParams, beta: float, forward: bool, y_stop: float,
-              final: bool = False) -> tuple[IntegrationResult, str]:
+              final: bool = False) -> IntegrationResult:
     """Shoot one leg onto ``y_stop``, forward from y = delta or backward
     from y = 1 - delta, inside the leg's divergence guard (``_leg_guard``).
 
@@ -365,9 +363,11 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool, y_stop: float,
     runs under the stepper's defect test: each step's cubic must meet the
     equation at its quarter points to DEFECT_TARGET of the 10 x RTOL budget.
 
-    Returns the leg and its status: ``reached``, ``upper`` or ``lower`` (the
-    side of the band a diverging trajectory left through, a step-size
-    collapse included when its position says which), or ``stalled``.
+    Returns the leg, its dense output on increasing knots like every
+    ``integrate_guarded`` result. Its ``status`` is ``reached``, ``upper``
+    or ``lower`` (the side of the band a diverging trajectory left through,
+    a step-size collapse included when its position says which), or
+    ``stalled``.
     """
     rtol, atol = _tolerances(params, final)
     rhs, jac = hjb.make_rhs_jac(params, beta)
@@ -376,10 +376,9 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool, y_stop: float,
               if final else None)
     leg = integrate_guarded(rhs, jac, y0, y_stop, q0, rtol, atol,
                             guard=_leg_guard(params, forward), defect=defect)
-    status = leg.status
-    if status == STALLED:
-        status = _classify_stall(leg, params, forward)
-    return leg, status
+    if leg.status == STALLED:
+        leg.status = _classify_stall(leg, params, forward)
+    return leg
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +386,8 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool, y_stop: float,
 
 
 def _shoot_pair(params: MarketParams, beta: float, final: bool, work: dict):
-    """Yield the forward, then the backward leg's ``(leg, status)`` of the
-    search or the ``final`` pass at rate beta, onto y*.
+    """Yield the forward, then the backward leg of the search or the
+    ``final`` pass at rate beta, onto y*.
 
     The backward leg is shot in the worker process (:mod:`._worker`) while
     the forward leg is shot here. A backward leg the worker did not return
@@ -398,13 +397,13 @@ def _shoot_pair(params: MarketParams, beta: float, final: bool, work: dict):
     args = (params, beta, False, params.merton_weight, final)
     forward, backward = _worker.beside(
         lambda: shoot_leg(params, beta, True, args[3], final), shoot_leg, args)
-    for shot in (forward, backward):
-        if shot:
-            _count(work, shot[0])
+    for leg in (forward, backward):
+        if leg:
+            _count(work, leg)
     yield forward
     if not backward:
         backward = shoot_leg(*args)
-        _count(work, backward[0])
+        _count(work, backward)
     yield backward
 
 
@@ -431,18 +430,18 @@ def _match_surplus(params: MarketParams, beta: float, work: dict) -> float:
     after a forward divergence the backward leg is never looked at.
     """
     ends = []
-    for forward, upper_sign, (leg, status) in zip(
+    for forward, upper_sign, leg in zip(
             (True, False), (1.0, -1.0),
             _shoot_pair(params, beta, False, work)):
-        if status == STALLED:
+        if leg.status == STALLED:
             side = "forward" if forward else "backward"
             raise NumericalFailure(
                 f"{side} leg stalled unclassifiably at beta={beta!r}, "
                 f"y={leg.t_end:.6g}, q={leg.y_end:.6g}"
             )
-        if status == GUARD_UPPER:
+        if leg.status == GUARD_UPPER:
             return upper_sign
-        if status == GUARD_LOWER:
+        if leg.status == GUARD_LOWER:
             return -upper_sign
         ends.append(leg.y_end)
     return ends[0] - ends[1]
@@ -556,14 +555,12 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         surplus, below, above, probed[below], probed[above], beta_tol)
 
     # Final stitched pass at a tighter tolerance, under defect control.
-    (leg_f, status_f), (leg_b, status_b) = _shoot_pair(
-        params, beta, True, work["final"])
-    if status_f != REACHED or status_b != REACHED:
+    leg_f, leg_b = _shoot_pair(params, beta, True, work["final"])
+    if leg_f.status != REACHED or leg_b.status != REACHED:
         ends = "; ".join(
-            f"{side}: {status}" if status == REACHED else
-            f"{side}: {status} at y={leg.t_end:.6g}, q={leg.y_end:.6g}"
-            for side, leg, status in (("forward", leg_f, status_f),
-                                      ("backward", leg_b, status_b)))
+            f"{side}: {leg.status}" if leg.status == REACHED else
+            f"{side}: {leg.status} at y={leg.t_end:.6g}, q={leg.y_end:.6g}"
+            for side, leg in (("forward", leg_f), ("backward", leg_b)))
         raise NumericalFailure(
             f"final stitched pass did not reach the matching point at "
             f"beta={beta!r} ({ends})"
@@ -606,51 +603,35 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
 
 def _stitch(forward: PiecewisePolynomial,
             backward: PiecewisePolynomial) -> PiecewisePolynomial:
-    """The matched q on increasing knots: the forward leg's step cubics up
-    to y*, then the backward leg's, each rewritten on its reversed step.
-
-    Both legs end exactly on y*. A backward piece p(x) runs from its later
-    knot (x = 1) down to its earlier one; on the reversed step it is
-    p(1 - x) = sum_j x^j (-1)^j sum_k C(k, j) c_k.
-    """
-    degree = backward.coeffs.shape[1]
-    flip = np.array([[(-1.0) ** j * math.comb(k, j) for k in range(degree)]
-                     for j in range(degree)])
+    """The matched q: the forward leg's step cubics up to y*, then the
+    backward leg's. Both legs' knots increase, and both meet exactly at
+    y*, the forward leg's last knot and the backward leg's first."""
     return PiecewisePolynomial(
-        np.concatenate([forward.knots, backward.knots[-2::-1]]),
-        np.concatenate([forward.coeffs, backward.coeffs[::-1] @ flip.T]),
+        np.concatenate([forward.knots, backward.knots[1:]]),
+        np.concatenate([forward.coeffs, backward.coeffs]),
     )
 
 
 def _locate_boundaries(params: MarketParams,
                        q: PiecewisePolynomial) -> tuple[float, float]:
-    """Root-bracket the crossings of q with the two band curves."""
-    eps = params.epsilon
+    """Root-bracket the crossings of q with the two band curves: the first
+    sign change against the buy curve and the last against the sell curve,
+    scanned on q's knots, the accepted step points of both legs."""
+    edges = []
+    for curve, pick in ((hjb.band_buy, 0), (hjb.band_sell, -1)):
+        def gap(y, curve=curve):
+            return q(y) - curve(y, params.epsilon)
 
-    def g_buy(y):
-        return q(y) - hjb.band_buy(y, eps)
-
-    def g_sell(y):
-        return q(y) - hjb.band_sell(y, eps)
-
-    # Scan on the knots: the accepted step points of both legs.
-    mesh = q.knots
-    gb = g_buy(mesh)
-    gs = g_sell(mesh)
-
-    idx_buy = np.nonzero(np.diff(np.signbit(gb)))[0]
-    idx_sell = np.nonzero(np.diff(np.signbit(gs)))[0]
-    if len(idx_buy) == 0 or len(idx_sell) == 0:
-        raise NumericalFailure(
-            "could not bracket a band crossing on the stitched trajectory"
-        )
-    i = idx_buy[0]
-    j = idx_sell[-1]
-    y_minus = float(bracket_root(g_buy, mesh[i], mesh[i + 1], gb[i],
-                                 gb[i + 1], Y_TOL)[0])
-    y_plus = float(bracket_root(g_sell, mesh[j], mesh[j + 1], gs[j],
-                                gs[j + 1], Y_TOL)[0])
-    return y_minus, y_plus
+        g = gap(q.knots)
+        crossings = np.nonzero(np.diff(np.signbit(g)))[0]
+        if not len(crossings):
+            raise NumericalFailure(
+                "could not bracket a band crossing on the stitched trajectory"
+            )
+        i = crossings[pick]
+        edges.append(float(bracket_root(gap, q.knots[i], q.knots[i + 1],
+                                        g[i], g[i + 1], Y_TOL)[0]))
+    return edges[0], edges[1]
 
 
 def _residual_ratio(params: MarketParams, beta: float,
@@ -664,7 +645,6 @@ def _residual_ratio(params: MarketParams, beta: float,
     advertised budget of 10 x RTOL, is the final legs' own defect test
     (``hjb.make_defect``). Returns the worst of the three ratios of every
     step (NaN where one is NaN, inf where a point lies beyond q y = 1).
-    The knots may run in either direction.
     """
     defect = hjb.make_defect(params, beta, 10.0 * RTOL)
     deriv = q.derivative()

@@ -232,6 +232,17 @@ class TestSimulateCommand:
                             "fraction_time_in_NT", "y_range_violations"}
         assert doc["fraction_time_in_NT"] == 1.0
 
+    def test_negative_seed_exit_code(self, capsys):
+        # Refused by SimConfig, not inside numpy's generator.
+        code, out, err = run(capsys, "simulate", *BASE_FLAGS, "--epsilon", "0",
+                             "--lambda", "0", "--policy", "hold",
+                             "--paths", "50", "--horizon", "1",
+                             "--burn-in", "0.5", "--dt", "0.01",
+                             "--y0", "0.5", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+
     def test_path_summary_file(self, capsys, tmp_path):
         out_file = tmp_path / "paths.csv"
         code, _, _ = run(capsys, "simulate", *BASE_FLAGS, "--epsilon", "0",
@@ -333,3 +344,26 @@ class TestCompareCommand:
         assert code == 1
         assert out == ""
         assert "--k" in err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("solve", ("--grid-points", "0")),
+    ("policy", ("--grid-points", "0")),
+    ("policy", ("--grid-points", "-3")),
+    ("sweep", ("--sweep-lambda", "0.01", "--grid-points", "0")),
+    ("compare", ("--points", "0")),
+    ("compare", ("--window", "nan")),
+    ("compare", ("--window", "inf")),
+    ("compare", ("--window", "0")),
+    ("compare", ("--window", "-0.01"))])
+def test_out_of_range_grid_flag_is_usage_error(capsys, command, flags):
+    # Refused while parsing, before any solve: policy --grid-points 0
+    # printed a bare header and -3 failed in numpy; a --window that is not
+    # finite and positive used the whole grid, repeated y* or ran down in y.
+    code, out, err = run(capsys, command, *BASE_FLAGS, "--epsilon", "0.01",
+                         "--lambda", "0.01", *flags)
+    flag, value = flags[-2:]
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: argument {flag}: must be finite and "
+                          f"positive (got {value})\n")

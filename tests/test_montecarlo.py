@@ -160,7 +160,7 @@ class TestConfig:
             with pytest.raises(ValueError, match="n_paths must be an integer"):
                 SimConfig(n_paths=n_paths)
         assert SimConfig(n_paths=np.int64(64)).n_paths == 64
-        for seed in (1.5, True, "7", None):
+        for seed in (1.5, True, "7", None, -1):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 SimConfig(seed=seed)
         assert SimConfig(seed=np.int64(7)).seed == 7
@@ -234,6 +234,15 @@ class TestEstimator:
                            np.zeros(n), 0, n, cfg)
         with pytest.raises(ValueError):
             estimate_esr(ens, 1.0)
+        # gamma follows MarketParams' number rule.
+        for gamma, rule in [(math.nan, "positive and different from 1"),
+                            (math.inf, "finite (got inf)"),
+                            (-math.inf, "finite (got -inf)"),
+                            (True, "a real number (got True)"),
+                            ("5", "a real number (got '5')")]:
+            with pytest.raises(ValueError) as err:
+                estimate_esr(ens, gamma)
+            assert str(err.value) == f"gamma must be {rule}"
 
     def test_degenerate_ensemble_reported(self):
         n = 10

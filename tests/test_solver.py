@@ -126,8 +126,8 @@ def assert_pure_spread_limit(solutions, tolerances):
 def shoot(params, beta, forward, y_stop):
     """One search leg, at the solver's search tolerances inside its guard:
     (status, y_end, q_end)."""
-    leg, status = shoot_leg(params, beta, forward, y_stop)
-    return status, leg.t_end, leg.y_end
+    leg = shoot_leg(params, beta, forward, y_stop)
+    return leg.status, leg.t_end, leg.y_end
 
 
 class TestSolve:
@@ -183,9 +183,8 @@ class TestSolve:
         # Both legs of a pair come back to the caller here, the backward
         # one from the worker; a leg the solver does not read is not seen.
         def checking(*args):
-            for forward, (leg, status) in zip((True, False),
-                                              shoot_pair(*args)):
-                if not args[2] and status == "reached":
+            for forward, leg in zip((True, False), shoot_pair(*args)):
+                if not args[2] and leg.status == "reached":
                     ys = leg.sol.knots
                     qs = leg.sol(ys)
                     guard = solver._leg_guard(params, forward)
@@ -196,7 +195,7 @@ class TestSolve:
                         curve = band_buy(ys, eps)
                         past, guard_past = qs - curve, guard.upper_q - curve
                     worst[forward].append(float(np.max(past / guard_past)))
-                yield leg, status
+                yield leg
 
         monkeypatch.setattr(solver, "_shoot_pair", checking)
         solve(params)
@@ -328,10 +327,10 @@ class TestSolve:
         shoot_real = solver.shoot_leg
 
         def shoot_with_a_jump(params, beta, forward, y_stop, final=False):
-            leg, status = shoot_real(params, beta, forward, y_stop, final)
+            leg = shoot_real(params, beta, forward, y_stop, final)
             if forward and final:
                 leg = dataclasses.replace(leg, y_end=leg.y_end + 1e-7)
-            return leg, status
+            return leg
 
         monkeypatch.setattr(solver, "shoot_leg", shoot_with_a_jump)
         with pytest.raises(NumericalFailure, match="jump of 1e-07"):
@@ -680,28 +679,27 @@ class TestBracketRoot:
 
 class TestStitch:
     def test_reproduces_both_legs(self):
-        # Forward pieces on increasing knots and backward ones on
-        # decreasing knots, meeting at 0.5: the stitched polynomial agrees
-        # with each leg on its own side, in value and derivative.
+        # Both legs' pieces on increasing knots, meeting at 0.5: the
+        # stitched polynomial agrees with each leg on its own side, in value
+        # and derivative.
         rng = np.random.default_rng(7)
         forward = PiecewisePolynomial(np.array([0.0, 0.2, 0.35, 0.5]),
                                       rng.normal(size=(3, 4)))
-        backward = PiecewisePolynomial(np.array([1.0, 0.9, 0.6, 0.5]),
+        backward = PiecewisePolynomial(np.array([0.5, 0.6, 0.9, 1.0]),
                                        rng.normal(size=(3, 4)))
         q = _stitch(forward, backward)
         np.testing.assert_array_equal(q.knots, [0.0, 0.2, 0.35, 0.5, 0.6,
                                                 0.9, 1.0])
-        # Off the knots, where the random pieces do not join up.
+        # Off the knots, where the random pieces do not join up: each
+        # piece is the leg's own, so the values agree bit for bit.
         left = np.linspace(0.0, 0.5, 41)[:-1] + 0.00625
         right = left + 0.5
         for ours, theirs_f, theirs_b in (
                 (q, forward, backward),
                 (q.derivative(), forward.derivative(),
                  backward.derivative())):
-            np.testing.assert_allclose(ours(left), theirs_f(left),
-                                       rtol=1e-13, atol=1e-13)
-            np.testing.assert_allclose(ours(right), theirs_b(right),
-                                       rtol=1e-13, atol=1e-13)
+            np.testing.assert_array_equal(ours(left), theirs_f(left))
+            np.testing.assert_array_equal(ours(right), theirs_b(right))
 
 
 class TestPolicy:
@@ -874,9 +872,15 @@ class TestShooting:
 
     def test_backward_reaches_matching_point_near_root(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
-        status, _, q_end = shoot(sol.params, sol.beta, False, 0.625)
-        assert status == "reached"
-        assert q_end < 0.0 or abs(q_end) < 1e-3
+        leg = shoot_leg(sol.params, sol.beta, False, 0.625)
+        assert leg.status == "reached"
+        assert leg.y_end < 0.0 or abs(leg.y_end) < 1e-3
+        # Its dense output runs up in y, from where it stopped to its start.
+        knots = leg.sol.knots
+        assert np.all(np.diff(knots) > 0.0)
+        assert leg.t_end == knots[0] == 0.625
+        assert knots[-1] == 1.0 - DELTA
+        assert leg.sol(leg.t_end) == pytest.approx(leg.y_end, abs=1e-15)
 
     def test_backward_starts_negative(self, solve_cache):
         sol = solve_cache(1e-3, 1e-4)
