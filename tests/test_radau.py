@@ -344,3 +344,19 @@ class TestPiecewisePolynomial:
         assert isinstance(value, float)
         assert value == poly(np.array([2.0]))[0]
         assert poly(1.0) == 2.0
+
+    def test_decreasing_knots(self):
+        # A backward leg's steps come on decreasing knots; reversed, with
+        # each cubic rewritten in 1 - x, they give the same function on
+        # increasing knots.
+        knots = np.array([2.0, 0.5, 0.0])
+        coeffs = np.array([[0.0, -1.5, 6.0, -3.5], [1.0, 0.0, -2.0, 1.0]])
+        rising = PiecewisePolynomial(knots[::-1],
+                                     coeffs[::-1] @ _radau._FLIP.T)
+        ref = ppoly_oracle(knots, coeffs)
+        pts = np.linspace(-0.5, 2.5, 31)
+        np.testing.assert_allclose(rising(pts), ref(pts), rtol=1e-14,
+                                   atol=1e-14)
+        np.testing.assert_allclose(rising.derivative()(pts),
+                                   ref.derivative()(pts), rtol=1e-14,
+                                   atol=1e-14)
