@@ -373,7 +373,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except NoMatchError as exc:

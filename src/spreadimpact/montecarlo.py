@@ -14,13 +14,18 @@ which removes the bounded state-dependent term from the estimate. With risk
 aversion above one the relevant power of wealth is dominated by the poorest
 paths, so all aggregation happens in the log domain with a max shift.
 
-The Gaussian shocks do not depend on the state, so they are drawn a block of
-steps ahead by the one worker thread of a ``ThreadPoolExecutor`` while the
-calling thread steps the paths; waiting on the block's future is the only
-synchronisation. The worker draws from the same per-chunk generator in the
-same order, so the ensembles are bit-identical to drawing each step's shocks
-in turn. The overlap needs a second core; on one core the draws and the steps
-share it.
+The Gaussian shocks do not depend on the state, so they are drawn and scaled
+a block of steps ahead by the one worker thread of a ``ThreadPoolExecutor``
+while the calling thread steps the paths; waiting on the block's future is
+the only synchronisation. The worker draws from the same per-chunk generator
+in the same order, so the ensembles are bit-identical to drawing each step's
+shocks in turn. The overlap needs a second core; on one core the draws and
+the steps share it. The step writes only into buffers allocated once per
+chunk, a tabulated policy's lookup included, so with a second core the draw
+bounds the step (see ``simulate_paths``).
+
+The bootstrap weighs each path by the number of times a resample drew it,
+against the weights exp(z - max z) worked out once per horizon.
 """
 
 from __future__ import annotations
@@ -148,19 +153,49 @@ class SimulationReport:
     y_range_violations: int
 
 
-def _shock_rows(rng: np.random.Generator, n: int, n_steps: int,
-                antithetic: bool, scale: float):
-    """Yield a chunk's scaled shocks sqrt(dt) dW, one row of n per step.
+class _PolicyTable:
+    """The policy table ``TradingPolicy.tabulated`` builds: u = A + B y in
+    each weight's cell. A call allocates its result; ``into`` writes it
+    into buffers the caller owns, ``out`` and ``scratch`` floats and
+    ``cell`` intp, each the shape of y, so a caller that keeps them (as
+    ``simulate_paths`` does per chunk) looks up without allocating. Both
+    run the same operations and give the same bits; the table holds no
+    buffer, so threads may share it."""
 
-    One worker thread draws the rows a block of ``_BLOCK_ROWS`` steps ahead
-    of use, alternating between two buffers; ``Generator.standard_normal``
-    releases the GIL, so with a second core the draws cost the caller
-    nothing. Block i+1 is submitted only after block i's result has
-    returned, when the caller has finished every row of block i-1, whose
-    buffer it reuses. One (rows, n) draw is the same stream as rows draws
-    of n, so the rows are those a step-by-step draw gives. A draw error is
-    raised in the calling thread; the worker is joined when the generator
-    finishes or is closed.
+    def __init__(self, y0, inv_h, slope, offset):
+        self.y0, self.inv_h = y0, inv_h
+        self.slope, self.offset = slope, offset
+
+    def __call__(self, y):
+        y = np.asarray(y, dtype=float)
+        return self.into(y, np.empty_like(y), np.empty_like(y),
+                         np.empty(y.shape, np.intp))
+
+    def into(self, y, out, scratch, cell):
+        np.subtract(y, self.y0, out=scratch)
+        scratch *= self.inv_h
+        np.copyto(cell, scratch, casting="unsafe")  # truncates, as astype
+        self.slope.take(cell, mode="clip", out=out)
+        out *= y
+        self.offset.take(cell, mode="clip", out=scratch)
+        out += scratch
+        return out
+
+
+def _shock_rows(rng: np.random.Generator, n: int, n_steps: int,
+                antithetic: bool, scale: float, shift: float):
+    """Yield a chunk's shocks shift + scale z, z standard normal, one row of
+    n per step.
+
+    One worker thread draws and scales the rows a block of ``_BLOCK_ROWS``
+    steps ahead of use, alternating between two buffers;
+    ``Generator.standard_normal`` releases the GIL, so with a second core
+    the draws cost the caller nothing. Block i+1 is submitted only after
+    block i's result has returned, when the caller has finished every row
+    of block i-1, whose buffer it reuses. One (rows, n) draw is the same
+    stream as rows draws of n, so the rows are those a step-by-step draw
+    gives. A draw error is raised in the calling thread; the worker is
+    joined when the generator finishes or is closed.
     """
     buffers = (np.empty((_BLOCK_ROWS, n)), np.empty((_BLOCK_ROWS, n)))
     # out= needs a contiguous array, not the strided even columns.
@@ -176,6 +211,7 @@ def _shock_rows(rng: np.random.Generator, n: int, n_steps: int,
         else:
             rng.standard_normal(out=block)
         block *= scale
+        block += shift
         return block
 
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -192,23 +228,31 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
 
     ``turnover`` maps an array of weights to an array of turnover rates; it
     must be bounded and continuous on [0, 1]. Passing ``None`` simulates the
-    zero-turnover (buy-and-hold) policy on a faster code path. Weights are
-    clamped to [0, 1] after every step and clamping is counted.
+    zero-turnover (buy-and-hold) policy on a faster code path. A
+    ``turnover`` with an ``into(y, out, scratch, cell)`` method, as
+    ``TradingPolicy.tabulated()`` returns, writes into buffers this call
+    owns, so a step allocates no array; any other callable is called with
+    the weights. Weights are clamped to [0, 1] after every step and
+    clamping is counted.
+
+    Each step is the Euler step with its constants folded: with the shock
+    e = mu dt + sigma sqrt(dt) z and the cost c = |u| (eps dt + lam dt |u|),
+    log wealth moves by y (e - s2 dt y / 2) - c and the weight by
+    y ((1 - y)(e - s2 dt y) + c) + u dt, s2 = sigma^2.
 
     The shocks are drawn a block ahead by one worker thread (see
     ``_shock_rows``), bit-identical to a serial draw; ``turnover`` is only
     ever called from the calling thread, and the worker is joined on every
-    exit, a raising ``turnover`` included. The speed-up needs a second
-    core: at 16,384 paths and 1,000 steps on a shared 2-vCPU Xeon VM, in
-    three sets of 7 alternating runs with bitwise-equal ensembles, the
-    optimal policy's median ran in 0.63 to 0.71 of the serial-draw time,
-    and buy-and-hold's in 0.76 to 0.92.
+    exit, a raising ``turnover`` included. With a second core the draw
+    bounds the step: at 16,384 paths and 1,000 steps on a shared 2-vCPU
+    Xeon VM the draw alone takes 0.20 s (12 ns per value), and a run of the
+    optimal, the x2 or the buy-and-hold policy 0.23 s (medians of 7). A
+    faster simulation has to make the draw itself cheaper.
     """
     mu, sigma = params.mu, params.sigma
     eps, lam = params.epsilon, params.lam
-    s2 = sigma * sigma
     dt = cfg.dt
-    sqrt_dt = math.sqrt(dt)
+    s2_dt = sigma * sigma * dt
     n_steps = cfg.n_steps
     burn_step = cfg.burn_in_step
     y0 = cfg.y0 if cfg.y0 is not None else params.merton_weight
@@ -217,6 +261,7 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
             f"initial weight must lie inside (0, 1); got {y0!r} "
             "(pass y0 explicitly for degenerate-regime parameters)"
         )
+    into = getattr(turnover, "into", None)
 
     total = cfg.n_paths
     lw_burn = np.empty(total)
@@ -234,56 +279,50 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
         y = np.full(n, y0)
         nt_steps = np.zeros(n)
         tu_sum = np.zeros(n)
-        # Scratch buffers reused across steps; the loop is memory-bound.
-        drift = np.empty(n)
-        scratch = np.empty(n)
-        vol = np.empty(n)         # sigma y dw, then sigma y (1-y) dw
+        # Every buffer a step writes, allocated once per chunk.
+        inc = np.empty(n)          # a log-wealth, then a weight increment
         one_minus_y = np.empty(n)
-        au = np.empty(n)
-        cost = np.empty(n)
+        if turnover is not None:
+            au = np.empty(n)       # |u|, then u dt
+            cost = np.empty(n)     # the table's scratch, then the cost c
+            no_trade = np.empty(n, dtype=bool)
+        if into is not None:
+            u = np.empty(n)
+            cell = np.empty(n, dtype=np.intp)
         with closing(_shock_rows(rng, n, n_steps, cfg.antithetic,
-                                 sqrt_dt)) as shocks:
-            for step, dw in enumerate(shocks):
+                                 sigma * math.sqrt(dt), mu * dt)) as shocks:
+            for step, e in enumerate(shocks):
                 if turnover is not None:
-                    u = np.asarray(turnover(y), dtype=float)
+                    if into is not None:
+                        into(y, u, cost, cell)
+                    else:
+                        u = np.asarray(turnover(y), dtype=float)
                     np.abs(u, out=au)
-                    nt_steps += (au == 0.0)
+                    np.equal(au, 0.0, out=no_trade)
+                    nt_steps += no_trade
                     tu_sum += au
-                    # Trading cost rate eps |u| + lam u^2, shared by both
-                    # increments.
-                    np.multiply(u, u, out=cost)
-                    cost *= lam
-                    np.multiply(au, eps, out=scratch)
-                    cost += scratch
-                np.multiply(y, dw, out=vol)
-                vol *= sigma
+                    np.multiply(au, lam * dt, out=cost)
+                    cost += eps * dt
+                    cost *= au
+                    np.multiply(u, dt, out=au)
+
+                np.multiply(y, -0.5 * s2_dt, out=inc)
+                inc += e
+                inc *= y
+                if turnover is not None:
+                    inc -= cost
+                log_x += inc
+
+                np.multiply(y, -s2_dt, out=inc)
+                inc += e
                 np.subtract(1.0, y, out=one_minus_y)
-
-                # Log-wealth increment: drift * dt + sigma * y * dw.
-                np.multiply(y, y, out=drift)
-                drift *= -0.5 * s2
-                np.multiply(y, mu, out=scratch)
-                drift += scratch
+                inc *= one_minus_y
                 if turnover is not None:
-                    drift -= cost
-                drift *= dt
-                drift += vol
-                log_x += drift
-
-                # Weight increment: drift * dt + sigma * y (1-y) dw.
-                np.multiply(y, -s2, out=drift)
-                drift += mu
-                drift *= one_minus_y      # (1-y)(mu - s2 y)
-                drift *= y
+                    inc += cost
+                inc *= y
                 if turnover is not None:
-                    drift += u
-                    np.multiply(y, cost, out=scratch)
-                    drift += scratch
-                drift *= dt
-                vol *= one_minus_y
-                drift += vol
-
-                y += drift
+                    inc += au
+                y += inc
                 if not (y.min() >= 0.0 and y.max() <= 1.0):
                     clamp_events += int(np.count_nonzero((y < 0.0)
                                                          | (y > 1.0)))
@@ -310,11 +349,11 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
     )
 
 
-def _certainty_growth(z: np.ndarray, one_minus_gamma: float) -> float:
-    """(1/(1-gamma)) log mean of wealth^(1-gamma), max-shifted, from
-    z = (1-gamma) log wealth."""
-    m = float(np.max(z))
-    return (m + math.log(float(np.mean(np.exp(z - m))))) / one_minus_gamma
+def _certainty_growth(shift: float, mean_weight: float,
+                      one_minus_gamma: float) -> float:
+    """(1/(1-gamma)) log mean of wealth^(1-gamma), from the mean of the
+    weights exp(z - shift), z = (1-gamma) log wealth."""
+    return (shift + math.log(mean_weight)) / one_minus_gamma
 
 
 def estimate_esr(ensemble: PathEnsemble, gamma: float,
@@ -341,12 +380,19 @@ def estimate_esr(ensemble: PathEnsemble, gamma: float,
         raise DegenerateEnsembleError("non-finite log wealth in the ensemble")
     omg = 1.0 - gamma
     span = (cfg.n_steps - cfg.burn_in_step) * cfg.dt
-    # Scaled once: a resample of the scaled paths is the scaled resample.
-    z1, z2 = omg * lw1, omg * lw2
+    # Each horizon's paths as weights exp(z - max z), worked out once: a
+    # resample's mean weight is then its path counts' dot product with them.
+    z = omg * np.stack([lw1, lw2])
+    shift = z.max(axis=1)
+    weights = np.exp(z - shift[:, None])
 
-    estimate = (_certainty_growth(z2, omg) - _certainty_growth(z1, omg)) / span
+    def rate(mean_weights):
+        burn, final = (_certainty_growth(s, w, omg)
+                       for s, w in zip(shift.tolist(), mean_weights.tolist()))
+        return (final - burn) / span
 
     n = ensemble.n_paths
+    estimate = rate(weights.mean(axis=1))
     rng = np.random.default_rng([cfg.seed, _BOOTSTRAP_TAG])
     resampled = np.empty(_BOOTSTRAP_RESAMPLES)
     for b in range(_BOOTSTRAP_RESAMPLES):
@@ -354,13 +400,10 @@ def estimate_esr(ensemble: PathEnsemble, gamma: float,
             # Mirrored pairs are stored adjacently; resample whole pairs so
             # their negative covariance survives in the error bar.
             pairs = rng.integers(0, n // 2, n // 2)
-            idx = np.empty(n, dtype=np.intp)
-            idx[0::2] = 2 * pairs
-            idx[1::2] = 2 * pairs + 1
+            counts = np.repeat(np.bincount(pairs, minlength=n // 2), 2)
         else:
-            idx = rng.integers(0, n, n)
-        resampled[b] = (_certainty_growth(z2[idx], omg)
-                        - _certainty_growth(z1[idx], omg)) / span
+            counts = np.bincount(rng.integers(0, n, n), minlength=n)
+        resampled[b] = rate(weights @ counts / n)
     stderr = float(np.std(resampled, ddof=1))
 
     return SimulationReport(

@@ -86,6 +86,7 @@ from .market import (
     _require_interior,
     friction_loss,
 )
+from .montecarlo import _PolicyTable
 
 __all__ = [
     "FreeBoundarySolution",
@@ -248,18 +249,7 @@ class TradingPolicy:
         # it.
         offset = values[:-1] - slope * x[:-1]
         offset[:below] = values[1:below + 1] - slope[:below] * x[1:below + 1]
-        y0, inv_h = y_minus - below * h, 1.0 / h
-
-        def turnover_table(y):
-            t = y - y0
-            t *= inv_h
-            cell = t.astype(np.intp)
-            u = slope.take(cell, mode="clip")
-            u *= y
-            u += offset.take(cell, mode="clip")
-            return u
-
-        return turnover_table
+        return _PolicyTable(y_minus - below * h, 1.0 / h, slope, offset)
 
 
 def policy(solution: FreeBoundarySolution) -> TradingPolicy:

@@ -243,6 +243,19 @@ class TestSimulateCommand:
         assert out == ""
         assert err == "error: seed must be an integer >= 0, got -1\n"
 
+    def test_ensemble_too_large_to_allocate_exit_code(self, capsys):
+        # 10**18 paths need 8e18 bytes per summary array, beyond any 64-bit
+        # address space: the first allocation fails at once.
+        code, out, err = run(capsys, "simulate", *BASE_FLAGS, "--epsilon", "0",
+                             "--lambda", "0", "--policy", "hold",
+                             "--paths", "1000000000000000000", "--horizon",
+                             "1", "--burn-in", "0.5", "--dt", "0.01",
+                             "--y0", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Unable to allocate")
+        assert err.count("\n") == 1
+
     def test_path_summary_file(self, capsys, tmp_path):
         out_file = tmp_path / "paths.csv"
         code, _, _ = run(capsys, "simulate", *BASE_FLAGS, "--epsilon", "0",

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,18 +24,35 @@ BASE = dict(mu=0.08, sigma=0.16, gamma=5.0)
 FRICTIONLESS = MarketParams(epsilon=0.0, lam=0.0, **BASE)
 
 
-def serial_oracle(params, turnover, cfg):
-    """The step-by-step simulation the block-ahead draws must reproduce:
-    each step draws its own shocks from the chunk's generator, then applies
-    the Euler update and the clamp in the order the engine's arithmetic
-    follows."""
-    mu, sigma = params.mu, params.sigma
-    eps, lam = params.epsilon, params.lam
-    s2 = sigma * sigma
-    dt = cfg.dt
-    sqrt_dt = math.sqrt(dt)
+def _draw_serially(rng, n, antithetic, out):
+    """One step's standard normal shocks, drawn alone: an antithetic step
+    draws the first half of its paths and mirrors it into the second."""
+    if antithetic:
+        half = n // 2
+        rng.standard_normal(half, out=out[:half])
+        np.negative(out[:half], out=out[half:])
+    else:
+        rng.standard_normal(n, out=out)
+
+
+def _pair_adjacently(values, antithetic):
+    """Path i of the first half and its mirror as paths 2i and 2i + 1."""
+    if not antithetic:
+        return values
+    half = len(values) // 2
+    order = np.empty(len(values), dtype=np.intp)
+    order[0::2] = np.arange(half)
+    order[1::2] = np.arange(half, len(values))
+    return values[order]
+
+
+def _run_serially(params, turnover, cfg, step):
+    """Chunk by chunk, draw each step's shocks from the chunk's generator
+    by themselves, then call ``step(y, log_x, z, u)`` with u the turnover
+    (None for buy-and-hold) to move log wealth and the weight in place, and
+    clamp; the tallies and the ensemble are built as the engine builds
+    them."""
     n_steps = cfg.n_steps
-    burn_step = cfg.burn_in_step
     y0 = cfg.y0 if cfg.y0 is not None else params.merton_weight
     total = cfg.n_paths
     lw_burn = np.empty(total)
@@ -51,84 +69,109 @@ def serial_oracle(params, turnover, cfg):
         y = np.full(n, y0)
         nt_steps = np.zeros(n)
         tu_sum = np.zeros(n)
-        half = n // 2
-        dw = np.empty(n)
-        drift = np.empty(n)
-        vol = np.empty(n)
-        scratch = np.empty(n)
-        au = np.empty(n)
-        cost = np.empty(n)
-        for step in range(n_steps):
-            if cfg.antithetic:
-                rng.standard_normal(half, out=dw[:half])
-                np.negative(dw[:half], out=dw[half:])
-            else:
-                rng.standard_normal(n, out=dw)
-            dw *= sqrt_dt
-
+        z = np.empty(n)
+        for k in range(n_steps):
+            _draw_serially(rng, n, cfg.antithetic, z)
             if turnover is None:
                 u = None
                 nt_steps += 1.0
             else:
                 u = np.asarray(turnover(y), dtype=float)
-                np.abs(u, out=au)
-                nt_steps += (au == 0.0)
-                tu_sum += au
-                np.multiply(u, u, out=cost)
-                cost *= lam
-                np.multiply(au, eps, out=scratch)
-                cost += scratch
-
-            np.multiply(y, y, out=drift)
-            drift *= -0.5 * s2
-            np.multiply(y, mu, out=scratch)
-            drift += scratch
-            if u is not None:
-                drift -= cost
-            drift *= dt
-            np.multiply(y, dw, out=vol)
-            vol *= sigma
-            drift += vol
-            log_x += drift
-
-            np.multiply(y, -s2, out=drift)
-            drift += mu
-            np.subtract(1.0, y, out=scratch)
-            drift *= scratch
-            drift *= y
-            if u is not None:
-                drift += u
-                np.multiply(y, cost, out=vol)
-                drift += vol
-            drift *= dt
-            np.multiply(y, dw, out=vol)
-            vol *= sigma
-            np.subtract(1.0, y, out=scratch)
-            vol *= scratch
-            drift += vol
-
-            y += drift
+                nt_steps += (np.abs(u) == 0.0)
+                tu_sum += np.abs(u)
+            step(y, log_x, z, u)
             clamp_events += int(np.count_nonzero((y < 0.0) | (y > 1.0)))
             np.clip(y, 0.0, 1.0, out=y)
-
-            if step + 1 == burn_step:
+            if k + 1 == cfg.burn_in_step:
                 lw_burn[done:done + n] = log_x
-        if cfg.antithetic:
-            order = np.empty(n, dtype=np.intp)
-            order[0::2] = np.arange(half)
-            order[1::2] = np.arange(half, n)
-            lw_burn[done:done + n] = lw_burn[done:done + n][order]
-            lw_final[done:done + n] = log_x[order]
-            nt_frac[done:done + n] = (nt_steps / n_steps)[order]
-            tu_avg[done:done + n] = (tu_sum / n_steps)[order]
-        else:
-            lw_final[done:done + n] = log_x
-            nt_frac[done:done + n] = nt_steps / n_steps
-            tu_avg[done:done + n] = tu_sum / n_steps
+        part = slice(done, done + n)
+        lw_burn[part] = _pair_adjacently(lw_burn[part], cfg.antithetic)
+        lw_final[part] = _pair_adjacently(log_x, cfg.antithetic)
+        nt_frac[part] = _pair_adjacently(nt_steps / n_steps, cfg.antithetic)
+        tu_avg[part] = _pair_adjacently(tu_sum / n_steps, cfg.antithetic)
         done += n
         chunk_index += 1
     return PathEnsemble(lw_burn, lw_final, nt_frac, tu_avg, clamp_events,
                         n_steps * total, cfg)
+
+
+def serial_oracle(params, turnover, cfg):
+    """The step-by-step simulation the block-ahead draws must reproduce bit
+    for bit: the engine's folded Euler step, operation for operation, with
+    e = mu dt + sigma sqrt(dt) z and the cost c = |u| (eps dt + lam dt |u|),
+    on shocks drawn one step at a time."""
+    dt = cfg.dt
+    s2_dt = params.sigma * params.sigma * dt
+    scale, shift = params.sigma * math.sqrt(dt), params.mu * dt
+    eps_dt, lam_dt = params.epsilon * dt, params.lam * dt
+
+    def step(y, log_x, z, u):
+        e = z * scale
+        e += shift
+        inc = y * (-0.5 * s2_dt)
+        inc += e
+        inc *= y
+        if u is not None:
+            cost = np.abs(u) * lam_dt
+            cost += eps_dt
+            cost *= np.abs(u)
+            inc -= cost
+        log_x += inc
+        inc = y * -s2_dt
+        inc += e
+        inc *= 1.0 - y
+        if u is not None:
+            inc += cost
+        inc *= y
+        if u is not None:
+            inc += u * dt
+        y += inc
+
+    return _run_serially(params, turnover, cfg, step)
+
+
+def euler_reference(params, turnover, cfg):
+    """The textbook Euler step, with drifts and shocks kept apart. Log
+    wealth moves by (mu y - s2 y^2 / 2 - c) dt + sigma y dw. The weight
+    moves by (y (1-y)(mu - s2 y) + u + y c) dt + sigma y (1-y) dw. Here
+    c = lam u^2 + eps |u| and dw = sqrt(dt) z. This is the engine's
+    arithmetic before it folded the constants into fewer operations, so
+    the engine agrees with it to rounding, not bit for bit."""
+    mu, sigma = params.mu, params.sigma
+    s2 = sigma * sigma
+    dt = cfg.dt
+    sqrt_dt = math.sqrt(dt)
+
+    def step(y, log_x, z, u):
+        dw = z * sqrt_dt
+        if u is not None:
+            cost = u * u
+            cost *= params.lam
+            cost += np.abs(u) * params.epsilon
+        drift = y * y
+        drift *= -0.5 * s2
+        drift += y * mu
+        if u is not None:
+            drift -= cost
+        drift *= dt
+        drift += sigma * (y * dw)
+        log_x += drift
+
+        drift = y * -s2
+        drift += mu
+        drift *= 1.0 - y
+        drift *= y
+        if u is not None:
+            drift += u
+            drift += y * cost
+        drift *= dt
+        vol = y * dw
+        vol *= sigma
+        vol *= 1.0 - y
+        drift += vol
+        y += drift
+
+    return _run_serially(params, turnover, cfg, step)
 
 
 def assert_bitwise_equal(got, want):
@@ -263,6 +306,51 @@ class TestEstimator:
         with pytest.raises(ValueError, match="not the config"):
             estimate_esr(ens, 5.0, longer)
         assert estimate_esr(ens, 5.0, cfg) == estimate_esr(ens, 5.0)
+
+
+def gather_bootstrap(ensemble, gamma):
+    """The bootstrap written out resample by resample: gather each
+    resample's paths from the same draws the estimator takes, then take
+    their max-shifted certainty-equivalent growth at both horizons."""
+    cfg = ensemble.config
+    omg = 1.0 - gamma
+    span = (cfg.n_steps - cfg.burn_in_step) * cfg.dt
+    z1 = omg * ensemble.log_wealth_burn_in
+    z2 = omg * ensemble.log_wealth_final
+
+    def growth(z):
+        m = float(np.max(z))
+        return (m + math.log(float(np.mean(np.exp(z - m))))) / omg
+
+    n = ensemble.n_paths
+    rng = np.random.default_rng([cfg.seed, montecarlo._BOOTSTRAP_TAG])
+    resampled = []
+    for _ in range(montecarlo._BOOTSTRAP_RESAMPLES):
+        if cfg.antithetic:
+            pairs = rng.integers(0, n // 2, n // 2)
+            idx = np.empty(n, dtype=np.intp)
+            idx[0::2] = 2 * pairs
+            idx[1::2] = 2 * pairs + 1
+        else:
+            idx = rng.integers(0, n, n)
+        resampled.append((growth(z2[idx]) - growth(z1[idx])) / span)
+    return (growth(z2) - growth(z1)) / span, float(np.std(resampled, ddof=1))
+
+
+class TestBootstrapOnCounts:
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_matches_the_gather_bootstrap(self, antithetic):
+        # The estimator weighs each path by how often a resample drew it
+        # (its pair's count, for antithetic paths) against exp(z - max z);
+        # the gathered resamples give the same error bar to rounding.
+        cfg = small_cfg(n_paths=3000, seed=41, antithetic=antithetic)
+        pull = lambda y: 5.0 * (0.625 - y)
+        ens = simulate_paths(FRICTIONLESS, pull, cfg)
+        rep = estimate_esr(ens, 5.0)
+        estimate, stderr = gather_bootstrap(ens, 5.0)
+        assert stderr > 0.0
+        assert abs(rep.esr_stderr - stderr) <= 1e-12 * stderr
+        assert abs(rep.esr_estimate - estimate) <= 1e-12 * stderr
 
 
 class TestBuyAndHold:
@@ -436,6 +524,57 @@ class TestBlockAheadShocks:
             assert got.clamp_events > 0
 
     @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("name", ["table", "exact", "hold", "overshoot"])
+    def test_matches_textbook_euler(self, golden_policies, name, antithetic):
+        # The engine folds the step's constants into fewer operations, so it
+        # agrees with the textbook step to rounding: per-path log wealth and
+        # turnover within 1e-14 of max(1, |value|) (measured 1.4e-16 on
+        # the table, exact and hold runs, 4.5e-15 at overshoot's log wealth
+        # of about -26, and at most 4.5e-15 over 1,000 steps), with the
+        # same no-trade tallies and clamp counts.
+        params, policies = golden_policies
+        cfg = SimConfig(horizon_T=0.203, dt=1e-3, n_paths=600, seed=17,
+                        burn_in_T=0.1, antithetic=antithetic)
+        got = simulate_paths(params, policies[name], cfg)
+        want = euler_reference(params, policies[name], cfg)
+        for field in ("log_wealth_burn_in", "log_wealth_final",
+                      "mean_abs_turnover"):
+            gap = np.abs(getattr(got, field) - getattr(want, field))
+            assert np.all(gap <= 1e-14 * np.maximum(
+                1.0, np.abs(getattr(want, field)))), field
+        assert np.array_equal(got.time_in_no_trade, want.time_in_no_trade)
+        assert got.clamp_events == want.clamp_events
+        if name == "overshoot":
+            assert got.clamp_events > 0
+
+    def test_a_table_step_allocates_nothing(self, golden_policies):
+        # At 16,384 paths one row is 128 KiB. A table run holds five rows
+        # more than buy-and-hold: u, |u|, the cost and the table's cell
+        # indices, and the bool no-trade flags; adding those flags to the
+        # float tally goes through numpy's cast buffer of getbufsize()
+        # floats. A step that allocated the lookup's temporaries would add
+        # four rows more, as the same table behind a plain callable does.
+        params, policies = golden_policies
+        cfg = SimConfig(horizon_T=0.02, dt=1e-3, n_paths=16384, seed=3,
+                        burn_in_T=0.01)
+        n = cfg.n_paths
+        table = policies["table"]
+
+        def peak(turnover):
+            simulate_paths(params, turnover, cfg)
+            tracemalloc.start()
+            try:
+                simulate_paths(params, turnover, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = (peak(None) + 4 * 8 * n + n + 8 * np.getbufsize()
+                 + 4096)
+        assert peak(table) <= bound
+        assert peak(lambda y: table(y)) > bound
+
+    @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("name", ["table", "hold"])
     def test_matches_serial_draws_over_chunks(self, golden_policies,
                                               monkeypatch, name, antithetic):
@@ -503,7 +642,8 @@ class TestBlockAheadShocks:
 
         before = threading.active_count()
         with pytest.raises(MemoryError, match="no room"):
-            list(montecarlo._shock_rows(FailingGenerator(), 4, 20, False, 1.0))
+            list(montecarlo._shock_rows(FailingGenerator(), 4, 20, False, 1.0,
+                                        0.0))
         assert threading.active_count() == before
 
 

@@ -807,6 +807,36 @@ class TestPolicy:
         assert np.all(policy(wide).tabulated()(ys) == 0.0)
         assert policy(wide).tabulated()(np.array([y_plus + 1e-9]))[0] < 0.0
 
+    @pytest.mark.parametrize("eps,lam", [(1e-3, 1e-4), (1e-2, 1e-8),
+                                         (0.0, 1e-2)])
+    def test_tabulated_writes_into_buffers_bitwise(self, solve_cache, eps,
+                                                   lam):
+        # into() writes the lookup into buffers the caller owns, as
+        # simulate_paths keeps them per chunk. Its values are those of the
+        # allocating call, and of the lookup written out (subtract, scale,
+        # truncate, two clip-mode gathers), bit for bit: at delta, 1 -
+        # delta, 0 and 1, outside [0, 1], at both band edges and one ulp
+        # either side, and on a grid past both ends.
+        sol = solve_cache(eps, lam)
+        table = policy(sol).tabulated()
+        special = [DELTA, 1.0 - DELTA, 0.0, 1.0, -0.25, -1e-300,
+                   math.nextafter(1.0, 2.0), 1.5]
+        for edge in (sol.y_minus, sol.y_plus):
+            special += [math.nextafter(edge, 0.0), edge,
+                        math.nextafter(edge, 1.0)]
+        ys = np.concatenate([special, np.linspace(-0.1, 1.1, 20_001)])
+        out, scratch = np.full_like(ys, np.nan), np.full_like(ys, np.nan)
+        cell = np.full(len(ys), -7, dtype=np.intp)
+        assert table.into(ys, out, scratch, cell) is out
+        t = ys - table.y0
+        t *= table.inv_h
+        k = t.astype(np.intp)
+        want = table.slope.take(k, mode="clip") * ys
+        want += table.offset.take(k, mode="clip")
+        assert np.array_equal(out, want)
+        assert np.array_equal(table(ys), want)
+        assert np.array_equal(cell, k)
+
     @pytest.mark.parametrize("eps,lam", [(1e-8, 1.0), (0.0, 1e-2)])
     def test_tabulated_narrow_band(self, solve_cache, eps, lam):
         # A band 4.5e-8 wide, and one of zero width: a table with both
