@@ -304,11 +304,9 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
     current_jac = True
     lu_real = lu_complex = None
     h_abs_old = error_norm_old = None
-    sol_prev = None  # (t_old, h, y_old, p0, p1, p2) of the last accepted step
 
     ts = [t0]
-    ys = [q0]
-    polys = []
+    rows = []  # (q, p0, p1, p2) of each accepted step, q at its start
     status = None
 
     n_acc = 0
@@ -320,8 +318,8 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
 
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
-        rejected = step_accepted = False
-        while not step_accepted:
+        rejected = False
+        while True:
             if h_abs < min_step:
                 status = STALLED
                 break
@@ -333,10 +331,12 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
             h_abs = abs(h)
 
             # Stage predictor from the previous dense polynomial.
-            if sol_prev is None:
+            if not rows:
                 z1_0 = z2_0 = z3_0 = 0.0
             else:
-                pt_old, ph, py_old, pp0, pp1, pp2 = sol_prev
+                py_old, pp0, pp1, pp2 = rows[-1]
+                pt_old = ts[-2]
+                ph = t - pt_old
                 def _prev(tt):
                     x = (tt - pt_old) / ph
                     return py_old + x * (pp0 + x * (pp1 + x * pp2))
@@ -481,7 +481,7 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
                     h_abs *= max(_MIN_FACTOR, 0.9 * worst ** (-1.0 / 3.0))
                     lu_real = lu_complex = None
                     continue
-            step_accepted = True
+            break
 
         if status is not None:
             break
@@ -515,10 +515,8 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
         error_norm_old = error_norm
         h_abs *= factor
 
-        sol_prev = (t, h, q, p0, p1, p2)
         ts.append(t_new)
-        ys.append(q_new)
-        polys.append((p0, p1, p2))
+        rows.append((q, p0, p1, p2))
         n_acc += 1
 
         t, q, fq = t_new, q_new, f_new
@@ -528,13 +526,12 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
     else:
         status = STALLED
 
-    if not polys:
+    if not rows:
         # No accepted step: degenerate one-point result.
         ts = [t0, t0]
-        ys = [q0, q0]
-        polys = [(0.0, 0.0, 0.0)]
+        rows = [(q0, 0.0, 0.0, 0.0)]
     knots = np.asarray(ts)
-    coeffs = np.column_stack([ys[:-1], np.asarray(polys)])
+    coeffs = np.asarray(rows)
     if direction < 0.0:  # x = 0 at each step's upper knot
         knots, coeffs = knots[::-1], coeffs[::-1] @ _FLIP.T
     return IntegrationResult(

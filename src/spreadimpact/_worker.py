@@ -1,10 +1,10 @@
 """One forked worker process per process, for the solver's backward legs.
 
-:func:`beside` runs a call in the calling process while the worker runs
-another. The worker is forked by the first call and reused for the rest of
-the caller's life; it serves the function of that first call, as it stood
-at the fork (monkeypatches made later do not reach it), so every call
-passes the same function.
+:func:`beside` makes two calls of one function, one in the calling process
+while the worker makes the other. The worker is forked by the first call
+and reused for the rest of the caller's life; it serves the function of
+that first call, as it stood at the fork (monkeypatches made later do not
+reach it), so every call passes the same function.
 Arguments and results go through two pipes as pickles. The worker ignores
 SIGINT, answers None for a call that raises, and exits through
 ``os._exit`` once its request pipe closes: when the caller exits (an exit
@@ -12,9 +12,9 @@ handler closes the pipe and reaps the worker) or dies. A process forked
 later closes its inherited pipe ends (so the parent's worker still sees
 EOF when the parent dies) and forks its own worker. A lock keeps two
 threads from interleaving their requests. Where ``os.fork`` is missing, a
-fork fails or the worker has died, the worker's result is None and the
-caller runs the call itself. On Python 3.12+ a fork while other threads
-run emits a DeprecationWarning.
+fork fails, the worker has died or the call raised there, the caller
+makes the call itself, after its own. On Python 3.12+ a fork while other
+threads run emits a DeprecationWarning.
 """
 
 from __future__ import annotations
@@ -85,21 +85,22 @@ if hasattr(os, "fork"):
     atexit.register(stop)
 
 
-def beside(local, fn, args: tuple):
-    """``(local(), fn(*args))``, the second computed in the worker at the
-    same time; it is None where the worker returned nothing."""
+def beside(fn, here: tuple, there: tuple):
+    """``(fn(*here), fn(*there))``, the second computed in the worker at the
+    same time, else in the caller after the first; ``fn`` must not return
+    None."""
     global _proc
     sent = reply = None
     with _lock:
         try:
             if hasattr(os, "fork"):
                 _proc = _proc or _start(fn)
-                os.write(_proc[1], pickle.dumps(args))
+                os.write(_proc[1], pickle.dumps(there))
                 sent = _proc
         except OSError:  # a failed fork, a dead worker
             stop()
         try:
-            result = local()
+            result = fn(*here)
         finally:
             if sent:
                 try:
@@ -109,4 +110,4 @@ def beside(local, fn, args: tuple):
                 except BaseException:  # an interrupt: out of step
                     stop()
                     raise
-    return result, reply
+    return result, (fn(*there) if reply is None else reply)

@@ -49,13 +49,13 @@ The two legs at one rate are independent, so they run at the same time
 caller shoots the forward leg while one worker process (:mod:`._worker`)
 shoots the backward one. The worker is forked by the first solve, reused
 for the rest of the caller's life, and runs only :func:`shoot_leg`; the
-residual check and boundary location stay in the caller.
-Arguments and results are pickled, so the same code runs on the same
-floats and the answers are bit-identical to shooting both legs in the
-caller, which is what happens where ``os.fork`` is missing, a fork fails
-or the worker has died. The legs are read in that serial order: after a
-forward leg that diverged, the backward leg's result, or its exception, is
-discarded. On Python 3.12+ a fork while other threads run emits a
+residual check and boundary location stay in the caller. Where the worker
+gives no answer (``os.fork`` is missing, a fork fails, the worker has died
+or the leg raised there), ``_worker.beside`` shoots the backward leg in the
+caller after the forward one. Arguments and results are pickled, so the
+same code runs on the same floats: every backward leg is shot and counted,
+and the answers and ``diagnostics["leg_work"]`` are bit-identical with and
+without ``os.fork``. On Python 3.12+ a fork while other threads run emits a
 DeprecationWarning. The worker runs the module as it stood at its fork:
 monkeypatches made after the first solve do not reach it.
 """
@@ -375,26 +375,21 @@ def shoot_leg(params: MarketParams, beta: float, forward: bool, y_stop: float,
 # Leg pairs
 
 
-def _shoot_pair(params: MarketParams, beta: float, final: bool, work: dict):
-    """Yield the forward, then the backward leg of the search or the
-    ``final`` pass at rate beta, onto y*.
+def _shoot_pair(params: MarketParams, beta: float, final: bool,
+                work: dict) -> tuple[IntegrationResult, IntegrationResult]:
+    """The forward and the backward leg of the search or the ``final`` pass
+    at rate beta, onto y*, both added to ``work``.
 
     The backward leg is shot in the worker process (:mod:`._worker`) while
-    the forward leg is shot here. A backward leg the worker did not return
-    (no ``os.fork``, a failed fork, a dead worker, a raising leg) is shot
-    here, once it is asked for. Every leg shot is added to ``work``.
+    the forward leg is shot here; where the worker gives no answer,
+    ``_worker.beside`` shoots it here after the forward leg.
     """
-    args = (params, beta, False, params.merton_weight, final)
-    forward, backward = _worker.beside(
-        lambda: shoot_leg(params, beta, True, args[3], final), shoot_leg, args)
-    for leg in (forward, backward):
-        if leg:
-            _count(work, leg)
-    yield forward
-    if not backward:
-        backward = shoot_leg(*args)
-        _count(work, backward)
-    yield backward
+    y_stop = params.merton_weight
+    legs = _worker.beside(shoot_leg, (params, beta, True, y_stop, final),
+                          (params, beta, False, y_stop, final))
+    for leg in legs:
+        _count(work, leg)
+    return legs
 
 
 def _count(work: dict, leg: IntegrationResult) -> None:
@@ -442,8 +437,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
 
     Each surplus evaluation and the final pass shoot their forward leg in
     the calling process and their backward leg, at the same time, in a
-    worker process forked by the first solve (see the module docstring);
-    without ``os.fork`` both run in the caller, with bit-identical results.
+    worker process forked by the first solve (see the module docstring),
+    or after the forward one where the worker gives no answer.
 
     The rate search probes the inner bracket [beta0 - 1.25 G, beta0 - 0.7
     G] first (``market.friction_loss`` gives G), its lower end raised to
@@ -459,8 +454,9 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     times the admissible bracket's width, wherever the search started.
     ``diagnostics["leg_work"]`` holds, for the ``search`` and ``final``
     legs, the ``legs`` shot and their ``nfev``, ``njev``, ``naccepted`` and
-    ``nrejected`` steps, summed over both processes; a backward leg shot
-    beside a forward leg that diverged counts too.
+    ``nrejected`` steps, summed over both processes: every backward leg is
+    shot and counted, so ``leg_work``, like the answers, does not depend on
+    ``os.fork``.
 
     Raises
     ------

@@ -14,28 +14,31 @@ def base_market() -> dict:
     return dict(mu=0.08, sigma=0.16, gamma=5.0)
 
 
-@pytest.fixture(scope="session")
-def box_point():
+def draw_box_point(seed: int, i: int) -> MarketParams:
     """Point ``i`` (from 0) of seed ``seed`` of the sampled domain box, drawn
     by ``random.Random(seed)`` in this order: y* uniform in [0.02, 0.98];
     gamma log-uniform in [0.5, 50]; sigma = 0.2; eps log-uniform in
-    [1e-5, 5e-2]; lam log-uniform in [1e-12, 1]; mu = y* gamma sigma sigma."""
+    [1e-5, 5e-2]; lam log-uniform in [1e-12, 1]; mu = y* gamma sigma sigma.
+    ``tools/answers.py`` draws its box points here too."""
+    rng = random.Random(seed)
 
-    def log_uniform(rng, lo, hi):
+    def log_uniform(lo, hi):
         return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
-    def point(seed: int, i: int) -> MarketParams:
-        rng = random.Random(seed)
-        for _ in range(i + 1):
-            y_star = rng.uniform(0.02, 0.98)
-            gamma = log_uniform(rng, 0.5, 50.0)
-            sigma = 0.2
-            eps = log_uniform(rng, 1e-5, 5e-2)
-            lam = log_uniform(rng, 1e-12, 1.0)
-        return MarketParams(mu=y_star * gamma * sigma * sigma, sigma=sigma,
-                            gamma=gamma, epsilon=eps, lam=lam)
+    for _ in range(i + 1):
+        y_star = rng.uniform(0.02, 0.98)
+        gamma = log_uniform(0.5, 50.0)
+        sigma = 0.2
+        eps = log_uniform(1e-5, 5e-2)
+        lam = log_uniform(1e-12, 1.0)
+    return MarketParams(mu=y_star * gamma * sigma * sigma, sigma=sigma,
+                        gamma=gamma, epsilon=eps, lam=lam)
 
-    return point
+
+@pytest.fixture(scope="session")
+def box_point():
+    """The domain-box draw, :func:`draw_box_point`."""
+    return draw_box_point
 
 
 @pytest.fixture(scope="session")

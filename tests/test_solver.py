@@ -180,10 +180,11 @@ class TestSolve:
         worst = {True: [], False: []}
         shoot_pair = solver._shoot_pair
 
-        # Both legs of a pair come back to the caller here, the backward
-        # one from the worker; a leg the solver does not read is not seen.
+        # Both legs of every pair come back to the caller here, the
+        # backward one from the worker: every leg shot is seen.
         def checking(*args):
-            for forward, leg in zip((True, False), shoot_pair(*args)):
+            legs = shoot_pair(*args)
+            for forward, leg in zip((True, False), legs):
                 if not args[2] and leg.status == "reached":
                     ys = leg.sol.knots
                     qs = leg.sol(ys)
@@ -195,7 +196,7 @@ class TestSolve:
                         curve = band_buy(ys, eps)
                         past, guard_past = qs - curve, guard.upper_q - curve
                     worst[forward].append(float(np.max(past / guard_past)))
-                yield leg
+            return legs
 
         monkeypatch.setattr(solver, "_shoot_pair", checking)
         solve(params)

@@ -29,9 +29,10 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
 
 def answer(sol):
     """What must not move: the rate, the band, and q's knots and
-    coefficients, as bits."""
+    coefficients, as bits, and the work of the legs shot."""
     return (sol.beta.hex(), sol.y_minus.hex(), sol.y_plus.hex(),
-            sol.q.knots.tobytes(), sol.q.coeffs.tobytes())
+            sol.q.knots.tobytes(), sol.q.coeffs.tobytes(),
+            repr(sol.diagnostics["leg_work"]))
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +221,15 @@ def test_work_counters_sum_both_processes():
     assert work["final"]["legs"] == 2
     assert (work["final"]["naccepted"] == sol.diagnostics["forward_steps"]
             + sol.diagnostics["backward_steps"])
+
+
+def test_diverged_forward_legs_count_the_same_work(monkeypatch):
+    # With the inner bracket out of reach the search shoots rates where the
+    # forward leg diverges. Its backward leg is shot and counted with the
+    # worker and without it.
+    monkeypatch.setattr(solver, "friction_loss", lambda p: 1e3)
+    sol = solver.solve(PARAMS[0])
+    evaluations = sol.diagnostics["bisection_iterations"] + 2
+    assert sol.diagnostics["leg_work"]["search"]["legs"] == 2 * evaluations
+    monkeypatch.delattr(os, "fork")
+    assert answer(solver.solve(PARAMS[0])) == answer(sol)
