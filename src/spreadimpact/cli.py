@@ -331,6 +331,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     params = _resolve_params(args)
+    # The expansion's coupling lambda/epsilon^(4/3) needs a spread; refused
+    # before the exact solve, whose answer it would otherwise discard.
+    if not params.epsilon > 0.0:
+        raise ParameterError(
+            f"compare needs a positive --epsilon (got {params.epsilon!r}): "
+            "the small-cost expansion has no pure-impact limit")
     solution = solve(params)
     inputs = asym.AsymptoticInputs.from_params(params)
     expansion = asym.find_z_minus(inputs)

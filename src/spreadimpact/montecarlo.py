@@ -56,6 +56,9 @@ _CHUNK = 65536
 _BLOCK_ROWS = 8
 _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0xB00757
+# Cells of a policy table (``_PolicyTable``) per unit of weight: its spacing
+# is at least 1/TABLE_CELLS, so it holds at most TABLE_CELLS + 1 cells.
+TABLE_CELLS = 16384
 
 
 class DegenerateEnsembleError(RuntimeError):
@@ -154,16 +157,58 @@ class SimulationReport:
 
 
 class _PolicyTable:
-    """The policy table ``TradingPolicy.tabulated`` builds: u = A + B y in
-    each weight's cell. A call allocates its result; ``into`` writes it
-    into buffers the caller owns, ``out`` and ``scratch`` floats and
-    ``cell`` intp, each the shape of y, so a caller that keeps them (as
-    ``simulate_paths`` does per chunk) looks up without allocating. Both
-    run the same operations and give the same bits; the table holds no
-    buffer, so threads may share it."""
+    """Piecewise-linear evaluator of a turnover policy for simulation inner
+    loops, as ``TradingPolicy.tabulated`` returns it.
 
-    def __init__(self, y0, inv_h, slope, offset):
-        self.y0, self.inv_h = y0, inv_h
+    ``turnover`` maps an array of weights to turnover; it is zero on the
+    band [y_minus, y_plus], smooth on each trading side and defined on
+    [lo, hi] (delta and 1-delta for a solved policy). Its kinks are at the
+    band edges, so it is tabulated on one uniform grid over [0, 1] with
+    both edges on knots: the spacing h is the smallest that is at least
+    1/TABLE_CELLS and cuts the band into a whole number m of cells. Each
+    cell holds u = A + B y, the line through its two knots, so a band cell
+    holds A = B = 0 and the band reads exactly 0.0. The cells beside the
+    band are anchored on its edge (A = -B y_edge), so each edge reads
+    exactly 0.0 from either cell and the trading sides keep their sign;
+    only a weight within an ulp or two of an edge can land in the cell
+    across it. The end knots are moved onto lo and hi, so the end cells
+    interpolate the turnover where it is defined and extend that line to 0
+    and 1. A band narrower than 1/TABLE_CELLS (m = 0, zero width included)
+    lies inside one cell of that width and reads its line, which runs from
+    0 at y_minus to the turnover one cell away.
+
+    A call finds each weight's cell by a multiply and a truncation and
+    gathers A and B: no search, clip or branch. It allocates its result;
+    ``into`` writes it into buffers the caller owns, ``out`` and
+    ``scratch`` floats and ``cell`` intp, each the shape of y, so a caller
+    that keeps them (as ``simulate_paths`` does per chunk) looks up without
+    allocating. Both run the same operations and give the same bits; the
+    table holds no buffer, so threads may share it.
+    """
+
+    def __init__(self, turnover, y_minus, y_plus, lo, hi):
+        m = math.floor((y_plus - y_minus) * TABLE_CELLS)
+        h = (y_plus - y_minus) / m if m else 1.0 / TABLE_CELLS
+        # Cell 0 holds lo and the last cell hi: weights below cell 0
+        # truncate onto it, and take's clip mode in ``into`` puts weights
+        # past the last cell on that one. At most TABLE_CELLS + 1 cells.
+        below = math.ceil((y_minus - lo) / h)
+        x = y_minus + h * np.arange(-below, m + math.ceil((hi - y_plus) / h)
+                                    + 1)
+        if m:
+            x[below + m] = y_plus
+        np.clip(x, lo, hi, out=x)
+        # In four pieces: one call on all knots gathers 512 KiB of a solved
+        # q's coefficients at once, which raised the peak RSS of building
+        # the optimal and a scaled table from 0.4 to 1.3 MB.
+        values = np.concatenate([turnover(part)
+                                 for part in np.array_split(x, 4)])
+        slope = np.diff(values) / np.diff(x)
+        # Each line through its knot nearer the band: A = -B y_edge beside
+        # it.
+        offset = values[:-1] - slope * x[:-1]
+        offset[:below] = values[1:below + 1] - slope[:below] * x[1:below + 1]
+        self.y0, self.inv_h = y_minus - below * h, 1.0 / h
         self.slope, self.offset = slope, offset
 
     def __call__(self, y):

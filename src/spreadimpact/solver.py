@@ -125,9 +125,6 @@ MATCH_TOL = 1e-8
 DELTA = 1e-6
 # Every leg's divergence guard on its far side, in units of s (see above).
 GUARD_MARGIN = 3.0
-# Cells of TradingPolicy.tabulated's table per unit of weight: its spacing
-# is at least 1/TABLE_CELLS, so it holds at most TABLE_CELLS + 1 cells.
-TABLE_CELLS = 16384
 
 
 class NoMatchError(RuntimeError):
@@ -206,50 +203,12 @@ class TradingPolicy:
         return self.solution.turnover_at(y) * self.scale_outside_band
 
     def tabulated(self):
-        """Piecewise-linear evaluator for simulation inner loops.
-
-        Turnover is smooth on each trading side and has kinks only at the
-        band edges, so it is tabulated on one uniform grid over [0, 1] with
-        both edges on knots: the spacing h is the smallest that is at least
-        1/TABLE_CELLS and cuts the band into a whole number m of cells. Each
-        cell holds u = A + B y, the line through its two knots, so a band
-        cell holds A = B = 0 and the band reads exactly 0.0. The cells
-        beside the band are anchored on its edge (A = -B y_edge), so each
-        edge reads exactly 0.0 from either cell and the trading sides keep
-        their sign; only a weight within an ulp or two of an edge can land
-        in the cell across it. The end knots are moved onto delta and
-        1-delta, so the end cells interpolate q where it is defined and
-        extend that line to 0 and 1. A band narrower than 1/TABLE_CELLS
-        (m = 0, zero width included) lies inside one cell of that width and
-        reads its line, which runs from 0 at y_minus to the turnover one
-        cell away.
-        A call finds each weight's cell by a multiply and a truncation and
-        gathers A and B: no search, clip or branch.
-        """
+        """The policy as a piecewise-linear table for simulation inner
+        loops: one uniform grid with both band edges on knots, its layout
+        and lookup described by :class:`.montecarlo._PolicyTable`."""
         sol = self.solution
-        lo, hi = float(sol.y_grid[0]), float(sol.y_grid[-1])
-        y_minus, y_plus = sol.y_minus, sol.y_plus
-        m = math.floor((y_plus - y_minus) * TABLE_CELLS)
-        h = (y_plus - y_minus) / m if m else 1.0 / TABLE_CELLS
-        # Cell 0 holds delta and the last cell 1-delta: weights below cell
-        # 0 truncate onto it, and take's clip mode puts weights past the
-        # last cell on that one. At most TABLE_CELLS + 1 cells.
-        below = math.ceil((y_minus - lo) / h)
-        x = y_minus + h * np.arange(-below, m + math.ceil((hi - y_plus) / h)
-                                    + 1)
-        if m:
-            x[below + m] = y_plus
-        np.clip(x, lo, hi, out=x)
-        # In four pieces: one call on all knots gathers 512 KiB of q's
-        # coefficients at once, which raised the peak RSS of building the
-        # optimal and a scaled table from 0.4 to 1.3 MB.
-        values = np.concatenate([self(part) for part in np.array_split(x, 4)])
-        slope = np.diff(values) / np.diff(x)
-        # Each line through its knot nearer the band: A = -B y_edge beside
-        # it.
-        offset = values[:-1] - slope * x[:-1]
-        offset[:below] = values[1:below + 1] - slope[:below] * x[1:below + 1]
-        return _PolicyTable(y_minus - below * h, 1.0 / h, slope, offset)
+        return _PolicyTable(self, sol.y_minus, sol.y_plus,
+                            float(sol.y_grid[0]), float(sol.y_grid[-1]))
 
 
 def policy(solution: FreeBoundarySolution) -> TradingPolicy:

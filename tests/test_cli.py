@@ -358,6 +358,22 @@ class TestCompareCommand:
         assert out == ""
         assert "--k" in err
 
+    def test_zero_spread_refused_before_solving(self, capsys, monkeypatch):
+        # The expansion needs epsilon > 0; the exact solve ran first and its
+        # answer was thrown away for a message that suggested passing K,
+        # which compare does not take.
+        def no_solve(params):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr("spreadimpact.cli.solve", no_solve)
+        code, out, err = run(capsys, "compare", *BASE_FLAGS, "--epsilon", "0",
+                             "--lambda", "1e-4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: compare needs a positive --epsilon "
+                              "(got 0.0)")
+        assert "K" not in err
+
 
 @pytest.mark.parametrize("command,flags", [
     ("solve", ("--grid-points", "0")),

@@ -463,6 +463,64 @@ class TestPolicyTable:
         assert abs(rep_table.esr_estimate - rep_exact.esr_estimate) <= (
             1e-3 * rep_exact.esr_stderr)
 
+    @pytest.mark.parametrize("y_minus,y_plus", [
+        (0.2, 0.61),            # whole cells; y_minus + m h misses y_plus
+        (0.4, 0.4 + 3e-5),      # narrower than 1/TABLE_CELLS
+        (0.45, 0.45)])          # zero width
+    def test_built_from_a_kinked_line(self, y_minus, y_plus):
+        # The table straight from a turnover that is linear on each side of
+        # the band, kinked at its edges and defined (not NaN) only on
+        # [lo, hi], with no solve: its knots carry both edges and stay in
+        # [lo, hi], so it reproduces the turnover's lines to rounding, and
+        # reads exactly 0 on the band and at each edge from either cell. A
+        # band narrower than one cell lies inside the cell that starts at
+        # y_minus and reads that cell's line, which runs from 0 at y_minus
+        # to the turnover one cell away.
+        lo, hi = 1e-6, 1.0 - 1e-6
+
+        def line(y):
+            return np.where(y < y_minus, 0.7 * (y_minus - y),
+                            np.where(y > y_plus, -1.3 * (y - y_plus), 0.0))
+
+        def turnover(y):
+            return np.where((y < lo) | (y > hi), np.nan, line(y))
+
+        table = montecarlo._PolicyTable(turnover, y_minus, y_plus, lo, hi)
+        assert len(table.slope) == len(table.offset) <= (
+            montecarlo.TABLE_CELLS + 1)
+        narrow = 0.0 < y_plus - y_minus < 1.0 / montecarlo.TABLE_CELLS
+        for edge in (y_minus,) if narrow else (y_minus, y_plus):
+            knot = round((edge - table.y0) * table.inv_h)
+            for k in (knot - 1, knot):
+                assert table.slope[k] * edge + table.offset[k] == 0.0
+
+        band = np.append(np.linspace(y_minus, y_plus, 10_001), y_plus)
+        if narrow:
+            one_cell = y_minus + 1.0 / montecarlo.TABLE_CELLS
+            assert np.max(np.abs(table(band))) <= abs(turnover(one_cell))
+        else:
+            assert np.all(table(band) == 0.0)
+
+        edges = np.array([y_minus, y_plus])
+        outside = np.concatenate([np.linspace(0.0, 1.0, 200_001),
+                                  edges - 1e-9, edges + 1e-9])
+        outside = outside[(outside < y_minus) | (outside > y_plus)]
+        assert np.array_equal(np.sign(table(outside)),
+                              np.sign(line(outside)))
+
+        ys = np.random.default_rng(7).uniform(lo, hi, 100_000)
+        err = np.abs(table(ys) - turnover(ys))
+        if narrow:
+            in_cell = (ys >= y_minus) & (ys <= one_cell)
+            assert np.max(err[in_cell]) <= abs(turnover(one_cell))
+            err = err[~in_cell]
+        assert np.max(err) <= 1e-14
+
+        ys = np.concatenate([ys, outside, band, [-0.5, 0.0, 1.0, 1.5]])
+        out, scratch = np.empty_like(ys), np.empty_like(ys)
+        cell = np.empty(len(ys), dtype=np.intp)
+        assert np.array_equal(table.into(ys, out, scratch, cell), table(ys))
+
 
 class TestReproducibility:
     def test_bitwise_given_seed(self):

@@ -15,10 +15,10 @@ from spreadimpact.hjb import band_buy, band_sell, make_defect, make_rhs_jac
 from spreadimpact import solver
 from spreadimpact.cli import main
 from spreadimpact.market import MarketParams, ParameterError, friction_loss
+from spreadimpact.montecarlo import TABLE_CELLS
 from spreadimpact.solver import (
     DELTA,
     RTOL,
-    TABLE_CELLS,
     NoMatchError,
     NumericalFailure,
     TradingPolicy,

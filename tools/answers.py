@@ -1,14 +1,19 @@
 """Fingerprint the exact solver's answers, one line per input.
 
-For the 4 reference points, the 25-point acceptance grid and the 12
-``exact`` benchmark inputs of seeds 1, 3 and 11, it prints a SHA-256 of
-beta, the band edges, q's knots and coefficients and the repr of
-``diagnostics``. For each of the seven known failures it prints the
-exception's type and message. Then it prints the same for every point of
-box seeds 5-11, 40 per seed, drawn by ``tests/conftest.py``'s
-``draw_box_point``: 277 solve and three are the known box failures. A
-change that should leave every answer bitwise unchanged is checked by one
-``diff`` of this script's output before and after it:
+For the 4 reference points, the 25-point acceptance grid, the 45-point
+base grid of the README's domain table and the 12 ``exact`` benchmark
+inputs of seeds 1, 3 and 11, it prints a SHA-256 of beta, the band edges,
+q's knots and coefficients and the repr of ``diagnostics``. For each of
+the reference and acceptance points it also prints, for the policy scaled
+by 0.5, 1 and 2 outside the band, a SHA-256 of its table
+(``TradingPolicy.tabulated()``: ``y0``, ``inv_h``, ``slope`` and
+``offset``). For each of the seven known failures, and for the base grid's
+one failure, it prints the exception's type and message. Then it prints
+the same for every point of box seeds 5-11, 40 per seed, drawn by
+``tests/conftest.py``'s ``draw_box_point``: 277 solve and three are the
+known box failures. A change that should leave every answer bitwise
+unchanged is checked by one ``diff`` of this script's output before and
+after it:
 
     python3 tools/answers.py > before.txt
     ...
@@ -41,6 +46,10 @@ from conftest import draw_box_point  # noqa: E402
 BASE = dict(mu=0.08, sigma=0.16, gamma=5.0)
 REFERENCE_POINTS = [(1e-3, 1e-4), (1e-2, 1e-2), (1e-2, 1e-4), (5e-2, 5e-2)]
 GRID = [10.0 ** e for e in (-4.0, -3.5, -3.0, -2.5, -2.0)]
+BASE_GRID_EPS = [1e-4, 1e-3, 3e-3, 1e-2, 5e-2]
+BASE_GRID_LAM = [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 1.0]
+# The policy's scales outside the band whose tables are fingerprinted.
+TABLE_SCALES = (0.5, 1.0, 2.0)
 EXACT_SEEDS = (1, 3, 11)
 # Seeds of the sampled domain box (tests/conftest.py's draw_box_point) and
 # its points per seed, three of which fail like the points of the base
@@ -61,18 +70,37 @@ def fingerprint(sol: si.FreeBoundarySolution) -> str:
     return digest.hexdigest()
 
 
-def answer(params: si.MarketParams) -> str:
+def table_fingerprint(table) -> str:
+    digest = hashlib.sha256()
+    digest.update(np.array([table.y0, table.inv_h]).tobytes())
+    digest.update(table.slope.tobytes())
+    digest.update(table.offset.tobytes())
+    return digest.hexdigest()
+
+
+def solved(params: si.MarketParams):
+    """(the answer's line, the solution or None where it raised)."""
     try:
-        return fingerprint(si.solve(params))
+        sol = si.solve(params)
     except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}", None
+    return fingerprint(sol), sol
 
 
 def main() -> None:
-    inputs = [(f"reference eps={eps!r} lam={lam!r}", eps, lam)
+    tabled = [(f"reference eps={eps!r} lam={lam!r}", eps, lam)
               for eps, lam in REFERENCE_POINTS]
-    inputs += [(f"grid eps={eps!r} lam={lam!r}", eps, lam)
+    tabled += [(f"grid eps={eps!r} lam={lam!r}", eps, lam)
                for eps in GRID for lam in GRID]
+    for label, eps, lam in tabled:
+        line, sol = solved(si.MarketParams(epsilon=eps, lam=lam, **BASE))
+        print(f"{label}: {line}", flush=True)
+        for scale in TABLE_SCALES if sol is not None else ():
+            table = si.TradingPolicy(sol, scale).tabulated()
+            print(f"table scale={scale!r} {label}: "
+                  f"{table_fingerprint(table)}", flush=True)
+    inputs = [(f"base eps={eps!r} lam={lam!r}", eps, lam)
+              for eps in BASE_GRID_EPS for lam in BASE_GRID_LAM]
     for seed in EXACT_SEEDS:
         for x in workload.Exact(si, np, seed).inputs:
             inputs.append((f"exact seed={seed} eps={x['epsilon']!r} "
@@ -81,14 +109,14 @@ def main() -> None:
                for eps, lam in FAILING_BASE_POINTS]
     for label, eps, lam in inputs:
         params = si.MarketParams(epsilon=eps, lam=lam, **BASE)
-        print(f"{label}: {answer(params)}", flush=True)
+        print(f"{label}: {solved(params)[0]}", flush=True)
     for seed, i in FAILING_BOX_POINTS:
         print(f"failure box seed={seed} point={i}: "
-              f"{answer(draw_box_point(seed, i))}", flush=True)
+              f"{solved(draw_box_point(seed, i))[0]}", flush=True)
     for seed in BOX_SEEDS:
         for i in range(BOX_POINTS):
             print(f"box seed={seed} point={i}: "
-                  f"{answer(draw_box_point(seed, i))}", flush=True)
+                  f"{solved(draw_box_point(seed, i))[0]}", flush=True)
 
 
 if __name__ == "__main__":
