@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -46,6 +47,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-3" as an option; no flag here looks like a
+        # number, so a negative number may also carry an exponent.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with 2 on usage problems; the contract here is 1.
     def error(self, message):
         raise _UsageError(message)

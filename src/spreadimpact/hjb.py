@@ -2,9 +2,11 @@
 
 q solves a first-order ODE whose right-hand side switches between three
 regimes: buying (q above the curve eps/(1+eps*y)), selling (q below
--eps/(1-eps*y)), and no trading in between. The friction bracket
-w^2/(4 lam (1-yq)) vanishes on the regime curves, so the slope field is
-continuous. This module holds the one equation twice, nowhere else:
+-eps/(1-eps*y)), and no trading in between. Every closure below picks the
+regime from the sign of the trade signal w = q -+ eps (1-yq): buy if
+q - eps (1-yq) >= 0, else sell if q + eps (1-yq) <= 0. The friction bracket
+w^2/(4 lam (1-yq)) vanishes on the regime curves, where w = 0, so the slope
+field is continuous. This module holds the one equation twice, nowhere else:
 
 - :func:`make_rhs_jac`, scalar closures for the slope and its q-derivative
   (the integrator's hot path);
@@ -57,8 +59,10 @@ def band_sell(y: float, epsilon: float) -> float:
 def make_rhs_jac(params: MarketParams, beta: float):
     """Fast closures for the slope field and its q-derivative.
 
-    Outside the meaningful domain (q y >= 1 in a trading regime) the slope
-    returns +-inf, which the integrator treats as a failed trial.
+    Both branch on the sign of w as :func:`make_defect` does; the bracket's
+    derivative is one expression, with dw = 1 +- eps y. Beyond the singular
+    curve (q y >= 1, where w > 0) the slope returns -inf, which the
+    integrator treats as a failed trial, and the Jacobian 0.
     """
     mu = params.mu
     eps = params.epsilon
@@ -68,40 +72,35 @@ def make_rhs_jac(params: MarketParams, beta: float):
     one_minus_gamma = 1.0 - params.gamma
 
     def rhs(y: float, q: float) -> float:
-        band_hi = eps / (1.0 + eps * y)
-        if q >= band_hi:
-            one = 1.0 - y * q
+        one = 1.0 - y * q
+        w = q - eps * one
+        if w >= 0.0:
             if one <= 0.0:
                 return -math.inf
-            w = q - eps * one
-            bracket = w * w / (4.0 * lam * one)
-        elif q <= -eps / (1.0 - eps * y):
-            one = 1.0 - y * q
-            w = q + eps * one
             bracket = w * w / (4.0 * lam * one)
         else:
-            bracket = 0.0
+            w = q + eps * one
+            bracket = w * w / (4.0 * lam * one) if w <= 0.0 else 0.0
         coef = 0.5 * s2 * y * y * (1.0 - y) * (1.0 - y)
         alg = (-beta + mu * y - 0.5 * gs2 * y * y
                + y * (1.0 - y) * (mu - gs2 * y) * q + bracket)
         return -alg / coef - one_minus_gamma * q * q
 
     def jac(y: float, q: float) -> float:
-        band_hi = eps / (1.0 + eps * y)
-        if q >= band_hi:
-            one = 1.0 - y * q
+        one = 1.0 - y * q
+        w = q - eps * one
+        if w >= 0.0:
             if one <= 0.0:
                 return 0.0
-            w = q - eps * one
             dw = 1.0 + eps * y
-            dbracket = (2.0 * w * dw * one + w * w * y) / (4.0 * lam * one * one)
-        elif q <= -eps / (1.0 - eps * y):
-            one = 1.0 - y * q
-            w = q + eps * one
-            dw = 1.0 - eps * y
-            dbracket = (2.0 * w * dw * one + w * w * y) / (4.0 * lam * one * one)
         else:
-            dbracket = 0.0
+            w = q + eps * one
+            if w > 0.0:
+                w = 0.0  # inside the band nothing trades
+            dw = 1.0 - eps * y
+        # w = 0 skips the division: a quarter of a call inside the band.
+        dbracket = ((2.0 * w * dw * one + w * w * y) / (4.0 * lam * one * one)
+                    if w != 0.0 else 0.0)
         coef = 0.5 * s2 * y * y * (1.0 - y) * (1.0 - y)
         return (-(y * (1.0 - y) * (mu - gs2 * y) + dbracket) / coef
                 - 2.0 * one_minus_gamma * q)

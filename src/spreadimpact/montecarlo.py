@@ -277,8 +277,9 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
     ``turnover`` with an ``into(y, out, scratch, cell)`` method, as
     ``TradingPolicy.tabulated()`` returns, writes into buffers this call
     owns, so a step allocates no array; any other callable is called with
-    the weights. Weights are clamped to [0, 1] after every step and
-    clamping is counted.
+    the weights and its answer copied into the same buffer, so each step
+    makes one lookup call either way. Weights are clamped to [0, 1] after
+    every step and clamping is counted.
 
     Each step is the Euler step with its constants folded: with the shock
     e = mu dt + sigma sqrt(dt) z and the cost c = |u| (eps dt + lam dt |u|),
@@ -307,6 +308,9 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
             "(pass y0 explicitly for degenerate-regime parameters)"
         )
     into = getattr(turnover, "into", None)
+    if into is None and turnover is not None:
+        def into(y, out, scratch, cell):
+            np.copyto(out, turnover(y))
 
     total = cfg.n_paths
     lw_burn = np.empty(total)
@@ -328,20 +332,16 @@ def simulate_paths(params: MarketParams, turnover, cfg: SimConfig) -> PathEnsemb
         inc = np.empty(n)          # a log-wealth, then a weight increment
         one_minus_y = np.empty(n)
         if turnover is not None:
+            u = np.empty(n)
             au = np.empty(n)       # |u|, then u dt
             cost = np.empty(n)     # the table's scratch, then the cost c
             no_trade = np.empty(n, dtype=bool)
-        if into is not None:
-            u = np.empty(n)
             cell = np.empty(n, dtype=np.intp)
         with closing(_shock_rows(rng, n, n_steps, cfg.antithetic,
                                  sigma * math.sqrt(dt), mu * dt)) as shocks:
             for step, e in enumerate(shocks):
                 if turnover is not None:
-                    if into is not None:
-                        into(y, u, cost, cell)
-                    else:
-                        u = np.asarray(turnover(y), dtype=float)
+                    into(y, u, cost, cell)
                     np.abs(u, out=au)
                     np.equal(au, 0.0, out=no_trade)
                     nt_steps += no_trade

@@ -155,6 +155,17 @@ class TestSolveCommand:
                            "--mu", "0.07")
         assert code == 1
 
+    @pytest.mark.parametrize("spelled,plain", [
+        ("-1e-3", "-0.001"), ("-1E+2", "-100"), ("-.5e-1", "-0.05")])
+    def test_negative_value_with_an_exponent(self, capsys, spelled, plain):
+        # argparse took "-1e-3" for an option: "--mu: expected one argument".
+        args = ("solve", "--sigma", "0.16", "--gamma", "5", "--epsilon",
+                "0.001", "--lambda", "0.001", "--format", "json", "--mu")
+        expected = run(capsys, *args, plain)
+        assert expected[0] == 0
+        assert json.loads(expected[1])["regime"] == "FullSafe"
+        assert run(capsys, *args, spelled) == expected
+
 
 @pytest.mark.parametrize("argv", [
     ("asymptotic", "--epsilon", "0.01", "--lambda", "0.01"),
@@ -384,7 +395,8 @@ class TestCompareCommand:
     ("compare", ("--window", "nan")),
     ("compare", ("--window", "inf")),
     ("compare", ("--window", "0")),
-    ("compare", ("--window", "-0.01"))])
+    ("compare", ("--window", "-0.01")),
+    ("compare", ("--window", "-1e-3"))])
 def test_out_of_range_grid_flag_is_usage_error(capsys, command, flags):
     # Refused while parsing, before any solve: policy --grid-points 0
     # printed a bare header and -3 failed in numpy; a --window that is not

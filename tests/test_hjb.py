@@ -144,6 +144,56 @@ class TestSlope:
         p = make(epsilon=eps, lam=lam)
         assert make_defect(p, beta, 1.0)(y, q, rhs_of(p, beta)(y, q)) <= 1e-14
 
+    @given(y=st.floats(1e-4, 1.0 - 1e-4), t=st.floats(0.0, 1.0),
+           regime=st.sampled_from(["buy", "band", "sell"]),
+           eps=st.floats(1e-4, 3e-2), lam=st.floats(1e-8, 3e-2),
+           beta=st.floats(0.016, 0.025))
+    @settings(max_examples=300, deadline=None)
+    def test_jacobian_is_the_slopes_derivative(self, y, t, regime, eps, lam,
+                                               beta):
+        # q lies inside one regime, 1e-4 of a curve's value clear of both
+        # band curves, with q y <= 0.99; the centred difference steps a
+        # thousandth of the way to the nearest curve, band or singular, so
+        # both its points share q's regime. It errs by O(h^2) in a trading
+        # regime (the slope is quadratic in q inside the band) and by the
+        # slope's rounding over h, a few ulps of its largest term. Measured
+        # over 10,000 draws: at most 1.33e-6 |jac| beyond 4 eps R / h (the
+        # buy regime), and at most 0.94 eps R / h in the band.
+        p = make(epsilon=eps, lam=lam)
+        hi, lo = band_buy(y, eps), band_sell(y, eps)
+        a, b = {"buy": (hi * (1 + 1e-4), min(1.0, 0.99 / y)),
+                "band": (lo * (1 - 1e-4), hi * (1 - 1e-4)),
+                "sell": (-1.0, lo * (1 + 1e-4))}[regime]
+        q = a + t * (b - a)
+        rhs, jac = make_rhs_jac(p, beta)
+        h = 1e-3 * min(abs(q - hi), abs(q - lo), 1.0 / y - q)
+        up, down = q + h, q - h
+        centred = (rhs(y, up) - rhs(y, down)) / (up - down)
+        gs2 = p.gamma * p.sigma**2
+        coef = 0.5 * p.sigma**2 * y**2 * (1 - y) ** 2
+        bracket = no_trade_slope(p, beta, y, q) - rhs(y, q)
+        largest = ((beta + p.mu * y + 0.5 * gs2 * y**2
+                    + abs(y * (1 - y) * (p.mu - gs2 * y) * q)) / coef
+                   + bracket + abs(1 - p.gamma) * q * q)
+        assert abs(centred - jac(y, q)) <= (
+            1e-5 * abs(jac(y, q)) + 4 * np.finfo(float).eps * largest / h)
+
+    @given(y=st.floats(1e-4, 1.0 - 1e-4), eps=st.floats(1e-4, 3e-2),
+           lam=st.floats(1e-8, 3e-2), beta=st.floats(0.016, 0.025))
+    @settings(max_examples=100, deadline=None)
+    def test_finite_on_and_beside_band_curves(self, y, eps, lam, beta):
+        # Where the sign of w and the band curves disagree by rounding, the
+        # slope and its Jacobian stay finite and the slope stays a solution.
+        p = make(epsilon=eps, lam=lam)
+        rhs, jac = make_rhs_jac(p, beta)
+        defect = make_defect(p, beta, 1.0)
+        for curve in (band_buy(y, eps), band_sell(y, eps)):
+            for q in (math.nextafter(curve, -math.inf), curve,
+                      math.nextafter(curve, math.inf)):
+                slope = rhs(y, q)
+                assert math.isfinite(slope) and math.isfinite(jac(y, q))
+                assert defect(y, q, slope) <= 1e-14
+
     @given(knots=st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=2,
                           max_size=6, unique=True),
            coeffs=st.lists(st.floats(-0.3, 0.3), min_size=20, max_size=20),
