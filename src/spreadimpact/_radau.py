@@ -282,10 +282,14 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
         stalled, as shorter steps then no longer lower the defect.
 
     Each converged trial step gets one size factor from its error estimate,
-    by RADAU5's predictive rule. A trial whose error exceeds the tolerance
-    is rejected and h scaled by the factor, but at least 0.2; an accepted
-    step scales h by at most 10, and keeps h if the factor is below 1.2 and
-    the Jacobian is reused.
+    by RADAU5's predictive rule. An accepted step scales h by at most 10,
+    and keeps h if the factor is below 1.2 and the Jacobian is reused. A
+    trial is rejected for one of three reasons, each scaling h by its own
+    factor: Newton failed, after one retry with a fresh Jacobian if the
+    Jacobian was stale (0.5); the error exceeds the tolerance (the size
+    factor, but at least 0.2); or the defect test failed (see ``defect``).
+    Every rejected trial is counted in ``nrejected`` and drops the Newton
+    matrices.
     """
     direction = 1.0 if t_bound >= t0 else -1.0
     f0 = f(t0, q0)
@@ -309,7 +313,6 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
     rows = []  # (q, p0, p1, p2) of each accepted step, q at its start
     status = None
 
-    n_acc = 0
     n_rej = 0
     for _ in range(_MAX_STEPS):
         if direction * (t - t_bound) >= 0.0:
@@ -318,8 +321,14 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
 
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
-        rejected = False
+        # Each rejected trial sets its own factor on h, then the next trial
+        # applies it and does the bookkeeping all rejections share.
+        shrink = None
         while True:
+            if shrink is not None:
+                h_abs *= shrink
+                n_rej += 1
+                lu_real = lu_complex = None
             if h_abs < min_step:
                 status = STALLED
                 break
@@ -346,14 +355,13 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
 
             scale = atol + abs(q) * rtol
 
+            # Newton, retried once with a fresh J if a stale one fails.
             converged = False
-            n_iter = 0
-            while not converged:
+            for _ in range(2):
                 if lu_real is None:
                     lu_real = _MU_REAL / h - J
                     lu_complex = _MU_COMPLEX / h - J
                     if lu_real == 0.0:
-                        lu_real = lu_complex = None
                         h_abs *= 0.99
                         break
 
@@ -409,21 +417,15 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
                         break
                     dw_norm_old = dw_norm
                 n_iter = k_newton + 1
-
-                if not converged:
-                    if not current_jac:
-                        J = jac(t, q)
-                        njev += 1
-                        current_jac = True
-                        lu_real = lu_complex = None
-                        continue
+                if converged or current_jac:
                     break
+                J = jac(t, q)
+                njev += 1
+                current_jac = True
+                lu_real = lu_complex = None
 
             if not converged:
-                h_abs *= 0.5
-                rejected = True
-                n_rej += 1
-                lu_real = lu_complex = None
+                shrink = 0.5
                 continue
 
             q_new = q + z3
@@ -435,7 +437,7 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
                 2.0 * _NEWTON_MAXITER + n_iter
             )
 
-            if rejected and error_norm > 1.0:
+            if shrink is not None and error_norm > 1.0:
                 f_probe = f(t, q + error)
                 nfev += 1
                 if math.isfinite(f_probe):
@@ -453,10 +455,7 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
                 factor = safety * _MAX_FACTOR
 
             if error_norm > 1.0:
-                h_abs *= max(_MIN_FACTOR, factor)
-                lu_real = lu_complex = None
-                rejected = True
-                n_rej += 1
+                shrink = max(_MIN_FACTOR, factor)
                 continue
 
             # Dense cubic for this step.
@@ -473,13 +472,11 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
                     if ratio > worst:
                         worst = ratio
                 if worst > 1.0:
-                    rejected = True
-                    n_rej += 1
                     if h_abs < _DEFECT_MIN_STEP * min(abs(t), abs(1.0 - t)):
+                        n_rej += 1
                         status = STALLED
                         break
-                    h_abs *= max(_MIN_FACTOR, 0.9 * worst ** (-1.0 / 3.0))
-                    lu_real = lu_complex = None
+                    shrink = max(_MIN_FACTOR, 0.9 * worst ** (-1.0 / 3.0))
                     continue
             break
 
@@ -506,10 +503,7 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
         if recompute_jac:
             J = jac(t_new, q_new)
             njev += 1
-            current_jac = True
-            lu_real = lu_complex = None
-        else:
-            current_jac = False
+        current_jac = recompute_jac
 
         h_abs_old = h_abs
         error_norm_old = error_norm
@@ -517,7 +511,6 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
 
         ts.append(t_new)
         rows.append((q, p0, p1, p2))
-        n_acc += 1
 
         t, q, fq = t_new, q_new, f_new
         status = guard.breach(t, q)
@@ -526,6 +519,7 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
     else:
         status = STALLED
 
+    naccepted = len(rows)
     if not rows:
         # No accepted step: degenerate one-point result.
         ts = [t0, t0]
@@ -541,6 +535,6 @@ def integrate_guarded(f, jac, t0, t_bound, q0, rtol, atol, guard: GuardBox,
         y_end=q,
         nfev=nfev,
         njev=njev,
-        naccepted=n_acc,
+        naccepted=naccepted,
         nrejected=n_rej,
     )

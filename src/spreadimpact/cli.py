@@ -257,6 +257,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_asymptotic(args) -> int:
     params = _resolve_params(args)
+    # The rate and band scale with powers of epsilon, so at epsilon = 0 they
+    # would ignore lambda; refused before the root search.
+    if not params.epsilon > 0.0:
+        raise ParameterError(
+            f"asymptotic needs a positive --epsilon (got {params.epsilon!r}): "
+            "the expansion's rate and band scale with epsilon, and its "
+            "rescaled constants depend only on --k")
     inputs = asym.AsymptoticInputs.from_params(params, K=args.k)
     sol = asym.find_z_minus(inputs)
     doc = {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)

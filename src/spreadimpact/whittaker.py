@@ -188,12 +188,13 @@ def _w_route(ks: tuple[float, ...], m: float,
     smaller error estimate. Error estimates and cancellations are maxed over
     ``ks``. A CancellationError is raised if the combination is needed and
     loses more than CANCELLATION_DIGITS_LIMIT digits, and a ValueError
-    unless x > 0 and 2m is not an integer.
+    unless x is finite and x > 0, and m is finite and 2m is not an integer.
     """
-    if x <= 0.0:
-        raise ValueError(f"Whittaker W requires x > 0, got {x!r}")
-    if 2.0 * m == math.floor(2.0 * m):
-        raise ValueError(f"Whittaker W requires 2m not an integer, got m={m!r}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"Whittaker W requires finite x > 0, got {x!r}")
+    if not math.isfinite(m) or 2.0 * m == math.floor(2.0 * m):
+        raise ValueError(
+            f"Whittaker W requires finite m with 2m not an integer, got m={m!r}")
     sums, errs = zip(*[_w_asymptotic_sum(k, m, x) for k in ks])
     err = max(errs)
     certified = err <= _ASYMPTOTIC_CERTIFY
@@ -213,7 +214,8 @@ def _w_route(ks: tuple[float, ...], m: float,
 
 
 def whittaker_w(k: float, m: float, x: float) -> float:
-    """Decaying Whittaker function W(k, m, x), x > 0, 2m not an integer.
+    """Decaying Whittaker function W(k, m, x), for finite x > 0 and finite m
+    with 2m not an integer.
 
     Routed by the rule it shares with ``whittaker_w_ratio`` (``_w_route``),
     which raises CancellationError where the combination is needed but

@@ -1,8 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from spreadimpact.cli import main
+from spreadimpact.market import MarketParams
+from spreadimpact.montecarlo import SimConfig, estimate_esr, simulate_paths
+from spreadimpact.solver import policy
 
 BASE_FLAGS = ["--mu", "0.08", "--sigma", "0.16", "--gamma", "5"]
 # The keys of the asymptotic document: the expansion's scalar constants,
@@ -210,6 +214,23 @@ class TestAsymptoticCommand:
         assert out == ""
         assert err == "error: K must be finite (got inf)\n"
 
+    @pytest.mark.parametrize("k_flags", [(), ("--k", "5")])
+    def test_zero_spread_refused_before_the_root_search(self, capsys,
+                                                        monkeypatch, k_flags):
+        # Refused before the root search, with or without --k, by a message
+        # that names the flag to change.
+        def no_search(inputs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr("spreadimpact.asymptotic.find_z_minus", no_search)
+        code, out, err = run(capsys, "asymptotic", *BASE_FLAGS, "--epsilon",
+                             "0", "--lambda", "0.01", *k_flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: asymptotic needs a positive --epsilon "
+                              "(got 0.0)")
+        assert "--k" in err
+
     @pytest.mark.parametrize("mu", ["0.2", "-0.02"])
     def test_buy_and_hold_exit_code(self, capsys, mu):
         code, out, err = run(capsys, "asymptotic", "--mu", mu, "--sigma",
@@ -229,8 +250,69 @@ class TestPolicyCommand:
         assert lines[0] == "y,u"
         assert len(lines) == 42
 
+    def test_json_document(self, capsys, solve_cache):
+        code, out, _ = run(capsys, "policy", *BASE_FLAGS, "--epsilon", "0.001",
+                           "--lambda", "0.0001", "--format", "json",
+                           "--grid-points", "41")
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc) == {"y_minus", "y_plus", "beta", "policy"}
+        sol = solve_cache(1e-3, 1e-4)
+        assert (doc["y_minus"], doc["y_plus"], doc["beta"]) == (
+            sol.y_minus, sol.y_plus, sol.beta)
+        rows = doc["policy"]
+        assert len(rows) == 41
+        assert (rows[0][0], rows[-1][0]) == (sol.y_grid[0], sol.y_grid[-1])
+        # Buy below the band, hold inside it, sell above it.
+        for y, u in rows:
+            if y < sol.y_minus:
+                assert u >= 0.0
+            elif y <= sol.y_plus:
+                assert u == 0.0
+            else:
+                assert u <= 0.0
+        assert rows[0][1] > 0.0 > rows[-1][1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("mu,regime", [("-0.02", "FullSafe"),
+                                           ("0.2", "FullRisky")])
+    def test_buy_and_hold_answer(self, capsys, fmt, mu, regime):
+        code, out, _ = run(capsys, "policy", "--mu", mu, "--sigma", "0.16",
+                           "--gamma", "5", "--epsilon", "0.001",
+                           "--lambda", "0.0001", "--format", fmt)
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc) == {"regime", "esr"}
+        assert doc["regime"] == regime
+
 
 class TestSimulateCommand:
+    def test_optimal_policy_report(self, capsys, solve_cache):
+        code, out, _ = run(capsys, "simulate", *BASE_FLAGS, "--epsilon",
+                           "0.001", "--lambda", "0.0001", "--paths", "2000",
+                           "--horizon", "2", "--burn-in", "0.5", "--dt",
+                           "0.01", "--seed", "9")
+        assert code == 0
+        params = MarketParams(mu=0.08, sigma=0.16, gamma=5.0, epsilon=1e-3,
+                              lam=1e-4)
+        cfg = SimConfig(horizon_T=2.0, dt=0.01, n_paths=2000, seed=9,
+                        burn_in_T=0.5)
+        ensemble = simulate_paths(
+            params, policy(solve_cache(1e-3, 1e-4)).tabulated(), cfg)
+        report = estimate_esr(ensemble, params.gamma, cfg)
+        assert json.loads(out) == dataclasses.asdict(report)
+
+    @pytest.mark.parametrize("mu", ["0.2", "-0.02"])
+    def test_optimal_policy_on_buy_and_hold_market(self, capsys, mu):
+        code, out, err = run(capsys, "simulate", "--mu", mu, "--sigma",
+                             "0.16", "--gamma", "5", "--epsilon", "0.001",
+                             "--lambda", "0.0001", "--paths", "50",
+                             "--horizon", "1", "--burn-in", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the optimal policy is buy-and-hold")
+        assert err.endswith("use --policy hold\n")
+
     def test_hold_policy_report(self, capsys):
         code, out, _ = run(capsys, "simulate", *BASE_FLAGS, "--epsilon", "0",
                            "--lambda", "0", "--policy", "hold",

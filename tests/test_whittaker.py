@@ -294,13 +294,13 @@ class TestWhittakerW:
     @pytest.mark.parametrize("evaluate", [whittaker_w, whittaker_w_ratio],
                              ids=lambda f: f.__name__)
     def test_rejects_integer_two_m(self, evaluate):
-        for m in (0.5, 0.0, -1.0):
+        for m in (0.5, 0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="2m not an integer"):
                 evaluate(0.3, m, 2.0)
 
     @pytest.mark.parametrize("evaluate", [whittaker_w, whittaker_w_ratio],
                              ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("x", [0.0, -2.0])
+    @pytest.mark.parametrize("x", [0.0, -2.0, math.nan, math.inf, -math.inf])
     def test_rejects_nonpositive_x(self, evaluate, x):
         with pytest.raises(ValueError, match="x > 0"):
             evaluate(0.3, -0.25, x)
