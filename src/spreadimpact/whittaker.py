@@ -188,8 +188,12 @@ def _w_route(ks: tuple[float, ...], m: float,
     smaller error estimate. Error estimates and cancellations are maxed over
     ``ks``. A CancellationError is raised if the combination is needed and
     loses more than CANCELLATION_DIGITS_LIMIT digits, and a ValueError
-    unless x is finite and x > 0, and m is finite and 2m is not an integer.
+    unless every k is finite, x is finite and x > 0, and m is finite and 2m
+    is not an integer.
     """
+    for k in ks:
+        if not math.isfinite(k):
+            raise ValueError(f"Whittaker W requires finite k, got k={k!r}")
     if not 0.0 < x < math.inf:
         raise ValueError(f"Whittaker W requires finite x > 0, got {x!r}")
     if not math.isfinite(m) or 2.0 * m == math.floor(2.0 * m):
@@ -214,8 +218,8 @@ def _w_route(ks: tuple[float, ...], m: float,
 
 
 def whittaker_w(k: float, m: float, x: float) -> float:
-    """Decaying Whittaker function W(k, m, x), for finite x > 0 and finite m
-    with 2m not an integer.
+    """Decaying Whittaker function W(k, m, x), for finite k, finite x > 0 and
+    finite m with 2m not an integer.
 
     Routed by the rule it shares with ``whittaker_w_ratio`` (``_w_route``),
     which raises CancellationError where the combination is needed but

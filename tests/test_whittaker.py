@@ -300,6 +300,14 @@ class TestWhittakerW:
 
     @pytest.mark.parametrize("evaluate", [whittaker_w, whittaker_w_ratio],
                              ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("x", [2.0, 40.0])
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_k(self, evaluate, k, x):
+        with pytest.raises(ValueError, match="finite k"):
+            evaluate(k, -0.25, x)
+
+    @pytest.mark.parametrize("evaluate", [whittaker_w, whittaker_w_ratio],
+                             ids=lambda f: f.__name__)
     @pytest.mark.parametrize("x", [0.0, -2.0, math.nan, math.inf, -math.inf])
     def test_rejects_nonpositive_x(self, evaluate, x):
         with pytest.raises(ValueError, match="x > 0"):

@@ -11,9 +11,17 @@ by 0.5, 1 and 2 outside the band, a SHA-256 of its table
 one failure, it prints the exception's type and message. Then it prints
 the same for every point of box seeds 5-11, 40 per seed, drawn by
 ``tests/conftest.py``'s ``draw_box_point``: 277 solve and three are the
-known box failures. A change that should leave every answer bitwise
-unchanged is checked by one ``diff`` of this script's output before and
-after it:
+known box failures.
+
+Last it fingerprints Monte Carlo ensembles: for the optimal, x2 and
+buy-and-hold policies at the ``montecarlo`` benchmark's settings (16,384
+paths, dt 1e-3, horizon 1, burn-in 0.25, simulation seeds 16-18), then
+for the optimal policy with antithetic pairs, and over two chunks (65,536
++ 1,000 paths, 50 steps), it prints a SHA-256 of the four per-path
+arrays, ``clamp_events``, ``total_steps`` and the repr of
+``estimate_esr``'s report. A change that should leave every answer
+bitwise unchanged is checked by one ``diff`` of this script's output
+before and after it:
 
     python3 tools/answers.py > before.txt
     ...
@@ -59,6 +67,8 @@ BOX_POINTS = 40
 FAILING_BOX_POINTS = [(5, 14), (9, 1), (9, 10)]
 FAILING_BASE_POINTS = [(1e-2, 1e-14), (5e-2, 1e-14), (5e-2, 1e-13),
                        (5e-2, 1e-12)]
+# The montecarlo benchmark's seed whose simulation seeds are 16-18.
+MONTECARLO_SEED = 1
 
 
 def fingerprint(sol: si.FreeBoundarySolution) -> str:
@@ -76,6 +86,41 @@ def table_fingerprint(table) -> str:
     digest.update(table.slope.tobytes())
     digest.update(table.offset.tobytes())
     return digest.hexdigest()
+
+
+def ensemble_fingerprint(ensemble: si.PathEnsemble, gamma: float) -> str:
+    digest = hashlib.sha256()
+    for field in ("log_wealth_burn_in", "log_wealth_final",
+                  "time_in_no_trade", "mean_abs_turnover"):
+        digest.update(getattr(ensemble, field).tobytes())
+    digest.update(repr((ensemble.clamp_events,
+                        ensemble.total_steps)).encode())
+    digest.update(repr(si.estimate_esr(ensemble, gamma)).encode())
+    return digest.hexdigest()
+
+
+def simulated():
+    """Yield (label, fingerprint) of each Monte Carlo ensemble."""
+    bench = workload.MonteCarlo(si, np, MONTECARLO_SEED)
+    params, optimal = bench.params, bench.tables["optimal"]
+    runs = []
+    for x in bench.inputs:
+        cfg = si.SimConfig(horizon_T=bench.HORIZON, dt=bench.DT,
+                           n_paths=bench.PATHS, seed=x["sim_seed"],
+                           burn_in_T=bench.BURN_IN)
+        runs.append((f"montecarlo {x['policy']} seed={x['sim_seed']}",
+                     bench.tables[x["policy"]], cfg))
+    cfg = si.SimConfig(horizon_T=bench.HORIZON, dt=bench.DT,
+                       n_paths=bench.PATHS, seed=bench.inputs[0]["sim_seed"],
+                       burn_in_T=bench.BURN_IN, antithetic=True)
+    runs.append(("montecarlo optimal antithetic", optimal, cfg))
+    runs.append(("montecarlo optimal two chunks", optimal,
+                 si.SimConfig(horizon_T=0.05, dt=bench.DT,
+                              n_paths=65536 + 1000, seed=19,
+                              burn_in_T=0.02)))
+    for label, turnover, cfg in runs:
+        yield label, ensemble_fingerprint(
+            si.simulate_paths(params, turnover, cfg), params.gamma)
 
 
 def solved(params: si.MarketParams):
@@ -117,6 +162,8 @@ def main() -> None:
         for i in range(BOX_POINTS):
             print(f"box seed={seed} point={i}: "
                   f"{solved(draw_box_point(seed, i))[0]}", flush=True)
+    for label, line in simulated():
+        print(f"{label}: {line}", flush=True)
 
 
 if __name__ == "__main__":
