@@ -105,7 +105,10 @@ class AsymptoticInputs:
                     "the coupling K = lambda/epsilon^(4/3) needs positive "
                     "epsilon and lambda (or pass K explicitly)"
                 )
-            K = params.lam / params.epsilon ** (4.0 / 3.0)
+            # eps^(4/3) underflows to 0 below eps ~ 1e-243: K is then
+            # infinite, and refused as such.
+            scale = params.epsilon ** (4.0 / 3.0)
+            K = params.lam / scale if scale > 0.0 else math.inf
         return cls(params=params, K=K)
 
 
@@ -158,7 +161,11 @@ def _whittaker_parameters(z: float, l: float, inputs: AsymptoticInputs
     a = 1.0 / (2.0 * inputs.K * inputs.curvature_scale)
     c = 2.0 * l / inputs.curvature_scale
     k = c / (4.0 * S)
-    return a, c, k, a * S * z * z, (1.0 + c / S) / (2.0 * a)
+    x = a * S * z * z
+    if x == math.inf:  # a tiny K; find_z_minus reports it as NoRootError
+        raise OverflowError(f"the Whittaker argument overflows at z={z:g} "
+                            f"for K={inputs.K:g}")
+    return a, c, k, x, (1.0 + c / S) / (2.0 * a)
 
 
 def r_buy(z: float, l: float, inputs: AsymptoticInputs) -> float:

@@ -31,7 +31,6 @@ against the weights exp(z - max z) worked out once per horizon.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -258,6 +257,10 @@ def _shock_rows(rng: np.random.Generator, n: int, n_steps: int,
         block *= scale
         block += shift
         return block
+
+    # Here: importing the package need not load concurrent.futures (and
+    # its logging and queue) in a process that never simulates.
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         ahead = pool.submit(draw, 0)

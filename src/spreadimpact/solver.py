@@ -7,15 +7,18 @@ value), both onto the frictionless weight y*. The surplus q0(y*) - q1(y*)
 changes sign exactly once in beta on the admissible bracket; trajectories
 that diverge before reaching y* are classified by which side of the band
 they left through, and count as a surplus of +-1 with the sign that side
-implies. The search first probes the inner bracket [beta0 - 1.25 G,
-beta0 - 0.7 G], clipped to the admissible floor, where beta0 is the
-frictionless rate and G (``market.friction_loss``) the sum of the
-pure-spread and pure-impact losses; sampled exact losses lie in [0.64,
-1.00] G. Only when that misses the root does it probe the admissible
-bracket's ends. Brent's method then
-runs from the narrowest sign change among the probed rates and pins beta
-in about seven evaluations, the probes included, after which a final
-high-accuracy pass shoots the matched legs and locates the no-trade
+implies. Where the small-cost expansion has a root, the search first
+probes [beta_e - 0.005 G, min(beta_e + 0.03 G, beta0 - 0.7 G)] around its
+rate beta_e (``asymptotic.find_z_minus``); the expansion only places
+these probes, and the answer comes from the shooting alone. Next it probes
+the inner bracket [beta0 - 1.25 G, beta0 - 0.7 G]. Both are clipped to the
+admissible floor; beta0 is the frictionless rate and G
+(``market.friction_loss``) the sum of the pure-spread and pure-impact
+losses, and sampled exact losses lie in [0.64, 1.00] G. Only when both
+miss the root does it probe the admissible bracket's ends. Brent's method
+then runs from the narrowest sign change among the probed rates and pins
+beta in six to seven evaluations, the probes included, after which a
+final high-accuracy pass shoots the matched legs and locates the no-trade
 boundaries.
 
 The solution's q is the legs' own dense output: the Radau collocation cubic
@@ -80,9 +83,11 @@ from ._radau import (
     bracket_root,
     integrate_guarded,
 )
+from .asymptotic import AsymptoticInputs, NoRootError, find_z_minus
 from .market import (
     MarketParams,
     ParameterError,
+    _real_number,
     _require_interior,
     friction_loss,
 )
@@ -194,10 +199,19 @@ class FreeBoundarySolution:
 
 @dataclass(frozen=True)
 class TradingPolicy:
-    """Callable wealth-turnover policy derived from a solution."""
+    """Callable wealth-turnover policy derived from a solution, its turnover
+    multiplied by ``scale_outside_band``. Construction refuses a scale that
+    is not a finite real number or is a bool (``ValueError``) and stores it
+    as a float."""
 
     solution: FreeBoundarySolution
     scale_outside_band: float = 1.0
+
+    def __post_init__(self):
+        scale = _real_number("scale_outside_band", self.scale_outside_band)
+        if math.isnan(scale):
+            raise ValueError("scale_outside_band must be finite (got nan)")
+        object.__setattr__(self, "scale_outside_band", scale)
 
     def __call__(self, y):
         return self.solution.turnover_at(y) * self.scale_outside_band
@@ -391,6 +405,20 @@ def _match_surplus(params: MarketParams, beta: float, work: dict) -> float:
     return ends[0] - ends[1]
 
 
+def _expansion_rate(params: MarketParams) -> float | None:
+    """The small-cost expansion's rate beta0 - eps^(2/3) l(z_minus), or
+    None where it has none: eps = 0, a coupling K = lam/eps^(4/3) that is
+    not finite, or no verified root of the expansion."""
+    try:
+        inputs = AsymptoticInputs.from_params(params)
+    except ValueError:  # K = lam/eps^(4/3) is not a positive finite number
+        return None
+    try:
+        return find_z_minus(inputs).beta_approx
+    except NoRootError:
+        return None
+
+
 def solve(params: MarketParams) -> FreeBoundarySolution:
     """Solve the free-boundary problem for interior-regime parameters.
 
@@ -399,12 +427,20 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     worker process forked by the first solve (see the module docstring),
     or after the forward one where the worker gives no answer.
 
-    The rate search probes the inner bracket [beta0 - 1.25 G, beta0 - 0.7
-    G] first (``market.friction_loss`` gives G), its lower end raised to
-    the admissible floor if it falls below, and the admissible bracket's
-    ends only when the inner one does not hold the root or beta0 - 0.7 G
-    does not lie strictly inside them; no rate is shot twice.
-    ``diagnostics["search_bracket"]`` is the narrowest sign-change bracket
+    The rate search first probes the expansion's bracket [beta_e - 0.005
+    G, min(beta_e + 0.03 G, beta0 - 0.7 G)] (``market.friction_loss``
+    gives G), beta_e the rate of ``find_z_minus``, called once here; it is
+    skipped where eps = 0, where K = lam/eps^(4/3) is not finite, or where
+    the expansion raises ``NoRootError``. The expansion only places these
+    two probes: the answer comes from the shooting alone. Next it probes
+    the inner bracket [beta0 - 1.25 G, beta0 - 0.7 G]; each has its lower
+    end raised to the admissible floor if it falls below, and is skipped
+    if its upper end does not lie strictly between its lower one and the
+    admissible bracket's top. The admissible bracket's ends are probed
+    only when neither holds the root; no rate is shot twice.
+    ``diagnostics["bracket_held"]`` names the bracket that held the root
+    (``"expansion"``, ``"inner"`` or ``"admissible"``),
+    ``["search_bracket"]`` is the narrowest sign-change bracket
     among the probed rates, which Brent starts from, and
     ``["bisection_iterations"]`` counts the surplus evaluations after the
     probes (each is one forward and one backward leg).
@@ -430,8 +466,8 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         raised only after both ends were probed.
     NumericalFailure
         An integration leg failed in a way that cannot be classified, the
-        surplus changes sign the wrong way round on the inner or the
-        admissible rate bracket, a final leg does not reach y* (its steps
+        surplus changes sign the wrong way round on a probed rate
+        bracket, a final leg does not reach y* (its steps
         cannot meet the defect test), the final legs meet at y* with a jump
         beyond the value-matching bound, or the stitched q breaks an
         invariant or misses its residual budget.
@@ -462,25 +498,31 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
     def surplus(beta_try: float) -> float:
         return _match_surplus(params, beta_try, work["search"])
 
-    # Probe the inner bracket the two friction limits give first, clipped
-    # to the admissible floor, and the admissible bracket's ends only when
-    # it misses the root; a rate is shot once however many brackets share
-    # it, and Brent starts from the narrowest sign change among the probed
-    # rates. The admissible bracket is the last one probed.
+    # Probe the bracket around the expansion's rate first, then the inner
+    # bracket the two friction limits give, both clipped to the admissible
+    # floor, and the admissible bracket's ends only when both miss the
+    # root; a rate is shot once however many brackets share it, and Brent
+    # starts from the narrowest sign change among the probed rates. The
+    # expansion's rate lay 0.002-0.022 G below the root on the benchmark
+    # inputs; its bracket's widths were chosen on the domain sample.
     loss = friction_loss(params)
-    inner = (max(lo_in, hi - 1.25 * loss), hi - 0.7 * loss)
-    brackets = [(lo_in, hi_in)]
-    if inner[0] < inner[1] < hi_in:
-        brackets.insert(0, inner)
+    starts = [("inner", hi - 1.25 * loss, hi - 0.7 * loss)]
+    beta_e = _expansion_rate(params)
+    if beta_e is not None:
+        starts.insert(0, ("expansion", beta_e - 0.005 * loss,
+                          min(beta_e + 0.03 * loss, hi - 0.7 * loss)))
+    brackets = [(name, max(lo_in, a), b) for name, a, b in starts
+                if max(lo_in, a) < b < hi_in]
+    brackets.append(("admissible", lo_in, hi_in))
     probed = {}
-    for n, (a, b) in enumerate(brackets, 1):
+    for held, a, b in brackets:
         for beta_try in (a, b):
             if beta_try not in probed:
                 probed[beta_try] = surplus(beta_try)
         sign_a, sign_b = np.sign(probed[a]), np.sign(probed[b])
         if sign_a < 0.0 < sign_b:
             break
-        admissible = n == len(brackets)
+        admissible = held == "admissible"
         if admissible and sign_a == sign_b:
             raise NoMatchError(
                 f"no sign change of the shooting surplus on the rate bracket "
@@ -525,6 +567,7 @@ def solve(params: MarketParams) -> FreeBoundarySolution:
         "bisection_iterations": iterations,
         "matching_residual": matching_residual,
         "search_bracket": (below, above),
+        "bracket_held": held,
         "rtol": RTOL,
         "final_rtol": FINAL_RTOL,
         "final_atol": _tolerances(params, True)[1],

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from spreadimpact import solver
 from spreadimpact._radau import REACHED, GuardBox, integrate_guarded
 from spreadimpact.market import MarketParams
 from spreadimpact.solver import FreeBoundarySolution, solve
@@ -54,6 +55,13 @@ def solve_cache(base_market):
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def no_expansion_probes(monkeypatch):
+    """``solve`` as if the small-cost expansion had no rate: its rate search
+    opens at the inner bracket of the friction limits."""
+    monkeypatch.setattr(solver, "_expansion_rate", lambda params: None)
 
 
 @pytest.fixture(scope="session")

@@ -149,6 +149,15 @@ class TestInputs:
         with pytest.raises(ValueError, match="K must be finite"):
             AsymptoticInputs(p, K)
 
+    def test_coupling_that_overflows_is_refused_as_infinite(self):
+        # eps^(4/3) underflows to 0 below eps ~ 1e-243 (it raised
+        # ZeroDivisionError), and to a subnormal just above, where lam over
+        # it overflows.
+        for eps in (1e-250, 1e-240):
+            p = MarketParams(epsilon=eps, lam=1.0, **BASE)
+            with pytest.raises(ValueError, match="K must be finite"):
+                AsymptoticInputs.from_params(p)
+
     def test_coupling_stored_as_a_float(self):
         p = MarketParams(epsilon=1e-3, lam=1e-4, **BASE)
         assert type(AsymptoticInputs(p, 2).K) is float
@@ -263,6 +272,17 @@ class TestFindZMinus:
             residual = r_buy(sol.z_minus,
                              welfare_coefficient(sol.z_minus, inp.params), inp)
             assert abs(residual - 1.0) <= _ROOT_ACCEPT, K
+
+    def test_whittaker_argument_overflow_is_no_root(self):
+        # At K = 1e-306 the argument a S z^2 of the Whittaker ratio
+        # overflows: r_B reports an arithmetic failure, which the march
+        # turns into NoRootError, as it does a refusal of the closed form.
+        inp = make_inputs(1e-306)
+        z = -0.5
+        with pytest.raises(OverflowError, match="Whittaker argument"):
+            r_buy(z, welfare_coefficient(z, inp.params), inp)
+        with pytest.raises(NoRootError, match="closed form failed"):
+            find_z_minus(inp)
 
     def test_pure_impact_limit_at_large_coupling(self):
         # As K = lam / eps^(4/3) grows, the expansion tends to the

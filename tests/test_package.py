@@ -110,6 +110,22 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_import_loads_no_thread_pool():
+    # Only a simulation draws its shocks on a worker thread: importing the
+    # package and its CLI, and solving, load no concurrent.futures (nor its
+    # logging and queue).
+    out = run_python(textwrap.dedent("""
+        import sys
+        import spreadimpact, spreadimpact.cli
+        params = spreadimpact.MarketParams(epsilon=1e-3, lam=1e-4, mu=0.08,
+                                           sigma=0.16, gamma=5.0)
+        spreadimpact.solve(params)
+        print(sorted(m for m in ("concurrent.futures", "logging", "queue")
+                     if m in sys.modules))
+    """))
+    assert out.strip() == "[]"
+
+
 def test_solve_and_its_grids_load_no_numpy_ma():
     # np.unique imports numpy.ma (16 ms, 1.7 MB) on its first call; the
     # solution's y_grid, the policy table and the CLI grid do without it.

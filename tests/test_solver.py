@@ -13,6 +13,7 @@ from spreadimpact._radau import GuardBox, PiecewisePolynomial
 from spreadimpact._radau import bracket_root as _bracket_root
 from spreadimpact.hjb import band_buy, band_sell, make_defect, make_rhs_jac
 from spreadimpact import solver
+from spreadimpact.asymptotic import AsymptoticInputs, NoRootError, find_z_minus
 from spreadimpact.cli import main
 from spreadimpact.market import MarketParams, ParameterError, friction_loss
 from spreadimpact.montecarlo import TABLE_CELLS
@@ -269,11 +270,12 @@ class TestSolve:
         (200.0, "above"),  # only beta_a does; the root lies above beta_b
     ])
     def test_search_starts_from_the_narrowest_probed_bracket(
-            self, factor, start, monkeypatch, solve_cache):
-        # The search probes [hi - 1.25 G, hi - 0.7 G] first, G the sum of
-        # the two one-friction losses, clipped to the admissible floor, and
-        # the admissible bracket's ends only when that misses the root.
-        # Whichever bracket Brent starts from, the rate is the same.
+            self, factor, start, no_expansion_probes, monkeypatch):
+        # Without the expansion's probes, the search probes [hi - 1.25 G,
+        # hi - 0.7 G] first, G the sum of the two one-friction losses,
+        # clipped to the admissible floor, and the admissible bracket's
+        # ends only when that misses the root. Whichever bracket Brent
+        # starts from, the rate is the same.
         if start == "clipped":
             # Box seed 7 point 5 of the README's domain table (y* = 0.957):
             # the loss is 0.715 G, and hi - 1.25 G lies below the floor.
@@ -285,7 +287,9 @@ class TestSolve:
             monkeypatch.setattr(solver, "friction_loss", lambda p: 1e3)
             reference = solve(params)
         else:
-            reference = solve_cache(1e-3, 1e-4)
+            # Solved here, not taken from the session cache, which must not
+            # hold a solve made without the expansion's probes.
+            reference = solve(params_with(1e-3, 1e-4))
             params = reference.params
         loss = factor * friction_loss(params)
         monkeypatch.setattr(solver, "friction_loss", lambda p: loss)
@@ -301,6 +305,8 @@ class TestSolve:
             "inner": (beta_a, beta_b), "above": (beta_b, hi_in),
             "below": (lo_in, beta_a), "full": (lo_in, hi_in),
             "clipped": (lo_in, beta_b)}[start]
+        assert sol.diagnostics["bracket_held"] == (
+            "inner" if start in ("inner", "clipped") else "admissible")
         assert abs(sol.beta - reference.beta) <= 1e-13
         assert sol.diagnostics["bisection_iterations"] <= 12
         # No rate is shot twice, a probe shared by two brackets included.
@@ -323,6 +329,82 @@ class TestSolve:
                            match=r"wrong way round on the rate bracket "
                                  r"\[0\.016, 0\.025\]"):
             solve(params_with(1e-3, 1e-4))
+
+    def test_search_opens_at_the_expansions_rate(self, solve_cache,
+                                                 monkeypatch):
+        # Where the small-cost expansion has a root, its rate beta_e places
+        # the first two probes, [beta_e - 0.005 G, beta_e + 0.03 G], and at
+        # (1e-3, 1e-4) they hold the root: fewer surplus evaluations than
+        # from the inner bracket, and the same rate.
+        sol = solve_cache(1e-3, 1e-4)
+        params = sol.params
+        beta_e = find_z_minus(AsymptoticInputs.from_params(params)).beta_approx
+        loss = friction_loss(params)
+        below, above = sol.diagnostics["search_bracket"]
+        assert sol.diagnostics["bracket_held"] == "expansion"
+        assert beta_e - 0.005 * loss <= below < above <= beta_e + 0.03 * loss
+        monkeypatch.setattr(solver, "_expansion_rate", lambda p: None)
+        inner = solve(params)
+        assert inner.diagnostics["bracket_held"] == "inner"
+        assert (sol.diagnostics["leg_work"]["search"]["legs"]
+                < inner.diagnostics["leg_work"]["search"]["legs"])
+        assert abs(sol.beta - inner.beta) <= 1e-13
+
+    def test_without_an_expansion_root_nothing_changes(self, monkeypatch):
+        # At K = lam/eps^(4/3) < 4.4e-3 the expansion has no verified root;
+        # the search then opens at the inner bracket, exactly as without
+        # the expansion's probes.
+        params = params_with(3.13e-3, 2.23e-7)
+        with pytest.raises(NoRootError):
+            find_z_minus(AsymptoticInputs.from_params(params))
+        sol = solve(params)
+        monkeypatch.setattr(solver, "_expansion_rate", lambda p: None)
+        reference = solve(params)
+        assert (sol.beta, sol.y_minus, sol.y_plus) == (
+            reference.beta, reference.y_minus, reference.y_plus)
+        assert np.array_equal(sol.q.knots, reference.q.knots)
+        assert np.array_equal(sol.q.coeffs, reference.q.coeffs)
+        assert sol.diagnostics == reference.diagnostics
+        assert sol.diagnostics["bracket_held"] == "inner"
+
+    def test_coupling_beyond_the_float_range_skips_the_probes(self):
+        # eps^(4/3) underflows at eps = 1e-250, so K is not finite; the
+        # expansion gives no rate and the search opens as before.
+        params = params_with(1e-250, 1e-4)
+        assert solver._expansion_rate(params) is None
+        assert solve(params).diagnostics["bracket_held"] == "inner"
+
+    @pytest.mark.parametrize("loss_fraction", [
+        1.2,    # both probes below the root
+        0.75,   # both above it
+        0.72,   # both above it, the upper one shared with the inner bracket
+        150.0,  # far below it, above the admissible floor
+        300.0,  # below the floor: no bracket of the expansion
+        0.5,    # above beta0 - 0.7 G: no bracket of the expansion
+    ])
+    def test_expansion_rate_far_from_the_root(self, loss_fraction,
+                                              solve_cache, monkeypatch):
+        # With the expansion's rate moved to beta0 - loss_fraction G, the
+        # search falls through to the inner bracket, reuses every probed
+        # rate and still pins the rate.
+        reference = solve_cache(1e-3, 1e-4)
+        params = reference.params
+        beta_e = params.frictionless_esr - loss_fraction * friction_loss(
+            params)
+        expansion = find_z_minus(AsymptoticInputs.from_params(params))
+        monkeypatch.setattr(solver, "find_z_minus", lambda inputs: (
+            dataclasses.replace(expansion, beta_approx=beta_e)))
+        shot, surplus = [], solver._match_surplus
+        monkeypatch.setattr(solver, "_match_surplus", lambda p, beta, *args: (
+            shot.append(beta) or surplus(p, beta, *args)))
+        sol = solve(params)
+        assert sol.diagnostics["bracket_held"] == "inner"
+        assert abs(sol.beta - reference.beta) <= 1e-13
+        assert len(set(shot)) == len(shot)
+        probes = 4 if loss_fraction in (1.2, 0.75, 150.0) else (
+            3 if loss_fraction == 0.72 else 2)
+        assert len(shot) == (probes
+                             + sol.diagnostics["bisection_iterations"])
 
     def test_jump_at_the_matching_point_raises(self, monkeypatch):
         shoot_real = solver.shoot_leg
@@ -876,6 +958,22 @@ class TestPolicy:
         y = sol.y_minus - 0.05
         assert doubled(y) == pytest.approx(2.0 * policy(sol)(y))
         assert doubled(0.5 * (sol.y_minus + sol.y_plus)) == 0.0
+
+    @pytest.mark.parametrize("scale", [
+        math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400"),
+        True, "2", None, 1j])
+    def test_scale_must_be_a_finite_real_number(self, scale, solve_cache):
+        sol = solve_cache(1e-3, 1e-4)
+        with pytest.raises(ValueError, match="scale_outside_band"):
+            TradingPolicy(sol, scale)
+
+    def test_integer_scale_is_stored_as_a_float(self, solve_cache):
+        sol = solve_cache(1e-3, 1e-4)
+        doubled = TradingPolicy(sol, 2)
+        assert type(doubled.scale_outside_band) is float
+        assert doubled.scale_outside_band == 2.0
+        y = sol.y_minus - 0.05
+        assert doubled(y) == TradingPolicy(sol, 2.0)(y)
 
 
 class TestShooting:

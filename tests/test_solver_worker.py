@@ -211,9 +211,10 @@ def test_worker_ignores_sigint(serial):
     assert _worker._proc[0] == worker
 
 
-def test_work_counters_sum_both_processes():
+def test_work_counters_sum_both_processes(no_expansion_probes):
     # Every backward leg comes back from the worker and is counted, the
-    # ones after a diverged forward leg included.
+    # ones after a diverged forward leg included. The search opens at the
+    # inner bracket, whose two probes hold the root here.
     sol = solver.solve(PARAMS[0])
     work = sol.diagnostics["leg_work"]
     evaluations = sol.diagnostics["bisection_iterations"] + 2
@@ -223,7 +224,8 @@ def test_work_counters_sum_both_processes():
             + sol.diagnostics["backward_steps"])
 
 
-def test_diverged_forward_legs_count_the_same_work(monkeypatch):
+def test_diverged_forward_legs_count_the_same_work(no_expansion_probes,
+                                                   monkeypatch):
     # With the inner bracket out of reach the search shoots rates where the
     # forward leg diverges. Its backward leg is shot and counted with the
     # worker and without it.

@@ -3,7 +3,8 @@
 For the 4 reference points, the 25-point acceptance grid, the 45-point
 base grid of the README's domain table and the 12 ``exact`` benchmark
 inputs of seeds 1, 3 and 11, it prints a SHA-256 of beta, the band edges,
-q's knots and coefficients and the repr of ``diagnostics``. For each of
+q's knots and coefficients and the repr of ``diagnostics``, and beside it
+the repr of beta, ``y_minus`` and ``y_plus``. For each of
 the reference and acceptance points it also prints, for the policy scaled
 by 0.5, 1 and 2 outside the band, a SHA-256 of its table
 (``TradingPolicy.tabulated()``: ``y0``, ``inv_h``, ``slope`` and
@@ -27,6 +28,9 @@ before and after it:
     ...
     python3 tools/answers.py > after.txt
     diff before.txt after.txt
+
+A change that may move the answers within a tolerance is checked on the
+printed beta, ``y_minus`` and ``y_plus`` of the same two outputs instead.
 
 The package is imported from this checkout's ``src``, and the benchmark
 inputs are drawn by ``perfbench/workload.py`` itself. Deleting ``os.fork``
@@ -129,7 +133,8 @@ def solved(params: si.MarketParams):
         sol = si.solve(params)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}", None
-    return fingerprint(sol), sol
+    return (f"{fingerprint(sol)} beta={sol.beta!r} y_minus={sol.y_minus!r} "
+            f"y_plus={sol.y_plus!r}"), sol
 
 
 def main() -> None:
